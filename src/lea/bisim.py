@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .kripke import Model, PointedModel, disjoint_union, index_of
+from .kripke import Model, PointedModel, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def is_circ_bisimulation(z: BisimRelation) -> bool | BisimViolation:
     lexicographic pair order.
     """
     m = z.carrier
-    idx = index_of(m)
+    idx = m.index
     pos = idx.pos
     for s, t in z.pairs:
         if s not in pos or t not in pos:
@@ -141,7 +141,7 @@ def largest_circ_bisimulation(m: Model) -> BisimRelation:
     violates the conditions against a superset, so nothing is over-deleted.
     Sweeps run in lexicographic pair order.
     """
-    idx = index_of(m)
+    idx = m.index
     n = idx.n
     live = [
         (i, j)
@@ -175,7 +175,7 @@ def circ_bisimilar(a: PointedModel, b: PointedModel) -> bool:
 def box_bisimilar(a: PointedModel, b: PointedModel) -> bool:
     """Ordinary modal bisimilarity of the two points (partition refinement)."""
     union = disjoint_union(a.model, b.model)
-    idx = index_of(union)
+    idx = union.index
     n = idx.n
     block: dict[int, object] = {i: idx.sig[i] for i in range(n)}
     while True:

@@ -22,7 +22,7 @@ from .bisim import (
     largest_circ_bisimulation,
     pairs_to_obj,
 )
-from .formula import Formula, ParseError, parse, render, to_lea, to_ml, variables
+from .formula import Formula, ParseError, parse, render, to_lea, to_ml
 from .hilbert import (
     DerivationSyntaxError,
     System,
@@ -38,11 +38,15 @@ from .kripke import (
     Model,
     PointedModel,
     disjoint_union,
-    enumerate_valuations,
     model_from_json,
     model_to_obj,
 )
-from .semantics import check_definability, satisfies, valid_on_frame
+from .semantics import (
+    check_definability,
+    frame_countermodel,
+    satisfies,
+    valid_on_frame,
+)
 
 
 class _InputError(Exception):
@@ -131,15 +135,6 @@ def _cmd_check(ns) -> tuple[int, dict, str]:
     return (0 if answer else 1), payload, human
 
 
-def _frame_falsifier(model: Model, f: Formula) -> dict | None:
-    names = sorted(variables(f))
-    for trial in enumerate_valuations(model, names):
-        for w in trial.worlds:
-            if not satisfies(trial, w, f):
-                return model_to_obj(trial, w)
-    return None
-
-
 def _cmd_valid(ns) -> tuple[int, dict, str]:
     f = _read_formula(ns.formula)
     if ns.frame is not None:
@@ -148,7 +143,7 @@ def _cmd_valid(ns) -> tuple[int, dict, str]:
         payload = {
             "answer": answer,
             "method": "frame-sweep",
-            "witness": None if answer else _frame_falsifier(model, f),
+            "witness": None if answer else _witness_obj(frame_countermodel(model, f)),
         }
         human = "valid on frame" if answer else "not valid on frame"
         return (0 if answer else 1), payload, human
@@ -311,16 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON verdict instead of text")
     common.add_argument("--max-n", type=int, default=argparse.SUPPRESS, metavar="N",
                         help="world bound for searches and scans (default 3)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, metavar="N",
-                        help="seed for randomized harnesses (reserved)")
 
     root_common = argparse.ArgumentParser(add_help=False)
     root_common.add_argument("--json", action="store_true", default=False,
                              help="emit a JSON verdict instead of text")
     root_common.add_argument("--max-n", type=int, default=3, metavar="N",
                              help="world bound for searches and scans (default 3)")
-    root_common.add_argument("--seed", type=int, default=None, metavar="N",
-                             help="seed for randomized harnesses (reserved)")
 
     parser = argparse.ArgumentParser(
         prog="lea",
@@ -413,8 +404,6 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if ns.json:
-        if ns.seed is not None:
-            payload["seed"] = ns.seed
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)

@@ -275,7 +275,6 @@ _CLASS_FLAGS = {
 
 def _extract(branch: _Branch, cls: FrameClass) -> tuple[Model, str]:
     n = len(branch.contents)
-    worlds = tuple(f"u{i}" for i in range(n))
     edges = set(branch.edges)
     flags = branch.flags
     if "trans" in flags:
@@ -292,15 +291,23 @@ def _extract(branch: _Branch, cls: FrameClass) -> tuple[Model, str]:
     if "serial" in flags:
         with_succ = {x for x, _ in edges}
         edges.update((i, i) for i in range(n) if i not in with_succ)
+    model, point = _model_of(branch.contents, edges)
+    if not in_class(model, cls):
+        raise DecideError(f"extracted model left class {cls.name}")
+    return model, point
+
+
+def _model_of(contents: list[set], edges) -> tuple[Model, str]:
+    """Model on worlds u0.. with the given edges; a variable holds where its
+    positive literal was recorded.  Pointed at u0."""
+    worlds = tuple(f"u{i}" for i in range(len(contents)))
     rel = frozenset((worlds[x], worlds[y]) for x, y in edges)
     val: dict[str, set[str]] = {}
-    for i, content in enumerate(branch.contents):
+    for i, content in enumerate(contents):
         for f in content:
             if f[0] == "lit" and not f[2]:
                 val.setdefault(f[1], set()).add(worlds[i])
     model = Model(worlds, rel, {p: frozenset(ws) for p, ws in val.items()})
-    if not in_class(model, cls):
-        raise DecideError(f"extracted model left class {cls.name}")
     return model, worlds[0]
 
 
@@ -420,15 +427,7 @@ def _s5_sat(f: Formula) -> tuple[Model, str] | None:
     if result is None:
         return None
     n = len(result.contents)
-    worlds = tuple(f"u{i}" for i in range(n))
-    rel = frozenset((a, b) for a in worlds for b in worlds)
-    val: dict[str, set[str]] = {}
-    for i, content in enumerate(result.contents):
-        for g in content:
-            if g[0] == "lit" and not g[2]:
-                val.setdefault(g[1], set()).add(worlds[i])
-    model = Model(worlds, rel, {p: frozenset(ws) for p, ws in val.items()})
-    return model, worlds[0]
+    return _model_of(result.contents, [(a, b) for a in range(n) for b in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Mapping
 from . import sweep
 from .formula import (
     And,
-    Bot,
     Box,
     Ess,
     Formula,
@@ -40,7 +39,7 @@ from .formula import (
     substitute,
     variables,
 )
-from .kripke import FrameClass, Model
+from .kripke import FrameClass, Model, frame_worlds
 
 Substitution = Mapping[str, Formula]
 
@@ -128,47 +127,26 @@ def is_tautology(f: Formula) -> bool:
     """Propositional tautology after abstracting modal subtrees as atoms.
 
     Maximal o/[] subformulas and variables become atoms (structurally equal
-    occurrences share one atom); T and F stay constants.
+    occurrences share one atom); T and F stay constants.  The abstracted
+    formula runs once through a one-world sweep, whose bignum holds its
+    value under every assignment to the atoms.
     """
-    atoms: dict[Formula, int] = {}
-    _collect_atoms(f, atoms)
+    atoms: dict[Formula, Var] = {}
+    g = _atomise(f, atoms)
     if len(atoms) > _TAUT_ATOM_LIMIT:
         raise ValueError(f"tautology check over {len(atoms)} atoms; refusing")
-    return all(_eval_abstract(f, atoms, row) for row in range(1 << len(atoms)))
+    [bits] = sweep.Prog(g, [a.name for a in atoms.values()]).run(1, (0,))
+    return bits == (1 << (1 << len(atoms))) - 1
 
 
-def _collect_atoms(f: Formula, atoms: dict[Formula, int]) -> None:
+def _atomise(f: Formula, atoms: dict[Formula, Var]) -> Formula:
     if isinstance(f, (Ess, Box, Var)):
-        atoms.setdefault(f, len(atoms))
-    elif isinstance(f, Not):
-        _collect_atoms(f.sub, atoms)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        _collect_atoms(f.left, atoms)
-        _collect_atoms(f.right, atoms)
-
-
-def _eval_abstract(f: Formula, atoms: Mapping[Formula, int], row: int) -> bool:
-    if isinstance(f, (Ess, Box, Var)):
-        return bool((row >> atoms[f]) & 1)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
+        return atoms.setdefault(f, Var(str(len(atoms))))
     if isinstance(f, Not):
-        return not _eval_abstract(f.sub, atoms, row)
-    if isinstance(f, And):
-        return _eval_abstract(f.left, atoms, row) and _eval_abstract(
-            f.right, atoms, row
-        )
-    if isinstance(f, Or):
-        return _eval_abstract(f.left, atoms, row) or _eval_abstract(f.right, atoms, row)
-    if isinstance(f, Implies):
-        return not _eval_abstract(f.left, atoms, row) or _eval_abstract(
-            f.right, atoms, row
-        )
-    if isinstance(f, Iff):
-        return _eval_abstract(f.left, atoms, row) == _eval_abstract(f.right, atoms, row)
-    raise TypeError(f"not a formula: {f!r}")
+        return Not(_atomise(f.sub, atoms))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(_atomise(f.left, atoms), _atomise(f.right, atoms))
+    return f  # Top / Bot
 
 
 # ---------------------------------------------------------------------------
@@ -503,5 +481,6 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
             checked += 1
             for name, prog in progs:
                 if not sweep.frame_valid(prog, n, succ):
-                    failures.append((sweep.build_model(n, succ, (), 0), name))
+                    frame = sweep.build_model(frame_worlds(n), succ, (), 0)
+                    failures.append((frame, name))
     return ScanReport(system, cls, max_n, checked, tuple(failures))

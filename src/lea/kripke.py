@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import warnings
-import weakref
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -48,8 +48,10 @@ class Model:
             {p: frozenset(ws) for p, ws in (val or {}).items()},
         )
 
-    def successors(self, w: str) -> frozenset[str]:
-        return frozenset(t for s, t in self.rel if s == w)
+    @cached_property
+    def index(self) -> "ModelIndex":
+        """Bitmask index, built on first use and kept in the instance dict."""
+        return ModelIndex(self)
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class PointedModel:
 
 
 # ---------------------------------------------------------------------------
-# Index cache: bitmask successor sets, used by the evaluators and the
+# Model index: bitmask successor sets, used by the evaluators and the
 # bisimulation fixpoint.  Worlds map to bit positions in declaration order.
 
 
@@ -88,23 +90,6 @@ class ModelIndex:
         self.sig = [
             tuple((self.val_bits[p] >> i) & 1 for p in names) for i in range(self.n)
         ]
-
-
-_INDEX_CACHE: "weakref.WeakValueDictionary[int, Model]" = weakref.WeakValueDictionary()
-_INDEX_BY_ID: dict[int, ModelIndex] = {}
-
-
-def index_of(m: Model) -> ModelIndex:
-    """Index for m, cached for the lifetime of the model object."""
-    key = id(m)
-    if _INDEX_CACHE.get(key) is m:
-        return _INDEX_BY_ID[key]
-    idx = ModelIndex(m)
-    _INDEX_CACHE[key] = m
-    _INDEX_BY_ID[key] = idx
-    # Drop the side table entry when the model is collected.
-    weakref.finalize(m, _INDEX_BY_ID.pop, key, None)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +177,20 @@ class FrameProperty(Enum):
 
 def has_property(m: Model, prop: FrameProperty) -> bool:
     """Evaluate the first-order frame condition on m's relation."""
-    idx = index_of(m)
-    return _check_property(idx.n, idx.succ, idx.pred, prop)
+    idx = m.index
+    return _check_property(idx.n, idx.succ, prop)
 
 
-def _check_property(n: int, succ: list[int], pred: list[int], prop: FrameProperty) -> bool:
+def _check_property(n: int, succ: Sequence[int], prop: FrameProperty) -> bool:
     P = FrameProperty
     if prop is P.REFLEXIVE:
         return all((succ[i] >> i) & 1 for i in range(n))
     if prop is P.SERIAL:
         return all(succ[i] for i in range(n))
     if prop is P.SYMMETRIC:
-        return succ == pred
+        return all(
+            (succ[t] >> s) & 1 for s in range(n) for t in range(n) if (succ[s] >> t) & 1
+        )
     if prop is P.COREFLEXIVE:
         return all(succ[i] & ~(1 << i) == 0 for i in range(n))
     if prop is P.TRANSITIVE:
@@ -313,7 +300,7 @@ def add_self_loops(m: Model, mode: SelfLoopMode) -> Model:
     Whatever the mode, the resulting model satisfies exactly the same
     essence-language formulas at each world as m does.
     """
-    idx = index_of(m)
+    idx = m.index
     chosen = []
     for i, w in enumerate(m.worlds):
         if mode is SelfLoopMode.ALL:

@@ -28,16 +28,38 @@ from .formula import (
 from .kripke import (
     FrameProperty,
     Model,
+    ModelIndex,
     PointedModel,
     disjoint_union,
-    index_of,
+    frame_worlds,
 )
 
 
-def _extension_bits(m: Model, f: Formula, memo: dict[Formula, int]) -> int:
-    if f in memo:
-        return memo[f]
-    idx = index_of(m)
+def _ess_bits(n: int, succ: Sequence[int], sub: int) -> int:
+    bits = 0
+    for s in range(n):
+        if succ[s] & ~sub == 0 or not (sub >> s) & 1:
+            bits |= 1 << s
+    return bits
+
+
+def _box_bits(n: int, succ: Sequence[int], sub: int) -> int:
+    bits = 0
+    for s in range(n):
+        if succ[s] & ~sub == 0:
+            bits |= 1 << s
+    return bits
+
+
+def _extension_bits(idx: ModelIndex, f: Formula, memo: dict[int, int]) -> int:
+    """Bitmap of the worlds where f holds.
+
+    memo is keyed by id(f): every subformula stays alive while the caller
+    holds f, so ids are stable and no lookup rehashes a subtree.
+    """
+    key = id(f)
+    if key in memo:
+        return memo[key]
     full = idx.all_mask
     if isinstance(f, Var):
         bits = idx.val_bits.get(f.name, 0)
@@ -46,48 +68,41 @@ def _extension_bits(m: Model, f: Formula, memo: dict[Formula, int]) -> int:
     elif isinstance(f, Bot):
         bits = 0
     elif isinstance(f, Not):
-        bits = full ^ _extension_bits(m, f.sub, memo)
+        bits = full ^ _extension_bits(idx, f.sub, memo)
     elif isinstance(f, And):
-        bits = _extension_bits(m, f.left, memo) & _extension_bits(m, f.right, memo)
+        bits = _extension_bits(idx, f.left, memo) & _extension_bits(idx, f.right, memo)
     elif isinstance(f, Or):
-        bits = _extension_bits(m, f.left, memo) | _extension_bits(m, f.right, memo)
+        bits = _extension_bits(idx, f.left, memo) | _extension_bits(idx, f.right, memo)
     elif isinstance(f, Implies):
-        bits = (full ^ _extension_bits(m, f.left, memo)) | _extension_bits(
-            m, f.right, memo
+        bits = (full ^ _extension_bits(idx, f.left, memo)) | _extension_bits(
+            idx, f.right, memo
         )
     elif isinstance(f, Iff):
         bits = full ^ (
-            _extension_bits(m, f.left, memo) ^ _extension_bits(m, f.right, memo)
+            _extension_bits(idx, f.left, memo) ^ _extension_bits(idx, f.right, memo)
         )
-    elif isinstance(f, (Ess, Box)):
-        sub = _extension_bits(m, f.sub, memo)
-        bits = 0
-        for s in range(idx.n):
-            boxed = idx.succ[s] & ~sub == 0
-            if isinstance(f, Box):
-                hold = boxed
-            else:
-                hold = boxed or not (sub >> s) & 1
-            if hold:
-                bits |= 1 << s
+    elif isinstance(f, Ess):
+        bits = _ess_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo))
+    elif isinstance(f, Box):
+        bits = _box_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo))
     else:
         raise TypeError(f"not a formula: {f!r}")
-    memo[f] = bits
+    memo[key] = bits
     return bits
 
 
 def extension(m: Model, f: Formula) -> frozenset[str]:
     """The set of worlds of m where f holds."""
-    bits = _extension_bits(m, f, {})
+    bits = _extension_bits(m.index, f, {})
     return frozenset(w for i, w in enumerate(m.worlds) if (bits >> i) & 1)
 
 
 def satisfies(m: Model, w: str, f: Formula) -> bool:
     """Truth of f at world w of m."""
-    idx = index_of(m)
+    idx = m.index
     if w not in idx.pos:
         raise ValueError(f"unknown world {w!r}")
-    return bool(_extension_bits(m, f, {}) >> idx.pos[w] & 1)
+    return bool(_extension_bits(idx, f, {}) >> idx.pos[w] & 1)
 
 
 def valid_on_frame(m: Model, f: Formula) -> bool:
@@ -95,9 +110,24 @@ def valid_on_frame(m: Model, f: Formula) -> bool:
 
     Only m's worlds and relation matter; its own valuation is ignored.
     """
-    idx = index_of(m)
+    idx = m.index
     prog = sweep.Prog(f, sorted(variables(f)))
     return sweep.frame_valid(prog, idx.n, idx.succ)
+
+
+def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
+    """m's frame with a valuation of f's variables, and a world where f fails.
+
+    The first falsifying (valuation, world) in sweep order, or None when f
+    is valid on the frame.
+    """
+    idx = m.index
+    names = sorted(variables(f))
+    hit = sweep.frame_falsifier(sweep.Prog(f, names), idx.n, idx.succ)
+    if hit is None:
+        return None
+    v, s = hit
+    return sweep.build_model(m.worlds, idx.succ, names, v), m.worlds[s]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +165,7 @@ def check_definability(
             valid = sweep.frame_valid(prog, n, succ)
             if holds == valid:
                 continue
-            witness = sweep.build_model(n, succ, (), 0)
+            witness = sweep.build_model(frame_worlds(n), succ, (), 0)
             direction = "property-but-invalid" if holds else "valid-but-no-property"
             return DefinabilityVerdict(prop, f, max_n, False, witness, direction)
     return DefinabilityVerdict(prop, f, max_n, True)
@@ -143,22 +173,6 @@ def check_definability(
 
 # ---------------------------------------------------------------------------
 # Layered formula enumeration and bounded equivalence
-
-
-def _ess_bits(n: int, succ: Sequence[int], full: int, sub: int) -> int:
-    bits = 0
-    for s in range(n):
-        if succ[s] & ~sub == 0 or not (sub >> s) & 1:
-            bits |= 1 << s
-    return bits
-
-
-def _box_bits(n: int, succ: Sequence[int], full: int, sub: int) -> int:
-    bits = 0
-    for s in range(n):
-        if succ[s] & ~sub == 0:
-            bits |= 1 << s
-    return bits
 
 
 def _boolean_close(reps: dict[int, Formula], full: int) -> None:
@@ -201,7 +215,7 @@ def _layered_reps(
     _boolean_close(reps, full)
     for _ in range(depth):
         for bm, f in list(reps.items()):
-            eb = step(n, succ, full, bm)
+            eb = step(n, succ, bm)
             if eb not in reps:
                 reps[eb] = wrap(f)
         _boolean_close(reps, full)
@@ -217,7 +231,7 @@ def layered_formulas(
     language ("ess" or "box") has the same extension on m as exactly one
     formula in the result.
     """
-    idx = index_of(m)
+    idx = m.index
     var_bits = [(name, idx.val_bits.get(name, 0)) for name in names]
     reps = _layered_reps(idx.n, idx.succ, var_bits, depth, modal)
     return list(reps.values())
@@ -232,7 +246,7 @@ def bounded_equivalent(
     true at a's point and false at b's.
     """
     union = disjoint_union(a.model, b.model)
-    idx = index_of(union)
+    idx = union.index
     pa = idx.pos["L:" + a.point]
     pb = idx.pos["R:" + b.point]
     var_bits = [(name, idx.val_bits.get(name, 0)) for name in names]

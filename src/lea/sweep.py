@@ -27,6 +27,7 @@ from .formula import (
     Or,
     Top,
     Var,
+    variables,
 )
 from .kripke import FrameClass, Model, _check_property, frame_worlds
 
@@ -143,22 +144,11 @@ def iter_succ_tables(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass) -> bool:
-    pred = _preds(n, succ)
-    return all(_check_property(n, list(succ), pred, p) for p in cls.properties)
+    return all(_check_property(n, succ, p) for p in cls.properties)
 
 
 def succ_has_property(n: int, succ: Sequence[int], prop) -> bool:
-    return _check_property(n, list(succ), _preds(n, succ), prop)
-
-
-def _preds(n: int, succ: Sequence[int]) -> list[int]:
-    pred = [0] * n
-    for s in range(n):
-        row = succ[s]
-        for t in range(n):
-            if (row >> t) & 1:
-                pred[t] |= 1 << s
-    return pred
+    return _check_property(n, succ, prop)
 
 
 def frame_valid(prog: Prog, n: int, succ: Sequence[int]) -> bool:
@@ -171,34 +161,26 @@ def frame_valid(prog: Prog, n: int, succ: Sequence[int]) -> bool:
 
 def frame_falsifier(prog: Prog, n: int, succ: Sequence[int]) -> tuple[int, int] | None:
     """(valuation number, world) falsifying the formula, or None if valid."""
-    total_bits = n * len(prog.names)
-    full = (1 << (1 << total_bits)) - 1
-    out = prog.run(n, succ)
-    best = None
-    for s in range(n):
-        missing = full ^ out[s]
-        if missing:
-            v = (missing & -missing).bit_length() - 1
-            if best is None or (v, s) < best:
-                best = (v, s)
-    return best
+    full = (1 << (1 << (n * len(prog.names)))) - 1
+    return _first_hit([full ^ bits for bits in prog.run(n, succ)])
 
 
 def frame_satisfier(prog: Prog, n: int, succ: Sequence[int]) -> tuple[int, int] | None:
     """(valuation number, world) satisfying the formula, or None."""
-    out = prog.run(n, succ)
-    best = None
-    for s in range(n):
-        if out[s]:
-            v = (out[s] & -out[s]).bit_length() - 1
-            if best is None or (v, s) < best:
-                best = (v, s)
-    return best
+    return _first_hit(prog.run(n, succ))
 
 
-def build_model(n: int, succ: Sequence[int], names: Sequence[str], v: int) -> Model:
-    """Materialize the model picked out by a sweep hit."""
-    worlds = frame_worlds(n)
+def _first_hit(out: list[int]) -> tuple[int, int] | None:
+    """Smallest (valuation number, world) with a set bit in out[world]."""
+    hits = [((bits & -bits).bit_length() - 1, s) for s, bits in enumerate(out) if bits]
+    return min(hits, default=None)
+
+
+def build_model(
+    worlds: tuple[str, ...], succ: Sequence[int], names: Sequence[str], v: int
+) -> Model:
+    """Materialize the model picked out by a sweep hit on the given worlds."""
+    n = len(worlds)
     rel = frozenset(
         (worlds[s], worlds[t]) for s in range(n) for t in range(n) if (succ[s] >> t) & 1
     )
@@ -217,7 +199,7 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
     world) order, or None when no model with at most max_n worlds exists.
     One-way evidence: None never means unsatisfiable.
     """
-    names = sorted({g.name for g in _vars(f)})
+    names = sorted(variables(f))
     prog = Prog(f, names)
     for n in range(1, max_n + 1):
         for succ in iter_succ_tables(n):
@@ -226,12 +208,7 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
             hit = frame_satisfier(prog, n, succ)
             if hit is not None:
                 v, s = hit
-                m = build_model(n, succ, names, v)
+                m = build_model(frame_worlds(n), succ, names, v)
                 return m, m.worlds[s]
     return None
 
-
-def _vars(f: Formula):
-    from .formula import subformulas
-
-    return (g for g in subformulas(f) if isinstance(g, Var))

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from helpers import naive_satisfies
 from lea.cli import main
+from lea.formula import parse
+from lea.kripke import model_from_obj
 
 LOOP = '{"worlds": ["s"], "rel": [["s", "s"]], "val": {"p": ["s"]}}'
 ISOLATED = '{"worlds": ["t"], "rel": [], "val": {"p": ["t"]}}'
@@ -99,6 +102,26 @@ def test_valid_on_frame(models, capsys):
     code, out, _ = run(capsys, "valid", "[] p -> p", "--frame", models["isolated"], "--json")
     assert code == 1
     assert json.loads(out)["witness"]["point"] == "t"
+
+
+def test_valid_on_frame_witness_keeps_frame(tmp_path, capsys):
+    frame = {
+        "worlds": ["a", "b", "c"],
+        "rel": [["a", "b"], ["b", "c"], ["c", "a"], ["c", "c"]],
+        "val": {"p": ["a"]},
+    }
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(frame))
+    f = parse("o p & o q -> o (p | q) & ([] q -> q)")
+    code, out, _ = run(capsys, "valid", "o p & o q -> o (p | q) & ([] q -> q)",
+                       "--frame", str(path), "--json")
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert witness["worlds"] == frame["worlds"]
+    assert sorted(witness["rel"]) == sorted(frame["rel"])
+    model, point = model_from_obj(witness)
+    assert set(model.val) == {"p", "q"}
+    assert not naive_satisfies(model, point, f)
 
 
 def test_translate(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import mutate_derivation, rand_formula
-from lea.formula import Var, parse
+from lea.formula import And, Box, Ess, Iff, Implies, Not, Or, Var, parse
 from lea.hilbert import (
     EQUI_KW,
     KW_B,
@@ -120,6 +120,46 @@ def test_tautology_modal_atoms():
     assert is_tautology(parse("o p & p -> p"))
     assert not is_tautology(parse("o (p | ~p)"))
     assert not is_tautology(parse("o p | o ~p"))
+
+
+def test_tautology_many_modal_atoms():
+    # Abstract each maximal modal subtree and each variable to a fresh
+    # variable, as the checker does, then compare with the truth table.
+    def abstract(f, atoms):
+        if isinstance(f, (Ess, Box, Var)):
+            return atoms.setdefault(f, Var(f"a{len(atoms)}"))
+        if isinstance(f, Not):
+            return Not(abstract(f.sub, atoms))
+        if isinstance(f, (And, Or, Implies, Iff)):
+            return type(f)(abstract(f.left, atoms), abstract(f.right, atoms))
+        return f
+
+    def random_cases(rng):
+        names = tuple(f"p{i}" for i in range(12))
+        while True:
+            parts = [rand_formula(rng, 3, names=names, lang="mixed") for _ in range(6)]
+            a, b, c = And(parts[0], parts[1]), Or(parts[2], parts[3]), Iff(parts[4], parts[5])
+            # Hypothetical syllogism is a tautology; its variant with c -> b
+            # is not in general.
+            middle = Implies(b, c) if rng.random() < 0.5 else Implies(c, b)
+            yield Implies(Implies(a, b), Implies(middle, Implies(a, c)))
+
+    generated = [
+        l.formula for l in gen_conj_derivation(12).lines if isinstance(l.just, Taut)
+    ]
+    checked = taut = 0
+    for f in itertools.chain(generated, random_cases(random.Random(43))):
+        atoms = {}
+        g = abstract(f, atoms)
+        if not 10 <= len(atoms) <= 14 or not any(isinstance(a, Ess) for a in atoms):
+            continue
+        checked += 1
+        expected = _brute_tautology(g)
+        taut += expected
+        assert is_tautology(f) == expected, f
+        if checked == 40:
+            break
+    assert 0 < taut < checked
 
 
 def test_tautology_atom_limit():

@@ -16,7 +16,6 @@ from lea.kripke import (
     enumerate_valuations,
     has_property,
     in_class,
-    index_of,
     model_from_json,
     model_from_obj,
     model_to_json,
@@ -159,8 +158,9 @@ def test_disjoint_union():
 
 def test_index_cache_identity():
     m = m2([("s", "t")])
-    assert index_of(m) is index_of(m)
+    assert m.index is m.index
     twin = m2([("s", "t")])
-    idx = index_of(twin)
+    idx = twin.index
+    assert idx is not m.index
     assert idx.n == 2
     assert idx.succ[idx.pos["s"]] == 1 << idx.pos["t"]
