@@ -40,7 +40,6 @@ from .kripke import (
     add_self_loops,
     disjoint_union,
     enumerate_frames,
-    enumerate_valuations,
     has_property,
     in_class,
     model_from_json,

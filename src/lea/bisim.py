@@ -211,22 +211,29 @@ def contract(m: Model) -> Contraction:
     Class ids are the bracketed least member, classes relate when any of
     their members do, and a class satisfies p when its members do.  Each
     world of m stays bisimilar to its class in the quotient.
+
+    The classes are read off as each world's set of partners, which is only
+    a partition when the largest bisimulation is an equivalence relation;
+    RuntimeError is raised if two such classes overlap.
     """
     largest = largest_circ_bisimulation(m)
     related: dict[str, set[str]] = {w: {w} for w in m.worlds}
     for s, t in largest.pairs:
         related[s].add(t)
         related[t].add(s)
-    class_members: dict[str, frozenset[str]] = {}
     class_of: dict[str, str] = {}
     order: list[str] = []
     for w in m.worlds:
         if w in class_of:
             continue
-        members = frozenset(related[w])
+        members = related[w]
+        for member in members:
+            if related[member] != members:
+                raise RuntimeError(
+                    f"bisimulation classes of {w!r} and {member!r} overlap"
+                )
         cid = "[" + min(members) + "]"
         order.append(cid)
-        class_members[cid] = members
         for member in members:
             class_of[member] = cid
     rel = frozenset(

@@ -279,7 +279,7 @@ def _cmd_scan(ns) -> tuple[int, dict, str]:
     }
     if report.failures:
         human = (
-            f"{len(report.failures)} failures over {report.frames_checked} frames; "
+            f"{report.failure_count} failures over {report.frames_checked} frames; "
             f"first: {report.failures[0][1]}"
         )
         return 1, payload, human

@@ -452,11 +452,20 @@ def gen_conj_derivation(n: int) -> Derivation:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """Outcome of a soundness scan.
+
+    Frames are swept one per isomorphism class.  frames_checked and
+    failure_count count labelled frames (each class frame weighted by the
+    size of its orbit); failures lists one (frame, axiom) entry per failing
+    orbit and axiom, smallest mask first.
+    """
+
     system: System
     frame_class: FrameClass
     max_n: int
     frames_checked: int
     failures: tuple[tuple[Model, str], ...]
+    failure_count: int
 
     def __bool__(self) -> bool:
         return not self.failures
@@ -473,14 +482,15 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
         for name, schema in system.axioms
     ]
     failures: list[tuple[Model, str]] = []
-    checked = 0
+    checked = failed = 0
     for n in range(1, max_n + 1):
-        for succ in sweep.iter_succ_tables(n):
+        for succ, size in sweep.frame_orbits(n):
             if not sweep.succ_in_class(n, succ, cls):
                 continue
-            checked += 1
+            checked += size
             for name, prog in progs:
                 if not sweep.frame_valid(prog, n, succ):
                     frame = sweep.build_model(frame_worlds(n), succ, (), 0)
                     failures.append((frame, name))
-    return ScanReport(system, cls, max_n, checked, tuple(failures))
+                    failed += size
+    return ScanReport(system, cls, max_n, checked, tuple(failures), failed)

@@ -346,7 +346,9 @@ def enumerate_frames(n: int) -> Iterator[Model]:
     """All 2^(n*n) relations on worlds w0..w{n-1}, empty valuation.
 
     No isomorphism reduction: callers that quantify over frames get the raw
-    space.  Warns when n exceeds 4 (2^25 frames and up).
+    labelled space, in the mask order of sweep.iter_succ_tables.  The
+    library's own sweeps visit one frame per isomorphism class instead
+    (sweep.frame_orbits).  Warns when n exceeds 4 (2^25 frames and up).
     """
     if n < 1:
         raise ValueError("need at least one world")
@@ -357,22 +359,3 @@ def enumerate_frames(n: int) -> Iterator[Model]:
     for mask in range(1 << (n * n)):
         rel = frozenset(pairs[k] for k in range(n * n) if (mask >> k) & 1)
         yield Model(worlds, rel, {})
-
-
-def enumerate_valuations(m: Model, names: Sequence[str]) -> Iterator[Model]:
-    """All models that differ from m only in the valuation of names."""
-    n = len(m.worlds)
-    for masks in _masks_product(len(names), 1 << n):
-        val = dict(m.val)
-        for name, mask in zip(names, masks):
-            val[name] = frozenset(m.worlds[i] for i in range(n) if (mask >> i) & 1)
-        yield Model(m.worlds, m.rel, val)
-
-
-def _masks_product(k: int, limit: int) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for head in range(limit):
-        for tail in _masks_product(k - 1, limit):
-            yield (head,) + tail

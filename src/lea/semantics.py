@@ -154,13 +154,14 @@ def check_definability(
 ) -> DefinabilityVerdict:
     """Compare {frames with prop} against {frames validating f}, exhaustively.
 
-    Every frame on up to max_n worlds is checked on both sides; the first
-    disagreement (smallest size, then frame enumeration order) is reported
-    as a witness.  Confirmation is only as strong as max_n.
+    Every frame on up to max_n worlds is checked on both sides, one per
+    isomorphism class; the first disagreement (smallest size, then frame
+    enumeration order) is reported as a witness.  Confirmation is only as
+    strong as max_n.
     """
     prog = sweep.Prog(f, sorted(variables(f)))
     for n in range(1, max_n + 1):
-        for succ in sweep.iter_succ_tables(n):
+        for succ, _ in sweep.frame_orbits(n):
             holds = sweep.succ_has_property(n, succ, prop)
             valid = sweep.frame_valid(prog, n, succ)
             if holds == valid:

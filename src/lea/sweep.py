@@ -8,11 +8,18 @@ formula against every valuation of a frame costs a handful of int ops per
 formula node instead of a loop over valuations.
 
 Valuation number v assigns variable j the world set (v >> (n*j)) & (2^n - 1).
+
+Frame sweeps visit one frame per isomorphism class (frame_orbits): the
+frame with the smallest mask, weighted by the size of its orbit.  Frame
+validity and every frame property are invariant under relabelling, so the
+first hit in (size, mask) order over the representatives is the first hit
+over all labelled frames, and orbit sizes keep counts in labelled frames.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterator, Sequence
 
 from .formula import (
@@ -143,6 +150,49 @@ def iter_succ_tables(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple((mask >> (s * n)) & width for s in range(n))
 
 
+# Beyond this the seen table alone takes 2^(n*n) bytes (64 GiB at six worlds).
+_ORBIT_MAX_N = 5
+
+
+@lru_cache(maxsize=None)
+def frame_orbits(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(succ, orbit size) for the minimum-mask frame of each isomorphism
+    class on n worlds, in mask order.
+
+    One pass over the masks: the first mask not yet seen is the smallest of
+    its orbit, and its n! relabellings mark the rest as seen.  Orbit sizes
+    sum to 2^(n*n).  Built on first use and kept per n.
+    """
+    if not 1 <= n <= _ORBIT_MAX_N:
+        raise ValueError(f"frame sweeps cover 1 to {_ORBIT_MAX_N} worlds, not {n}")
+    width = (1 << n) - 1
+    # Per permutation: the image of every row bitmask, and the shift that
+    # moves the image of row s to row perm[s].
+    relabellings = []
+    for perm in permutations(range(n)):
+        rows = [
+            sum(1 << perm[t] for t in range(n) if (row >> t) & 1)
+            for row in range(width + 1)
+        ]
+        relabellings.append((rows, [perm[s] * n for s in range(n)]))
+    seen = bytearray(1 << (n * n))
+    orbits = []
+    for mask in range(1 << (n * n)):
+        if seen[mask]:
+            continue
+        succ = tuple((mask >> (s * n)) & width for s in range(n))
+        images = set()
+        for rows, shifts in relabellings:
+            image = 0
+            for s in range(n):
+                image |= rows[succ[s]] << shifts[s]
+            images.add(image)
+        for image in images:
+            seen[image] = 1
+        orbits.append((succ, len(images)))
+    return tuple(orbits)
+
+
 def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass) -> bool:
     return all(_check_property(n, succ, p) for p in cls.properties)
 
@@ -202,7 +252,7 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
     names = sorted(variables(f))
     prog = Prog(f, names)
     for n in range(1, max_n + 1):
-        for succ in iter_succ_tables(n):
+        for succ, _ in frame_orbits(n):
             if not succ_in_class(n, succ, cls):
                 continue
             hit = frame_satisfier(prog, n, succ)

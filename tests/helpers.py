@@ -8,11 +8,27 @@ point of most tests.
 """
 
 import random
+from functools import lru_cache
+from itertools import permutations
+from typing import Iterator, Sequence
 
 from lea.bisim import BisimRelation, is_circ_bisimulation
-from lea.formula import And, Bot, Box, Ess, Formula, Iff, Implies, Not, Or, Top, Var
-from lea.hilbert import Derivation, Line
-from lea.kripke import FrameProperty, Model, PointedModel
+from lea.formula import (
+    And,
+    Bot,
+    Box,
+    Ess,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Top,
+    Var,
+    variables,
+)
+from lea.hilbert import Derivation, Line, System
+from lea.kripke import FrameClass, FrameProperty, Model, PointedModel, enumerate_frames
 
 
 def rand_model(rng: random.Random, max_worlds: int = 4, names=("p", "q")) -> Model:
@@ -140,6 +156,124 @@ def naive_has_property(m: Model, prop: FrameProperty) -> bool:
             if (x, y) in r and (x, z) in r and x != y and x != z and y != z
         )
     raise ValueError(prop)
+
+
+# ---------------------------------------------------------------------------
+# Valuations, relabelling and labelled frame sweeps, one Model at a time.
+
+
+def enumerate_valuations(m: Model, names: Sequence[str]) -> Iterator[Model]:
+    """All models that differ from m only in the valuation of names."""
+    n = len(m.worlds)
+    for masks in _masks_product(len(names), 1 << n):
+        val = dict(m.val)
+        for name, mask in zip(names, masks):
+            val[name] = frozenset(m.worlds[i] for i in range(n) if (mask >> i) & 1)
+        yield Model(m.worlds, m.rel, val)
+
+
+def _masks_product(k: int, limit: int) -> Iterator[tuple[int, ...]]:
+    if k == 0:
+        yield ()
+        return
+    for head in range(limit):
+        for tail in _masks_product(k - 1, limit):
+            yield (head,) + tail
+
+
+def brute_orbits(n: int) -> dict[int, frozenset[int]]:
+    """Isomorphism classes of the frames on n worlds, keyed by smallest mask.
+
+    Mask bit s*n + t stands for the pair (s, t).  Each mask is relabelled by
+    every permutation as a set of pairs and filed under its smallest image.
+    """
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    orbits: dict[int, set[int]] = {}
+    for mask in range(1 << (n * n)):
+        rel = [pairs[k] for k in range(n * n) if (mask >> k) & 1]
+        key = min(
+            sum(1 << (perm[s] * n + perm[t]) for s, t in rel)
+            for perm in permutations(range(n))
+        )
+        orbits.setdefault(key, set()).add(mask)
+    return {key: frozenset(masks) for key, masks in orbits.items()}
+
+
+def naive_in_class(m: Model, cls: FrameClass) -> bool:
+    return all(naive_has_property(m, p) for p in cls.properties)
+
+
+def naive_frame_valid(m: Model, f: Formula) -> bool:
+    """Truth of f at every world of m under every valuation of its variables."""
+    return _naive_frame_valid(m.worlds, m.rel, f)
+
+
+# Cached because the scan oracle asks the same (frame, axiom) question for
+# every system and class that share them.
+@lru_cache(maxsize=None)
+def _naive_frame_valid(worlds, rel, f: Formula) -> bool:
+    frame = Model(worlds, rel, {})
+    return all(
+        naive_satisfies(m, w, f)
+        for m in enumerate_valuations(frame, sorted(variables(f)))
+        for w in worlds
+    )
+
+
+def labelled_definability(prop: FrameProperty, f: Formula, max_n: int):
+    """(confirmed, direction, witness relation) from the first labelled frame,
+    in enumerate_frames order, where prop and the validity of f disagree."""
+    for n in range(1, max_n + 1):
+        for frame in enumerate_frames(n):
+            holds = naive_has_property(frame, prop)
+            if holds != naive_frame_valid(frame, f):
+                direction = "property-but-invalid" if holds else "valid-but-no-property"
+                return False, direction, frame.rel
+    return True, None, None
+
+
+def labelled_scan(system: System, cls: FrameClass, max_n: int):
+    """(class frames, failing (frame, axiom) pairs, first failure as
+    (relation, axiom name) or None) over every labelled frame."""
+    checked = failed = 0
+    first = None
+    for n in range(1, max_n + 1):
+        for frame in enumerate_frames(n):
+            if not naive_in_class(frame, cls):
+                continue
+            checked += 1
+            for name, schema in system.axioms:
+                if not naive_frame_valid(frame, schema):
+                    failed += 1
+                    if first is None:
+                        first = (frame.rel, name)
+    return checked, failed, first
+
+
+def labelled_search_sat(f: Formula, cls: FrameClass, max_n: int):
+    """First (model, world) satisfying f over labelled class frames, in
+    (size, frame, valuation number, world) order, or None.
+
+    Valuation number v gives the j-th variable in sorted order the world
+    set (v >> (n*j)) & (2^n - 1).
+    """
+    names = sorted(variables(f))
+    for n in range(1, max_n + 1):
+        for frame in enumerate_frames(n):
+            if not naive_in_class(frame, cls):
+                continue
+            for v in range(1 << (n * len(names))):
+                val = {
+                    name: frozenset(
+                        w for i, w in enumerate(frame.worlds) if (v >> (n * j + i)) & 1
+                    )
+                    for j, name in enumerate(names)
+                }
+                m = Model(frame.worlds, frame.rel, val)
+                for w in m.worlds:
+                    if naive_satisfies(m, w, f):
+                        return m, w
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     bitparallel_union_oracle,
+    enumerate_valuations,
     inv_pairs,
     mutate_derivation,
     naive_satisfies,
@@ -44,7 +45,6 @@ from lea.kripke import (
     add_self_loops,
     disjoint_union,
     enumerate_frames,
-    enumerate_valuations,
     has_property,
     in_class,
 )

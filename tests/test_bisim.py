@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import lea.bisim
 from helpers import (
     bitparallel_union_oracle,
+    enumerate_valuations,
     naive_satisfies,
     rand_formula,
     rand_model,
@@ -22,7 +24,14 @@ from lea.bisim import (
     pairs_to_obj,
 )
 from lea.formula import parse
-from lea.kripke import FrameClass, Model, PointedModel, disjoint_union, in_class
+from lea.kripke import (
+    FrameClass,
+    Model,
+    PointedModel,
+    disjoint_union,
+    enumerate_frames,
+    in_class,
+)
 from lea.semantics import satisfies
 
 LOOP = PointedModel(
@@ -195,6 +204,37 @@ def test_contract_idempotent():
         once = contract(m).model
         twice = contract(once).model
         assert len(twice.worlds) == len(once.worlds)
+
+
+def test_largest_is_equivalence_on_small_models():
+    # contract reads classes off the largest bisimulation's partner sets,
+    # which is sound only when the relation is an equivalence.
+    models = [
+        m
+        for n in range(1, 4)
+        for frame in enumerate_frames(n)
+        for m in enumerate_valuations(frame, ("p",))
+    ]
+    assert len(models) == 4164
+    for m in models:
+        z = largest_circ_bisimulation(m).pairs
+        assert all((w, w) in z for w in m.worlds), m
+        assert all((t, s) in z for s, t in z), m
+        partners = {}
+        for s, t in z:
+            partners.setdefault(s, set()).add(t)
+        assert all(partners[t] <= partners[s] for s, t in z), m
+
+
+def test_contract_rejects_overlapping_classes(monkeypatch):
+    # a ~ b and b ~ c without a ~ c: the classes of a and c would share b
+    m = Model(("a", "b", "c"), frozenset(), {})
+    pairs = {(w, w) for w in "abc"} | {("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
+    monkeypatch.setattr(
+        lea.bisim, "largest_circ_bisimulation", lambda m: BisimRelation.make(m, pairs)
+    )
+    with pytest.raises(RuntimeError, match="overlap"):
+        contract(m)
 
 
 def test_pairs_json_roundtrip():

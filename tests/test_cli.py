@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lea
 from helpers import naive_satisfies
 from lea.cli import main
 from lea.formula import parse
@@ -227,3 +231,21 @@ def test_formula_from_file(tmp_path, capsys):
     path.write_text("o p & A p\n")
     code, _, _ = run(capsys, "sat", f"@{path}", "--class", "K")
     assert code == 1
+
+
+def test_commands_without_frame_sweeps_build_no_orbits():
+    # A fresh interpreter, so that neither importing lea nor a command that
+    # sweeps no frames pays for the orbit tables.
+    code = (
+        "from lea import sweep\n"
+        "from lea.cli import main\n"
+        "main(['translate', 'to-ml', 'o o p'])\n"
+        "print(sweep.frame_orbits.cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lea.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout.split()
+    assert out[-1] == "0"

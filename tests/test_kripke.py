@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import naive_has_property, rand_model
+from helpers import enumerate_valuations, naive_has_property, rand_model
 from lea.kripke import (
     FrameClass,
     FrameProperty,
@@ -13,7 +13,6 @@ from lea.kripke import (
     add_self_loops,
     disjoint_union,
     enumerate_frames,
-    enumerate_valuations,
     has_property,
     in_class,
     model_from_json,

@@ -2,13 +2,18 @@ import random
 
 import pytest
 
-from helpers import naive_satisfies, rand_formula, rand_model, rand_pointed
+from helpers import (
+    enumerate_valuations,
+    naive_satisfies,
+    rand_formula,
+    rand_model,
+    rand_pointed,
+)
 from lea.formula import Formula, Not, Var, modal_depth, parse
 from lea.kripke import (
     FrameProperty,
     Model,
     PointedModel,
-    enumerate_valuations,
     has_property,
 )
 from lea.semantics import (

@@ -1,0 +1,116 @@
+"""Isomorphism-reduced frame sweeps against brute force and labelled oracles.
+
+The library sweeps one minimum-mask frame per isomorphism class; the
+oracles in helpers walk every labelled frame with plain recursive truth and
+first-order frame conditions.  Verdicts, counts and first witnesses must
+agree exactly.
+"""
+import random
+
+import pytest
+
+from helpers import (
+    brute_orbits,
+    labelled_definability,
+    labelled_scan,
+    labelled_search_sat,
+    rand_formula,
+)
+from lea import sweep
+from lea.formula import parse, render
+from lea.hilbert import System, soundness_scan
+from lea.kripke import FrameClass, FrameProperty
+from lea.semantics import check_definability
+
+
+def _mask(succ):
+    n = len(succ)
+    return sum(row << (s * n) for s, row in enumerate(succ))
+
+
+def test_frame_orbit_counts():
+    for n, count in ((1, 2), (2, 10), (3, 104), (4, 3044)):
+        orbits = sweep.frame_orbits(n)
+        assert len(orbits) == count
+        assert sum(size for _, size in orbits) == 2 ** (n * n)
+
+
+def test_frame_orbits_match_brute_force():
+    for n in (1, 2, 3):
+        expect = brute_orbits(n)
+        masks = sorted(m for orbit in expect.values() for m in orbit)
+        assert masks == list(range(2 ** (n * n)))  # each mask in exactly one orbit
+        got = sweep.frame_orbits(n)
+        # one representative per orbit, its smallest mask, in mask order
+        assert [_mask(succ) for succ, _ in got] == sorted(expect)
+        assert [size for _, size in got] == [len(expect[_mask(succ)]) for succ, _ in got]
+
+
+def test_frame_orbits_reject_sizes_out_of_range():
+    with pytest.raises(ValueError):
+        sweep.frame_orbits(0)
+    with pytest.raises(ValueError):
+        sweep.frame_orbits(6)
+
+
+DEFINABILITY_PAIRS = [
+    # the criterion 4 pairs, all confirmed
+    (FrameProperty.WEAKLY_TRANSITIVE, "o p & p -> o (o p & p)"),
+    (FrameProperty.WEAKLY_CONNECTED, "o (o p & p -> q) | o (o q & q -> p)"),
+    (FrameProperty.WEAK_WEAK_EUCLIDEAN, "~o ~p -> o (o ~p -> p)"),
+    (FrameProperty.SYMMETRIC, "p -> o (o ~p -> p)"),
+    (FrameProperty.COREFLEXIVE, "o p"),
+    (FrameProperty.STRICT_TRANSITIVE3, "o p & p -> o (o p & p)"),
+    (FrameProperty.STRICT_EUCLIDEAN3, "~o ~p -> o (o ~p -> p)"),
+    # refuted in both directions
+    (FrameProperty.REFLEXIVE, "o p"),
+    (FrameProperty.TRANSITIVE, "o p & p -> o o p"),
+    (FrameProperty.EUCLIDEAN, "~o ~p -> o (o ~p -> p)"),
+    (FrameProperty.SERIAL, "o p & p -> o (o p & p)"),
+    (FrameProperty.SYMMETRIC, "~p -> o p"),
+    (FrameProperty.WEAKLY_CONNECTED, "p -> o (o ~p -> p)"),
+]
+
+
+def test_definability_matches_labelled_sweep():
+    refuted = 0
+    for prop, src in DEFINABILITY_PAIRS:
+        f = parse(src)
+        confirmed, direction, rel = labelled_definability(prop, f, 3)
+        verdict = check_definability(prop, f, 3)
+        assert verdict.confirmed == confirmed, (prop.name, src)
+        assert verdict.direction == direction, (prop.name, src)
+        if not confirmed:
+            refuted += 1
+            assert verdict.witness.rel == rel, (prop.name, src)
+    assert refuted == 6
+
+
+def test_soundness_scan_matches_labelled_sweep():
+    for system in System:
+        for cls in FrameClass:
+            checked, failed, first = labelled_scan(system, cls, 3)
+            report = soundness_scan(system, cls, 3)
+            assert report.frames_checked == checked, (system.name, cls.name)
+            assert report.failure_count == failed, (system.name, cls.name)
+            got = None
+            if report.failures:
+                frame, name = report.failures[0]
+                got = (frame.rel, name)
+            assert got == first, (system.name, cls.name)
+            assert bool(report) == (failed == 0)
+
+
+def test_search_sat_matches_labelled_sweep():
+    rng = random.Random(4044)
+    hits = misses = 0
+    for _ in range(40):
+        f = rand_formula(rng, 3, lang="mixed")
+        for cls in FrameClass:
+            expect = labelled_search_sat(f, cls, 3)
+            assert sweep.search_sat(f, cls, 3) == expect, (cls.name, render(f))
+            if expect is None:
+                misses += 1
+            else:
+                hits += 1
+    assert hits and misses
