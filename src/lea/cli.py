@@ -153,6 +153,7 @@ def _cmd_valid(ns) -> tuple[int, dict, str]:
         "answer": verdict.answer,
         "method": verdict.method,
         "witness": _witness_obj(verdict.witness),
+        "stats": dict(verdict.stats),
     }
     if verdict.bound is not None:
         payload["bound"] = verdict.bound
@@ -173,6 +174,7 @@ def _cmd_sat(ns) -> tuple[int, dict, str]:
         "answer": verdict.answer,
         "method": verdict.method,
         "witness": _witness_obj(verdict.witness),
+        "stats": dict(verdict.stats),
     }
     if verdict.bound is not None:
         payload["bound"] = verdict.bound

@@ -7,6 +7,10 @@ on the fly, which preserves truth at every world of every model.  Other
 classes fall back to exhaustive search over small frames; "no model up to
 the bound" is reported as unknown, never as unsatisfiable.
 
+The tableau search runs on an explicit stack and backjumps over choice
+points that a clash does not depend on.  It stores at most 50,000 formulas
+per question; past that it raises DecideError.
+
 Every witness produced here is replayed through the model checker before
 being returned; a witness that fails replay raises instead of lying.
 """
@@ -14,7 +18,8 @@ being returned; a witness that fails replay raises instead of lying.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 from . import sweep
 from .formula import (
@@ -59,6 +64,9 @@ class Verdict:
     method: str  # "tableau" or "bounded-search"
     witness: tuple[Model, str] | None = None
     bound: int | None = None
+    # Tableau cost: formulas stored ("expansions", the budgeted count),
+    # choice points opened and choice points skipped by backjumping.
+    stats: Mapping[str, int] = field(default_factory=dict, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -113,53 +121,49 @@ def _nnf(f: Formula, neg: bool):
 
 
 # ---------------------------------------------------------------------------
-# Labelled tableau for K, D, T, KB, K4, S4
+# Tableau state shared by both calculi.  Every formula stored at a world maps
+# to its dependency mask: bit k is set when the formula rests on the disjunct
+# taken at the k-th open choice point.  A clash records the union of the
+# masks of its two halves, so a choice point whose bit is missing from it
+# played no part and its second disjunct would close the same way.  A
+# formula derived again keeps the mask it first came with.
+
+_BUDGET = 50_000
 
 
-class _Branch:
-    def __init__(self, flags: frozenset[str], budget: list[int]):
-        self.flags = flags
-        self.budget = budget
-        self.contents: list[set] = []
-        self.boxes: list[set] = []
-        self.parent: list[int | None] = []
-        self.edges: set[tuple[int, int]] = set()
+class _Tableau:
+    def __init__(self, stats: dict[str, int]):
+        self.stats = stats  # shared by every clone: budget and counters
+        self.contents: list[dict] = []
         self.alpha: deque = deque()
         self.beta: deque = deque()
         self.pi: deque = deque()
-        self.closed = False
+        self.clash: int | None = None
 
-    def clone(self) -> "_Branch":
-        twin = _Branch(self.flags, self.budget)
-        twin.contents = [set(c) for c in self.contents]
-        twin.boxes = [set(b) for b in self.boxes]
-        twin.parent = list(self.parent)
-        twin.edges = set(self.edges)
+    def clone(self):
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.contents = [dict(c) for c in self.contents]
         twin.alpha = deque(self.alpha)
         twin.beta = deque(self.beta)
         twin.pi = deque(self.pi)
-        twin.closed = self.closed
         return twin
 
-    def new_world(self, parent: int | None) -> int:
-        self.contents.append(set())
-        self.boxes.append(set())
-        self.parent.append(parent)
-        return len(self.contents) - 1
-
-    def schedule(self, w: int, f) -> None:
-        if f in self.contents[w]:
+    def schedule(self, w: int, f, dep: int) -> None:
+        content = self.contents[w]
+        if f in content:
             return
-        self.budget[0] -= 1
-        if self.budget[0] < 0:
+        self.stats["expansions"] += 1
+        if self.stats["expansions"] > _BUDGET:
             raise DecideError("tableau expansion budget exhausted")
-        self.contents[w].add(f)
+        content[f] = dep
         tag = f[0]
         if tag == "bot":
-            self.closed = True
+            self.clash = dep
         elif tag == "lit":
-            if ("lit", f[1], not f[2]) in self.contents[w]:
-                self.closed = True
+            other = content.get(("lit", f[1], not f[2]))
+            if other is not None:
+                self.clash = dep | other
         elif tag == "top":
             pass
         elif tag == "or":
@@ -169,98 +173,190 @@ class _Branch:
         else:  # and / box
             self.alpha.append((w, f))
 
-    def add_edge(self, x: int, y: int) -> None:
+    def next_choice(self):
+        """Apply the deterministic rules until the branch closes, leaves
+        nothing to do (None), or reaches a disjunction, returned as (w, f)."""
+        while self.clash is None:
+            if self.alpha:
+                w, f = self.alpha.popleft()
+                if f[0] == "and":
+                    dep = self.contents[w][f]
+                    self.schedule(w, f[1], dep)
+                    self.schedule(w, f[2], dep)
+                else:
+                    self.apply_box(w, f)
+            elif self.beta:
+                return self.beta.popleft()
+            elif self.pi:
+                self.expand_dia(*self.pi.popleft())
+            elif not self.grow():
+                return None
+        return None
+
+    def grow(self) -> bool:
+        return False
+
+
+def _search(state: _Tableau) -> _Tableau | None:
+    """Depth-first search over disjunctions with dependency-directed
+    backjumping; returns the first open saturated branch, or None.
+
+    The first disjunct of choice point k runs in place with bit k added;
+    the stack keeps a copy of the state from before it.  When the branch
+    closes, every choice point whose bit is missing from the clash is
+    popped unexplored.  The first one that took part resumes from its
+    copy with the second disjunct, which depends on what the first
+    disjunct's clash depended on instead of on bit k.  Only closed
+    subtrees are skipped, so the open branch found is the one plain
+    chronological backtracking finds first.
+    """
+    stats = state.stats
+    stack: list[tuple[_Tableau, int, tuple, int]] = []
+    while True:
+        choice = state.next_choice()
+        if state.clash is None:
+            if choice is None:
+                return state
+            w, f = choice
+            dep = state.contents[w][f]
+            stack.append((state.clone(), w, f, dep))
+            stats["choice_points"] += 1
+            state.schedule(w, f[1], dep | 1 << (len(stack) - 1))
+            continue
+        clash = state.clash
+        while stack:
+            saved, w, f, dep = stack.pop()
+            bit = 1 << len(stack)
+            if clash & bit:
+                state = saved
+                state.schedule(w, f[2], dep | (clash & ~bit))
+                break
+            stats["backjumps"] += 1
+        else:
+            return None
+
+
+# ---------------------------------------------------------------------------
+# Labelled tableau for K, D, T, KB, K4, S4.  Box bodies and edges carry
+# dependency masks too: a box pushed along an edge depends on both.
+
+
+class _Branch(_Tableau):
+    def __init__(self, flags: frozenset[str], stats: dict[str, int]):
+        super().__init__(stats)
+        self.flags = flags
+        self.boxes: list[dict] = []
+        self.parent: list[int | None] = []
+        self.edges: dict[tuple[int, int], int] = {}
+
+    def clone(self) -> "_Branch":
+        twin = super().clone()
+        twin.boxes = [dict(b) for b in self.boxes]
+        twin.parent = list(self.parent)
+        twin.edges = dict(self.edges)
+        return twin
+
+    def new_world(self, parent: int | None) -> int:
+        self.contents.append({})
+        self.boxes.append({})
+        self.parent.append(parent)
+        return len(self.contents) - 1
+
+    def add_edge(self, x: int, y: int, dep: int) -> None:
         if (x, y) in self.edges:
             return
-        self.edges.add((x, y))
-        for body in sorted(self.boxes[x]):
-            self._push_box_along(x, y, body)
+        self.edges[(x, y)] = dep
+        boxes = self.boxes[x]
+        for body in sorted(boxes):
+            self._push_box_along(y, body, boxes[body] | dep)
 
-    def _push_box_along(self, x: int, y: int, body) -> None:
-        self.schedule(y, body)
+    def _push_box_along(self, y: int, body, dep: int) -> None:
+        self.schedule(y, body, dep)
         if "trans" in self.flags:
-            self.schedule(y, ("box", body))
+            self.schedule(y, ("box", body), dep)
 
     def apply_box(self, w: int, f) -> None:
         body = f[1]
         if body in self.boxes[w]:
             return
-        self.boxes[w].add(body)
+        dep = self.contents[w][f]
+        self.boxes[w][body] = dep
         if "refl" in self.flags:
-            self.schedule(w, body)
-        for x, y in sorted(self.edges):
+            self.schedule(w, body, dep)
+        for (x, y), edge_dep in sorted(self.edges.items()):
             if x == w:
-                self._push_box_along(x, y, body)
+                self._push_box_along(y, body, dep | edge_dep)
 
     def expand_dia(self, w: int, f) -> None:
         body = f[1]
+        dep = self.contents[w][f]
         if "trans" in self.flags:
-            blocker = self._find_blocker(w, body)
-            if blocker is not None:
-                self.add_edge(w, blocker)
+            blocked = self._find_blocker(w, body)
+            if blocked is not None:
+                blocker, wanted_dep = blocked
+                self.add_edge(w, blocker, dep | wanted_dep)
                 if "symm" in self.flags:
-                    self.add_edge(blocker, w)
+                    self.add_edge(blocker, w, dep | wanted_dep)
                 return
         v = self.new_world(w)
-        self.schedule(v, body)
-        self.add_edge(w, v)
+        self.schedule(v, body, dep)
+        self.add_edge(w, v, dep)
         if "symm" in self.flags:
-            self.add_edge(v, w)
+            self.add_edge(v, w, dep)
 
-    def _find_blocker(self, w: int, body) -> int | None:
+    def _find_blocker(self, w: int, body) -> tuple[int, int] | None:
         # The fresh world would carry the dia body plus everything w's boxes
         # push along a new edge.  An ancestor already containing all of that
         # can serve as the successor instead; nothing new flows into it.
+        # The edge then depends on the masks of those formulas there.
         wanted = {body}
         for boxed in self.boxes[w]:
             wanted.add(boxed)
             wanted.add(("box", boxed))
         u = self.parent[w]
-        while u is not None:
-            if wanted <= self.contents[u]:
-                return u
+        while u is not None and not wanted <= self.contents[u].keys():
             u = self.parent[u]
-        if wanted <= self.contents[w]:
-            return w
-        return None
+        if u is None:
+            if not wanted <= self.contents[w].keys():
+                return None
+            u = w
+        content = self.contents[u]
+        dep = 0
+        for g in wanted:
+            dep |= content[g]
+        return u, dep
 
+    def grow(self) -> bool:
+        # Seriality: the first world with boxes and no successor gets one.
+        if "serial" in self.flags:
+            for w in range(len(self.contents)):
+                if self.boxes[w] and not any(x == w for x, _ in self.edges):
+                    self.add_edge(w, self.new_world(w), 0)
+                    return True
+        return False
 
-def _solve(branch: _Branch) -> _Branch | None:
-    while True:
-        if branch.closed:
-            return None
-        if branch.alpha:
-            w, f = branch.alpha.popleft()
-            if f[0] == "and":
-                branch.schedule(w, f[1])
-                branch.schedule(w, f[2])
-            else:
-                branch.apply_box(w, f)
-            continue
-        if branch.beta:
-            w, f = branch.beta.popleft()
-            for disjunct in (f[1], f[2]):
-                twin = branch.clone()
-                twin.schedule(w, disjunct)
-                result = _solve(twin)
-                if result is not None:
-                    return result
-            return None
-        if branch.pi:
-            w, f = branch.pi.popleft()
-            branch.expand_dia(w, f)
-            continue
-        if "serial" in branch.flags:
-            grew = False
-            for w in range(len(branch.contents)):
-                if branch.boxes[w] and not any(x == w for x, _ in branch.edges):
-                    v = branch.new_world(w)
-                    branch.add_edge(w, v)
-                    grew = True
-                    break
-            if grew:
-                continue
-        return branch
+    def model(self, cls: FrameClass) -> tuple[Model, str]:
+        n = len(self.contents)
+        edges = set(self.edges)
+        flags = self.flags
+        if "trans" in flags:
+            grew = True
+            while grew:
+                grew = False
+                for x, y in list(edges):
+                    for y2, z in list(edges):
+                        if y2 == y and (x, z) not in edges:
+                            edges.add((x, z))
+                            grew = True
+        if "refl" in flags:
+            edges.update((i, i) for i in range(n))
+        if "serial" in flags:
+            with_succ = {x for x, _ in edges}
+            edges.update((i, i) for i in range(n) if i not in with_succ)
+        model, point = _model_of(self.contents, edges)
+        if not in_class(model, cls):
+            raise DecideError(f"extracted model left class {cls.name}")
+        return model, point
 
 
 _CLASS_FLAGS = {
@@ -273,31 +369,51 @@ _CLASS_FLAGS = {
 }
 
 
-def _extract(branch: _Branch, cls: FrameClass) -> tuple[Model, str]:
-    n = len(branch.contents)
-    edges = set(branch.edges)
-    flags = branch.flags
-    if "trans" in flags:
-        grew = True
-        while grew:
-            grew = False
-            for x, y in list(edges):
-                for y2, z in list(edges):
-                    if y2 == y and (x, z) not in edges:
-                        edges.add((x, z))
-                        grew = True
-    if "refl" in flags:
-        edges.update((i, i) for i in range(n))
-    if "serial" in flags:
-        with_succ = {x for x, _ in edges}
-        edges.update((i, i) for i in range(n) if i not in with_succ)
-    model, point = _model_of(branch.contents, edges)
-    if not in_class(model, cls):
-        raise DecideError(f"extracted model left class {cls.name}")
-    return model, point
+# ---------------------------------------------------------------------------
+# S5: one clique suffices, so worlds share a global box store and each
+# distinct dia body gets at most one witness world.
 
 
-def _model_of(contents: list[set], edges) -> tuple[Model, str]:
+class _Clique(_Tableau):
+    def __init__(self, stats: dict[str, int]):
+        super().__init__(stats)
+        self.global_boxes: dict = {}
+        self.fired: set = set()
+
+    def clone(self) -> "_Clique":
+        twin = super().clone()
+        twin.global_boxes = dict(self.global_boxes)
+        twin.fired = set(self.fired)
+        return twin
+
+    def new_world(self) -> int:
+        self.contents.append({})
+        w = len(self.contents) - 1
+        for body, dep in self.global_boxes.items():
+            self.schedule(w, body, dep)
+        return w
+
+    def apply_box(self, w: int, f) -> None:
+        body = f[1]
+        if body in self.global_boxes:
+            return
+        dep = self.contents[w][f]
+        self.global_boxes[body] = dep
+        for v in range(len(self.contents)):
+            self.schedule(v, body, dep)
+
+    def expand_dia(self, w: int, f) -> None:
+        if f[1] not in self.fired:
+            self.fired.add(f[1])
+            dep = self.contents[w][f]
+            self.schedule(self.new_world(), f[1], dep)
+
+    def model(self, cls: FrameClass) -> tuple[Model, str]:
+        n = len(self.contents)
+        return _model_of(self.contents, [(a, b) for a in range(n) for b in range(n)])
+
+
+def _model_of(contents: list[dict], edges) -> tuple[Model, str]:
     """Model on worlds u0.. with the given edges; a variable holds where its
     positive literal was recorded.  Pointed at u0."""
     worlds = tuple(f"u{i}" for i in range(len(contents)))
@@ -311,123 +427,17 @@ def _model_of(contents: list[set], edges) -> tuple[Model, str]:
     return model, worlds[0]
 
 
-def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[Model, str] | None:
+def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[tuple[Model, str] | None, dict]:
+    stats = {"expansions": 0, "choice_points": 0, "backjumps": 0}
     if cls is FrameClass.S5:
-        return _s5_sat(f)
-    branch = _Branch(_CLASS_FLAGS[cls], budget=[50_000])
-    branch.new_world(None)
-    branch.schedule(0, _nnf(f, False))
-    result = _solve(branch)
-    if result is None:
-        return None
-    return _extract(result, cls)
-
-
-# ---------------------------------------------------------------------------
-# S5: one clique suffices, so worlds share a global box store and each
-# distinct dia body gets at most one witness world.
-
-
-class _Clique:
-    def __init__(self, budget: list[int]):
-        self.budget = budget
-        self.contents: list[set] = []
-        self.global_boxes: list = []
-        self.fired: set = set()
-        self.alpha: deque = deque()
-        self.beta: deque = deque()
-        self.pi: deque = deque()
-        self.closed = False
-
-    def clone(self) -> "_Clique":
-        twin = _Clique(self.budget)
-        twin.contents = [set(c) for c in self.contents]
-        twin.global_boxes = list(self.global_boxes)
-        twin.fired = set(self.fired)
-        twin.alpha = deque(self.alpha)
-        twin.beta = deque(self.beta)
-        twin.pi = deque(self.pi)
-        twin.closed = self.closed
-        return twin
-
-    def new_world(self) -> int:
-        self.contents.append(set())
-        w = len(self.contents) - 1
-        for body in self.global_boxes:
-            self.schedule(w, body)
-        return w
-
-    def schedule(self, w: int, f) -> None:
-        if f in self.contents[w]:
-            return
-        self.budget[0] -= 1
-        if self.budget[0] < 0:
-            raise DecideError("tableau expansion budget exhausted")
-        self.contents[w].add(f)
-        tag = f[0]
-        if tag == "bot":
-            self.closed = True
-        elif tag == "lit":
-            if ("lit", f[1], not f[2]) in self.contents[w]:
-                self.closed = True
-        elif tag == "top":
-            pass
-        elif tag == "or":
-            self.beta.append((w, f))
-        elif tag == "dia":
-            self.pi.append((w, f))
-        else:
-            self.alpha.append((w, f))
-
-    def apply_box(self, f) -> None:
-        body = f[1]
-        if body in self.global_boxes:
-            return
-        self.global_boxes.append(body)
-        for w in range(len(self.contents)):
-            self.schedule(w, body)
-
-
-def _s5_solve(state: _Clique) -> _Clique | None:
-    while True:
-        if state.closed:
-            return None
-        if state.alpha:
-            w, f = state.alpha.popleft()
-            if f[0] == "and":
-                state.schedule(w, f[1])
-                state.schedule(w, f[2])
-            else:
-                state.apply_box(f)
-            continue
-        if state.beta:
-            w, f = state.beta.popleft()
-            for disjunct in (f[1], f[2]):
-                twin = state.clone()
-                twin.schedule(w, disjunct)
-                result = _s5_solve(twin)
-                if result is not None:
-                    return result
-            return None
-        if state.pi:
-            _, f = state.pi.popleft()
-            if f[1] not in state.fired:
-                state.fired.add(f[1])
-                w = state.new_world()
-                state.schedule(w, f[1])
-            continue
-        return state
-
-
-def _s5_sat(f: Formula) -> tuple[Model, str] | None:
-    state = _Clique(budget=[50_000])
-    state.new_world()
-    state.schedule(0, _nnf(f, False))
-    result = _s5_solve(state)
-    if result is None:
-        return None
-    n = len(result.contents)
-    return _model_of(result.contents, [(a, b) for a in range(n) for b in range(n)])
+        root: _Tableau = _Clique(stats)
+        root.new_world()
+    else:
+        root = _Branch(_CLASS_FLAGS[cls], stats)
+        root.new_world(None)
+    root.schedule(0, _nnf(f, False), 0)
+    result = _search(root)
+    return (None if result is None else result.model(cls)), stats
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +451,11 @@ def satisfiable(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verd
     max_n worlds: a hit is definitive, exhaustion is answer=None.
     """
     if cls in _CLASS_FLAGS or cls is FrameClass.S5:
-        hit = _tableau_sat(f, cls)
+        hit, stats = _tableau_sat(f, cls)
         if hit is None:
-            return Verdict(f, cls, "sat", False, "tableau")
+            return Verdict(f, cls, "sat", False, "tableau", stats=stats)
         _replay(hit, f, cls)
-        return Verdict(f, cls, "sat", True, "tableau", hit)
+        return Verdict(f, cls, "sat", True, "tableau", hit, stats=stats)
     hit = sweep.search_sat(f, cls, max_n)
     if hit is None:
         return Verdict(f, cls, "sat", None, "bounded-search", None, max_n)
@@ -457,7 +467,8 @@ def valid(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verdict:
     """Is f true everywhere on every model of the class?  Dual of satisfiable."""
     inner = satisfiable(Not(f), cls, max_n)
     answer = None if inner.answer is None else not inner.answer
-    return Verdict(f, cls, "valid", answer, inner.method, inner.witness, inner.bound)
+    return Verdict(f, cls, "valid", answer, inner.method, inner.witness, inner.bound,
+                   inner.stats)
 
 
 def _replay(hit: tuple[Model, str], f: Formula, cls: FrameClass) -> None:

@@ -66,6 +66,27 @@ def rand_formula(rng: random.Random, depth: int, names=("p", "q"), lang: str = "
     )
 
 
+def rand_modal_cnf(rng: random.Random, atoms: Sequence[str], clauses: int, depth: int = 1) -> Formula:
+    """Random modal 3-CNF of the given modal depth: each literal is an atom
+    or, with probability one half, [] / o of a 3-clause one level shallower,
+    negated with probability one half."""
+
+    def clause(d: int) -> Formula:
+        lits = []
+        for _ in range(3):
+            if d > 0 and rng.random() < 0.5:
+                g = rng.choice((Box, Ess))(clause(d - 1))
+            else:
+                g = Var(rng.choice(atoms))
+            lits.append(Not(g) if rng.random() < 0.5 else g)
+        return Or(Or(lits[0], lits[1]), lits[2])
+
+    out = clause(depth)
+    for _ in range(clauses - 1):
+        out = And(out, clause(depth))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Truth by plain recursion over successor sets.
 
@@ -94,6 +115,65 @@ def naive_satisfies(m: Model, w: str, f: Formula) -> bool:
         if not naive_satisfies(m, w, f.sub):
             return True
         return all(naive_satisfies(m, t, f.sub) for t in succs)
+    raise TypeError(f)
+
+
+# ---------------------------------------------------------------------------
+# K satisfiability at modal depth one.  Successors matter only through their
+# valuations, so a root valuation plus a set of successor valuations covers
+# every pointed K-model up to modal equivalence.
+
+
+def k_depth_one_model(f: Formula, atoms: Sequence[str]) -> tuple[Model, str] | None:
+    """A pointed K-model of f at "r", or None when f is unsatisfiable.
+
+    Tries every root valuation with every set of successor valuations, in
+    that order; f must have modal depth at most one over the given atoms.
+    """
+    vals = [
+        frozenset(a for j, a in enumerate(atoms) if (v >> j) & 1)
+        for v in range(1 << len(atoms))
+    ]
+    for root in vals:
+        for mask in range(1 << len(vals)):
+            succs = [s for i, s in enumerate(vals) if (mask >> i) & 1]
+            if _depth_one_true(f, root, succs):
+                worlds = ("r",) + tuple(f"s{i}" for i in range(len(succs)))
+                rel = frozenset(("r", w) for w in worlds[1:])
+                val = {
+                    a: frozenset(w for w, here in zip(worlds, [root] + succs) if a in here)
+                    for a in atoms
+                }
+                return Model(worlds, rel, val), "r"
+    return None
+
+
+def _depth_one_true(f: Formula, here: frozenset, succs) -> bool:
+    """Truth of f at a world with the valuation here whose successors have
+    the valuations succs; below a modality succs is None."""
+    if isinstance(f, Var):
+        return f.name in here
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Not):
+        return not _depth_one_true(f.sub, here, succs)
+    if isinstance(f, And):
+        return _depth_one_true(f.left, here, succs) and _depth_one_true(f.right, here, succs)
+    if isinstance(f, Or):
+        return _depth_one_true(f.left, here, succs) or _depth_one_true(f.right, here, succs)
+    if isinstance(f, Implies):
+        return not _depth_one_true(f.left, here, succs) or _depth_one_true(f.right, here, succs)
+    if isinstance(f, Iff):
+        return _depth_one_true(f.left, here, succs) == _depth_one_true(f.right, here, succs)
+    if succs is None:
+        raise ValueError("modal depth above one")
+    everywhere = all(_depth_one_true(f.sub, s, None) for s in succs)
+    if isinstance(f, Box):
+        return everywhere
+    if isinstance(f, Ess):
+        return not _depth_one_true(f.sub, here, None) or everywhere
     raise TypeError(f)
 
 

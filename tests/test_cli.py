@@ -8,7 +8,7 @@ import pytest
 import lea
 from helpers import naive_satisfies
 from lea.cli import main
-from lea.formula import parse
+from lea.formula import And, Or, Var, parse, render
 from lea.kripke import model_from_obj
 
 LOOP = '{"worlds": ["s"], "rel": [["s", "s"]], "val": {"p": ["s"]}}'
@@ -98,6 +98,36 @@ def test_unknown_is_negative_exit(capsys):
     assert "unknown" in out
     code, out, _ = run(capsys, "sat", "p & ~p", "--class", "B5", "--json")
     assert json.loads(out)["answer"] is None
+
+
+def test_sat_reports_stats(capsys):
+    code, out, _ = run(capsys, "sat", "(p | q) & ~p", "--class", "S4", "--json")
+    assert code == 0
+    assert json.loads(out)["stats"] == {"expansions": 5, "choice_points": 1, "backjumps": 0}
+    code, out, _ = run(capsys, "valid", "[] p -> p", "--class", "K", "--json")
+    assert code == 1
+    assert json.loads(out)["stats"]["expansions"] > 0
+
+
+@pytest.mark.parametrize("cls", ["K", "S5"])
+def test_sat_wide_conjunction(cls, capsys):
+    """1,500 choice points on one branch: the search keeps them on an
+    explicit stack, not on the interpreter's."""
+
+    def balanced(parts):
+        if len(parts) == 1:
+            return parts[0]
+        mid = len(parts) // 2
+        return And(balanced(parts[:mid]), balanced(parts[mid:]))
+
+    f = balanced([Or(Var(f"a{i}"), Var(f"b{i}")) for i in range(1500)])
+    code, out, _ = run(capsys, "sat", render(f), "--class", cls, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["answer"] is True
+    assert payload["stats"]["choice_points"] == 1500
+    model, point = model_from_obj(payload["witness"])
+    assert naive_satisfies(model, point, f)
 
 
 def test_valid_on_frame(models, capsys):

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from helpers import rand_formula
+from helpers import (
+    k_depth_one_model,
+    labelled_search_sat,
+    naive_in_class,
+    naive_satisfies,
+    rand_formula,
+    rand_modal_cnf,
+)
 from lea.decide import (
     DEFAULT_BOUND,
     TABLEAU_CLASSES,
@@ -10,7 +17,7 @@ from lea.decide import (
     satisfiable,
     valid,
 )
-from lea.formula import parse
+from lea.formula import And, Box, Dia, Not, Or, Var, parse
 from lea.kripke import FrameClass, in_class
 from lea.semantics import satisfies
 
@@ -30,6 +37,12 @@ from lea.semantics import satisfies
         ("~(o T)", FrameClass.K, False),
         ("p & o ~p", FrameClass.T, True),
         ("o p & p & <> ~p", FrameClass.K, False),
+        # the boxes clash only in the world <> p makes, so q must be tried
+        ("(<> p | q) & [] r & [] ~r", FrameClass.K, True),
+        ("(<> p | q) & [] r & [] ~r", FrameClass.KB, True),
+        ("(<> p | q) & [] r & [] ~r", FrameClass.K4, True),
+        ("(<> p | q) & [] r & [] ~r", FrameClass.D, False),
+        ("(<> p | q) & [] r & [] ~r", FrameClass.S5, False),
     ],
 )
 def test_satisfiable_cases(text, cls, expect):
@@ -128,3 +141,68 @@ def test_verdict_fields():
     assert v.formula == parse("o p")
     w = valid(parse("o p"), FrameClass.T)
     assert w.question == "valid"
+
+
+def test_verdict_stats():
+    v = satisfiable(parse("(p | q) & <> ~r & [] r"), FrameClass.K)
+    assert v.answer is False
+    assert set(v.stats) == {"expansions", "choice_points", "backjumps"}
+    assert v.stats["choice_points"] == 1
+    assert v.stats["backjumps"] == 1  # the clash under <> is blind to p | q
+    assert valid(parse("[] p -> p"), FrameClass.T).stats["expansions"] > 0
+    assert satisfiable(parse("p"), FrameClass.TB).stats == {}
+
+
+def test_depth_one_k_oracle():
+    """Modal 3-CNFs of depth one over three atoms with 3 to 28 clauses,
+    against an oracle that tries every root valuation with every set of
+    successor valuations.  Every answer is definitive."""
+    atoms = ("a", "b", "c")
+    rng = random.Random(53)
+    answers = set()
+    for clauses in range(3, 29):
+        for _ in range(2):
+            f = rand_modal_cnf(rng, atoms, clauses)
+            expected = k_depth_one_model(f, atoms)
+            if expected is not None:
+                assert naive_satisfies(*expected, f)
+            verdict = satisfiable(f, FrameClass.K)
+            assert verdict.answer is (expected is not None), (clauses, f)
+            answers.add(verdict.answer)
+            if verdict.answer:
+                assert naive_satisfies(*verdict.witness, f)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("cls", TABLEAU_CLASSES, ids=lambda c: c.name)
+def test_irrelevant_disjunctions_cost_linear(cls):
+    """(a0|b0) & ... & <> x & [] ~x: the clash under <> depends on no
+    disjunction, so backjumping closes every choice point without trying
+    its second disjunct.  Chronological backtracking needs 2^width
+    branches, past the budget from width 14 on."""
+    for width in range(2, 41):
+        parts = [Or(Var(f"a{i}"), Var(f"b{i}")) for i in range(width)]
+        f = parts[0]
+        for g in parts[1:] + [Dia(Var("x")), Box(Not(Var("x")))]:
+            f = And(f, g)
+        verdict = satisfiable(f, cls)
+        assert verdict.answer is False
+        assert verdict.stats["expansions"] <= 20 * width, (width, verdict.stats)
+        assert verdict.stats["backjumps"] == width
+
+
+@pytest.mark.parametrize("cls", TABLEAU_CLASSES, ids=lambda c: c.name)
+def test_depth_two_cnf_against_labelled_search(cls):
+    """No unsat verdict where labelled search finds a model on at most three
+    worlds; every model found lies in the class and replays."""
+    rng = random.Random(f"depth-two {cls.name}")
+    for _ in range(10):
+        f = rand_modal_cnf(rng, ("p",), rng.randint(4, 14), depth=2)
+        verdict = satisfiable(f, cls)
+        if verdict.answer:
+            model, point = verdict.witness
+            assert naive_in_class(model, cls)
+            assert naive_satisfies(model, point, f)
+        else:
+            assert verdict.answer is False
+            assert labelled_search_sat(f, cls, 3) is None, f
