@@ -65,7 +65,6 @@ from .bisim import (
     contract,
     is_circ_bisimulation,
     largest_circ_bisimulation,
-    pairs_from_json,
     pairs_from_obj,
     pairs_to_obj,
 )

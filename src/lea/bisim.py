@@ -5,11 +5,15 @@ successor t of s only needs a matching successor of s' when the pair (s, t)
 is NOT itself in the relation.  Box-bisimilar worlds are always bisimilar
 in this sense; the converse fails (a reflexive p-world and an isolated
 p-world are related by {(s, t)} even though [] F tells them apart).
+
+One partition-refinement engine, _blocks, serves both flavours.  For the
+essence flavour it exempts each world's own block, as the "(s, t) not in Z"
+clause does; its partition is then the largest bisimulation (proof at
+largest_circ_bisimulation), from which contract reads its classes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -68,10 +72,6 @@ def pairs_from_obj(obj: object) -> list[tuple[str, str]]:
             raise ValueError(f"pair entries must be two world ids: {entry!r}")
         out.append((entry[0], entry[1]))
     return out
-
-
-def pairs_from_json(text: str) -> list[tuple[str, str]]:
-    return pairs_from_obj(json.loads(text))
 
 
 def is_circ_bisimulation(z: BisimRelation) -> bool | BisimViolation:
@@ -133,66 +133,78 @@ def _pair_violation(idx, zrow, zcol, i: int, j: int) -> tuple[str, int | None] |
     return None
 
 
-def largest_circ_bisimulation(m: Model) -> BisimRelation:
-    """The union of every relation on m passing is_circ_bisimulation.
+def _blocks(m: Model, exempt: bool) -> list[int]:
+    """Block of each world in the coarsest partition that refines the
+    valuation signatures and gives the worlds of a block one key: the set
+    of their successors' blocks, less their own block when exempt.
 
-    Computed by deleting violating pairs from the full valuation-respecting
-    relation until none are left; a pair belonging to any bisimulation never
-    violates the conditions against a superset, so nothing is over-deleted.
-    Sweeps run in lexicographic pair order.
+    Each round re-keys every world until the number of blocks stops
+    growing.  Blocks are numbered in the order of their first world.
     """
     idx = m.index
-    n = idx.n
-    live = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if idx.sig[i] == idx.sig[j]
-    ]
-    zset = set(live)
-    zrow, zcol = _pair_masks(n, live)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in sorted(zset):
-            if _pair_violation(idx, zrow, zcol, i, j) is not None:
-                zset.discard((i, j))
-                zrow[i] &= ~(1 << j)
-                zcol[j] &= ~(1 << i)
-                changed = True
+    succs: list[list[int]] = [[] for _ in range(idx.n)]
+    for s, t in m.rel:
+        succs[idx.pos[s]].append(idx.pos[t])
+    ids: dict[object, int] = {}
+    block = [ids.setdefault(sig, len(ids)) for sig in idx.sig]
+    while True:
+        count, ids = len(ids), {}
+        keyed = []
+        for b, out in zip(block, succs):
+            seen = {block[t] for t in out}
+            if exempt:
+                seen.discard(b)
+            keyed.append(ids.setdefault((b, frozenset(seen)), len(ids)))
+        if len(ids) == count:
+            return keyed
+        block = keyed
+
+
+def _classes(m: Model) -> list[list[str]]:
+    members: dict[int, list[str]] = {}
+    for w, b in zip(m.worlds, _blocks(m, exempt=True)):
+        members.setdefault(b, []).append(w)
+    return list(members.values())
+
+
+def largest_circ_bisimulation(m: Model) -> BisimRelation:
+    """The union Z of every relation on m passing is_circ_bisimulation.
+
+    Z is exactly "same block" of the partition P = _blocks(m, exempt=True),
+    so it is an equivalence relation.
+
+    (Z within P) By induction on the rounds.  The signatures split no pair
+    of Z, by inv.  Let Z lie within the blocks of one round, (s, t) be in
+    Z, and u be a successor of s with P(u) != P(s).  Then (s, u) is not in
+    Z, so forth gives a successor v of t with (u, v) in Z, hence
+    P(v) = P(u) != P(t).  Back is symmetric, so s and t get one key.
+
+    (P within Z) At the end the worlds of one block share a key.  So if
+    P(s) = P(t) and u is a successor of s with P(u) != P(s), P(u) is in
+    t's key: some successor v of t has P(v) = P(u), as forth asks of
+    "same block".  Back is symmetric and inv holds from the start, so
+    "same block" is a bisimulation and lies within Z.
+    """
     return BisimRelation(
-        m, frozenset((m.worlds[i], m.worlds[j]) for i, j in zset)
+        m, frozenset((s, t) for ws in _classes(m) for s in ws for t in ws)
     )
+
+
+def _same_block(a: PointedModel, b: PointedModel, exempt: bool) -> bool:
+    union = disjoint_union(a.model, b.model)
+    block, pos = _blocks(union, exempt), union.index.pos
+    return block[pos["L:" + a.point]] == block[pos["R:" + b.point]]
 
 
 def circ_bisimilar(a: PointedModel, b: PointedModel) -> bool:
     """Essence-style bisimilarity of the two points, via the disjoint union."""
-    union = disjoint_union(a.model, b.model)
-    largest = largest_circ_bisimulation(union)
-    return ("L:" + a.point, "R:" + b.point) in largest.pairs
+    return _same_block(a, b, exempt=True)
 
 
 def box_bisimilar(a: PointedModel, b: PointedModel) -> bool:
-    """Ordinary modal bisimilarity of the two points (partition refinement)."""
-    union = disjoint_union(a.model, b.model)
-    idx = union.index
-    n = idx.n
-    block: dict[int, object] = {i: idx.sig[i] for i in range(n)}
-    while True:
-        ids: dict[object, int] = {}
-        for i in range(n):
-            ids.setdefault(block[i], len(ids))
-        numbered = [ids[block[i]] for i in range(n)]
-        refined: dict[int, object] = {}
-        for i in range(n):
-            succ_blocks = frozenset(
-                numbered[t] for t in range(n) if (idx.succ[i] >> t) & 1
-            )
-            refined[i] = (numbered[i], succ_blocks)
-        if len(set(refined.values())) == len(ids):
-            break
-        block = refined
-    return refined[idx.pos["L:" + a.point]] == refined[idx.pos["R:" + b.point]]
+    """Ordinary modal bisimilarity of the two points: the same refinement
+    without the exemption."""
+    return _same_block(a, b, exempt=False)
 
 
 # ---------------------------------------------------------------------------
@@ -208,34 +220,19 @@ class Contraction:
 def contract(m: Model) -> Contraction:
     """Quotient of m by its largest essence-style bisimulation.
 
-    Class ids are the bracketed least member, classes relate when any of
-    their members do, and a class satisfies p when its members do.  Each
-    world of m stays bisimilar to its class in the quotient.
-
-    The classes are read off as each world's set of partners, which is only
-    a partition when the largest bisimulation is an equivalence relation;
-    RuntimeError is raised if two such classes overlap.
+    The classes are the blocks of that bisimulation's partition (see
+    largest_circ_bisimulation).  Class ids are the bracketed least member,
+    classes relate when any of their members do, and a class satisfies p
+    when its members do.  Each world of m stays bisimilar to its class in
+    the quotient.
     """
-    largest = largest_circ_bisimulation(m)
-    related: dict[str, set[str]] = {w: {w} for w in m.worlds}
-    for s, t in largest.pairs:
-        related[s].add(t)
-        related[t].add(s)
     class_of: dict[str, str] = {}
     order: list[str] = []
-    for w in m.worlds:
-        if w in class_of:
-            continue
-        members = related[w]
-        for member in members:
-            if related[member] != members:
-                raise RuntimeError(
-                    f"bisimulation classes of {w!r} and {member!r} overlap"
-                )
-        cid = "[" + min(members) + "]"
+    for ws in _classes(m):
+        cid = "[" + min(ws) + "]"
         order.append(cid)
-        for member in members:
-            class_of[member] = cid
+        for w in ws:
+            class_of[w] = cid
     rel = frozenset(
         (class_of[s], class_of[t]) for s, t in m.rel
     )

@@ -394,9 +394,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    ns = _parser.parse_args(argv)
     try:
         code, payload, human = ns.func(ns)
     except _InputError as e:

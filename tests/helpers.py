@@ -2,9 +2,9 @@
 
 The oracles here deliberately avoid the library's bitmask machinery: truth
 is recursion over successor sets, frame properties are written as the bare
-first-order sentences, and the bisimulation oracle enumerates candidate
-relations outright.  Agreement between these and the fast paths is the
-point of most tests.
+first-order sentences, and the bisimulation oracles enumerate candidate
+relations outright or delete violating pairs one at a time.  Agreement
+between these and the fast paths is the point of most tests.
 """
 
 import random
@@ -31,10 +31,12 @@ from lea.hilbert import Derivation, Line, System
 from lea.kripke import FrameClass, FrameProperty, Model, PointedModel, enumerate_frames
 
 
-def rand_model(rng: random.Random, max_worlds: int = 4, names=("p", "q")) -> Model:
+def rand_model(
+    rng: random.Random, max_worlds: int = 4, names=("p", "q"), density=(0.15, 0.6)
+) -> Model:
     n = rng.randint(1, max_worlds)
     worlds = tuple(f"w{i}" for i in range(n))
-    density = rng.uniform(0.15, 0.6)
+    density = rng.uniform(*density)
     rel = frozenset(
         (a, b) for a in worlds for b in worlds if rng.random() < density
     )
@@ -386,6 +388,39 @@ def subset_union_oracle(m: Model, pool=None) -> frozenset:
         if is_circ_bisimulation(BisimRelation(m, z)):
             union |= z
     return frozenset(union)
+
+
+def pair_fixpoint_oracle(m: Model, exempt: bool = True) -> frozenset:
+    """Largest bisimulation on m by deleting violating pairs to a fixpoint.
+
+    Starts from inv_pairs(m) and sweeps every pair in lexicographic order
+    until a sweep deletes none.  With exempt, a successor u of s needs a
+    partner only when (s, u) is outside the relation, the essence clause;
+    without it every successor does, the plain box clause.  A pair of any
+    bisimulation never violates the clauses against a superset, so nothing
+    is over-deleted.
+    """
+    succs = {w: [t for (s, t) in m.rel if s == w] for w in m.worlds}
+    z = set(inv_pairs(m))
+
+    def unmatched(s, t, flip):
+        # A successor u of s, outside the exemption, with no partner among
+        # t's successors (pairs read right to left when flip).
+        for u in succs[s]:
+            if exempt and (s, u) in z:
+                continue
+            if not any(((v, u) if flip else (u, v)) in z for v in succs[t]):
+                return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for s, t in sorted(z):
+            if unmatched(s, t, False) or unmatched(t, s, True):
+                z.discard((s, t))
+                changed = True
+    return frozenset(z)
 
 
 def bitparallel_union_oracle(m: Model) -> frozenset:

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-import lea.bisim
 from helpers import (
     bitparallel_union_oracle,
     enumerate_valuations,
     naive_satisfies,
+    pair_fixpoint_oracle,
     rand_formula,
     rand_model,
     rand_pointed,
@@ -207,8 +207,8 @@ def test_contract_idempotent():
 
 
 def test_largest_is_equivalence_on_small_models():
-    # contract reads classes off the largest bisimulation's partner sets,
-    # which is sound only when the relation is an equivalence.
+    # The proof in lea.bisim makes the largest bisimulation an equivalence,
+    # which contract's classes rely on; check it on every small model.
     models = [
         m
         for n in range(1, 4)
@@ -226,15 +226,55 @@ def test_largest_is_equivalence_on_small_models():
         assert all(partners[t] <= partners[s] for s, t in z), m
 
 
-def test_contract_rejects_overlapping_classes(monkeypatch):
-    # a ~ b and b ~ c without a ~ c: the classes of a and c would share b
-    m = Model(("a", "b", "c"), frozenset(), {})
-    pairs = {(w, w) for w in "abc"} | {("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")}
-    monkeypatch.setattr(
-        lea.bisim, "largest_circ_bisimulation", lambda m: BisimRelation.make(m, pairs)
-    )
-    with pytest.raises(RuntimeError, match="overlap"):
-        contract(m)
+def test_contract_classes_match_oracle():
+    # The classes are the blocks of the refinement engine; the pair-level
+    # fixpoint must partition the worlds the same way.
+    rng = random.Random(42)
+    for _ in range(300):
+        m = rand_model(rng, 8, names=rng.choice((("p",), ("p", "q"))),
+                       density=(0.1, 0.7))
+        z = pair_fixpoint_oracle(m)
+        want = {frozenset(t for t in m.worlds if (w, t) in z) for w in m.worlds}
+        out = contract(m)
+        got: dict[str, set[str]] = {}
+        for w, cid in out.class_of.items():
+            got.setdefault(cid, set()).add(w)
+        assert {frozenset(ws) for ws in got.values()} == want, m
+        assert all(cid == "[" + min(ws) + "]" for cid, ws in got.items()), m
+
+
+def test_engine_matches_pair_fixpoint_oracle():
+    rng = random.Random(43)
+    for _ in range(2000):
+        m = rand_model(rng, 12, names=rng.choice((("p",), ("p", "q"))),
+                       density=(0.1, 0.7))
+        assert largest_circ_bisimulation(m).pairs == pair_fixpoint_oracle(m), m
+        # Two points of one model are bisimilar exactly when the largest
+        # bisimulation on that model relates them.  Each unordered pair is
+        # asked once; test_box_bisimilar_reflexive_and_symmetric covers the
+        # order.
+        box = pair_fixpoint_oracle(m, exempt=False)
+        for i, a in enumerate(m.worlds):
+            for b in m.worlds[i:]:
+                got = box_bisimilar(PointedModel(m, a), PointedModel(m, b))
+                assert got == ((a, b) in box), (m, a, b)
+
+
+def test_long_alternating_chain_twin():
+    # Refinement adds one block a round here, 199 rounds in all; every world
+    # is bisimilar only to itself and its twin.
+    def chain(prefix):
+        ws = [f"{prefix}{i}" for i in range(200)]
+        return Model.make(ws, zip(ws, ws[1:]), {"p": ws[::2]})
+
+    c, d = chain("c"), chain("d")
+    z = largest_circ_bisimulation(disjoint_union(c, d))
+    assert len(z.pairs) == 800
+    assert is_circ_bisimulation(z) is True
+    for same in (circ_bisimilar, box_bisimilar):
+        assert same(PointedModel(c, "c0"), PointedModel(d, "d0"))
+        assert not same(PointedModel(c, "c0"), PointedModel(d, "d1"))
+        assert not same(PointedModel(c, "c0"), PointedModel(d, "d2"))
 
 
 def test_pairs_json_roundtrip():

@@ -279,3 +279,27 @@ def test_commands_without_frame_sweeps_build_no_orbits():
         timeout=60, check=True,
     ).stdout.split()
     assert out[-1] == "0"
+
+
+def test_parser_reused_without_leaking_flags(models, capsys):
+    # main builds its parser once; no flag of one call may reach the next.
+    formula = "p -> o (o ~p -> p)"
+    code, out, _ = run(capsys, "--json", "check", models["loop"], "s", "p")
+    assert code == 0 and json.loads(out)["answer"] is True
+    parser = lea.cli._parser
+    assert parser is not None
+    code, out, _ = run(capsys, "check", models["loop"], "s", "p")
+    assert code == 0 and out.strip() == "true: p at s"
+    code, out, _ = run(capsys, "check", models["loop"], "s", "p", "--json")
+    assert code == 0 and json.loads(out)["answer"] is True
+    code, out, _ = run(capsys, "define", "symmetric", formula, "--max-n", "2", "--json")
+    assert code == 0 and json.loads(out)["max_n"] == 2
+    code, out, _ = run(capsys, "--max-n", "2", "define", "symmetric", formula)
+    assert code == 0 and out.strip() == "Confirmed up to n=2"
+    code, out, _ = run(capsys, "define", "symmetric", formula)
+    assert code == 0 and out.strip() == "Confirmed up to n=3"
+    code, out, _ = run(capsys, "define", "symmetric", formula, "--json")
+    assert code == 0 and json.loads(out)["max_n"] == 3
+    code, out, _ = run(capsys, "check", models["loop"], "s", "p")
+    assert code == 0 and out.strip() == "true: p at s"
+    assert lea.cli._parser is parser
