@@ -3,7 +3,8 @@
 One operation per invocation, verdict on stdout, no state between runs.
 Exit codes: 0 for an affirmative verdict (true, valid, sat, bisimilar,
 accepted, confirmed, clean scan), 1 for a negative one, 2 for unusable
-input.  --json swaps the human line for a machine-readable object.
+input, a --max-n outside 1 to sweep.MAX_N included.  --json swaps the
+human line for a machine-readable object.
 
 Formulas are given inline or as @path; models are always files.
 """
@@ -47,6 +48,7 @@ from .semantics import (
     satisfies,
     valid_on_frame,
 )
+from .sweep import MAX_N
 
 
 class _InputError(Exception):
@@ -147,29 +149,24 @@ def _cmd_valid(ns) -> tuple[int, dict, str]:
         }
         human = "valid on frame" if answer else "not valid on frame"
         return (0 if answer else 1), payload, human
-    cls = _frame_class(ns.frame_class)
-    verdict = decide.valid(f, cls, ns.max_n)
-    payload = {
-        "answer": verdict.answer,
-        "method": verdict.method,
-        "witness": _witness_obj(verdict.witness),
-        "stats": dict(verdict.stats),
-    }
-    if verdict.bound is not None:
-        payload["bound"] = verdict.bound
-    if verdict.answer is None:
-        human = f"unknown: no countermodel with up to {verdict.bound} worlds"
-    elif verdict.answer:
-        human = f"valid in {cls.name}"
-    else:
-        human = f"not valid in {cls.name} (countermodel found)"
-    return (0 if verdict.answer else 1), payload, human
+    return _verdict_reply(decide.valid(f, _frame_class(ns.frame_class), ns.max_n))
 
 
 def _cmd_sat(ns) -> tuple[int, dict, str]:
     f = _read_formula(ns.formula)
-    cls = _frame_class(ns.frame_class)
-    verdict = decide.satisfiable(f, cls, ns.max_n)
+    return _verdict_reply(decide.satisfiable(f, _frame_class(ns.frame_class), ns.max_n))
+
+
+# Human lines per question: (unknown, affirmative, negative).
+_VERDICT_LINES = {
+    "sat": ("unknown: no model with up to {} worlds",
+            "satisfiable in {}", "unsatisfiable in {}"),
+    "valid": ("unknown: no countermodel with up to {} worlds",
+              "valid in {}", "not valid in {} (countermodel found)"),
+}
+
+
+def _verdict_reply(verdict: decide.Verdict) -> tuple[int, dict, str]:
     payload = {
         "answer": verdict.answer,
         "method": verdict.method,
@@ -178,12 +175,11 @@ def _cmd_sat(ns) -> tuple[int, dict, str]:
     }
     if verdict.bound is not None:
         payload["bound"] = verdict.bound
+    unknown, yes, no = _VERDICT_LINES[verdict.question]
     if verdict.answer is None:
-        human = f"unknown: no model with up to {verdict.bound} worlds"
-    elif verdict.answer:
-        human = f"satisfiable in {cls.name}"
+        human = unknown.format(verdict.bound)
     else:
-        human = f"unsatisfiable in {cls.name}"
+        human = (yes if verdict.answer else no).format(verdict.frame_class.name)
     return (0 if verdict.answer else 1), payload, human
 
 
@@ -307,13 +303,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit a JSON verdict instead of text")
     common.add_argument("--max-n", type=int, default=argparse.SUPPRESS, metavar="N",
-                        help="world bound for searches and scans (default 3)")
+                        help=f"world bound for searches and scans, 1 to {MAX_N} "
+                             "(default 3)")
 
     root_common = argparse.ArgumentParser(add_help=False)
     root_common.add_argument("--json", action="store_true", default=False,
                              help="emit a JSON verdict instead of text")
     root_common.add_argument("--max-n", type=int, default=3, metavar="N",
-                             help="world bound for searches and scans (default 3)")
+                             help=f"world bound for searches and scans, 1 to {MAX_N} "
+                                  "(default 3)")
 
     parser = argparse.ArgumentParser(
         prog="lea",
@@ -403,6 +401,8 @@ def main(argv=None) -> int:
         _parser = _build_parser()
     ns = _parser.parse_args(argv)
     try:
+        if not 1 <= ns.max_n <= MAX_N:
+            raise _InputError(f"--max-n must be between 1 and {MAX_N}, not {ns.max_n}")
         code, payload, human = ns.func(ns)
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)

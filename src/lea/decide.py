@@ -1,11 +1,15 @@
 """Satisfiability and validity over frame classes.
 
-For K, D, T, KB, K4, S4 and S5 a labelled tableau decides the question and
-returns a concrete witness (model of the formula, or countermodel of a
-validity).  The essence operator is handled by rewriting o f as f -> [] f
-on the fly, which preserves truth at every world of every model.  Other
-classes fall back to exhaustive search over small frames; "no model up to
-the bound" is reported as unknown, never as unsatisfiable.
+For the TABLEAU_CLASSES K, D, T, KB, K4, S4 and S5 a tableau decides the
+question and returns a concrete witness (model of the formula, or
+countermodel of a validity).  S5 has its own one-clique calculus; the
+labelled tableau for the other six takes its rules from the class's frame
+properties (cls.properties): reflexive, serial, symmetric and transitive
+each switch on one rule.  The essence operator is handled by rewriting
+o f as f -> [] f on the fly, which preserves truth at every world of every
+model.  TB and B5 fall back to exhaustive search over small frames
+(sweep.search_sat); "no model up to the bound" is reported as unknown,
+never as unsatisfiable.
 
 The tableau search runs on an explicit stack and backjumps over choice
 points that a clash does not depend on.  It stores at most 50,000 formulas
@@ -35,7 +39,7 @@ from .formula import (
     Top,
     Var,
 )
-from .kripke import FrameClass, Model, in_class
+from .kripke import FrameClass, FrameProperty, Model, in_class
 from .semantics import satisfies
 
 TABLEAU_CLASSES = (
@@ -237,14 +241,15 @@ def _search(state: _Tableau) -> _Tableau | None:
 
 
 # ---------------------------------------------------------------------------
-# Labelled tableau for K, D, T, KB, K4, S4.  Box bodies and edges carry
-# dependency masks too: a box pushed along an edge depends on both.
+# Labelled tableau for K, D, T, KB, K4, S4, with one rule per frame
+# property of the class.  Box bodies and edges carry dependency masks too:
+# a box pushed along an edge depends on both.
 
 
 class _Branch(_Tableau):
-    def __init__(self, flags: frozenset[str], stats: dict[str, int]):
+    def __init__(self, props: tuple[FrameProperty, ...], stats: dict[str, int]):
         super().__init__(stats)
-        self.flags = flags
+        self.props = props
         self.boxes: list[dict] = []
         self.parent: list[int | None] = []
         self.edges: dict[tuple[int, int], int] = {}
@@ -272,7 +277,7 @@ class _Branch(_Tableau):
 
     def _push_box_along(self, y: int, body, dep: int) -> None:
         self.schedule(y, body, dep)
-        if "trans" in self.flags:
+        if FrameProperty.TRANSITIVE in self.props:
             self.schedule(y, ("box", body), dep)
 
     def apply_box(self, w: int, f) -> None:
@@ -281,7 +286,7 @@ class _Branch(_Tableau):
             return
         dep = self.contents[w][f]
         self.boxes[w][body] = dep
-        if "refl" in self.flags:
+        if FrameProperty.REFLEXIVE in self.props:
             self.schedule(w, body, dep)
         for (x, y), edge_dep in sorted(self.edges.items()):
             if x == w:
@@ -290,18 +295,18 @@ class _Branch(_Tableau):
     def expand_dia(self, w: int, f) -> None:
         body = f[1]
         dep = self.contents[w][f]
-        if "trans" in self.flags:
+        if FrameProperty.TRANSITIVE in self.props:
             blocked = self._find_blocker(w, body)
             if blocked is not None:
                 blocker, wanted_dep = blocked
                 self.add_edge(w, blocker, dep | wanted_dep)
-                if "symm" in self.flags:
+                if FrameProperty.SYMMETRIC in self.props:
                     self.add_edge(blocker, w, dep | wanted_dep)
                 return
         v = self.new_world(w)
         self.schedule(v, body, dep)
         self.add_edge(w, v, dep)
-        if "symm" in self.flags:
+        if FrameProperty.SYMMETRIC in self.props:
             self.add_edge(v, w, dep)
 
     def _find_blocker(self, w: int, body) -> tuple[int, int] | None:
@@ -328,7 +333,7 @@ class _Branch(_Tableau):
 
     def grow(self) -> bool:
         # Seriality: the first world with boxes and no successor gets one.
-        if "serial" in self.flags:
+        if FrameProperty.SERIAL in self.props:
             for w in range(len(self.contents)):
                 if self.boxes[w] and not any(x == w for x, _ in self.edges):
                     self.add_edge(w, self.new_world(w), 0)
@@ -338,8 +343,8 @@ class _Branch(_Tableau):
     def model(self, cls: FrameClass) -> tuple[Model, str]:
         n = len(self.contents)
         edges = set(self.edges)
-        flags = self.flags
-        if "trans" in flags:
+        props = self.props
+        if FrameProperty.TRANSITIVE in props:
             grew = True
             while grew:
                 grew = False
@@ -348,25 +353,15 @@ class _Branch(_Tableau):
                         if y2 == y and (x, z) not in edges:
                             edges.add((x, z))
                             grew = True
-        if "refl" in flags:
+        if FrameProperty.REFLEXIVE in props:
             edges.update((i, i) for i in range(n))
-        if "serial" in flags:
+        if FrameProperty.SERIAL in props:
             with_succ = {x for x, _ in edges}
             edges.update((i, i) for i in range(n) if i not in with_succ)
         model, point = _model_of(self.contents, edges)
         if not in_class(model, cls):
             raise DecideError(f"extracted model left class {cls.name}")
         return model, point
-
-
-_CLASS_FLAGS = {
-    FrameClass.K: frozenset(),
-    FrameClass.D: frozenset({"serial"}),
-    FrameClass.T: frozenset({"refl"}),
-    FrameClass.KB: frozenset({"symm"}),
-    FrameClass.K4: frozenset({"trans"}),
-    FrameClass.S4: frozenset({"refl", "trans"}),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +428,7 @@ def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[tuple[Model, str] | None,
         root: _Tableau = _Clique(stats)
         root.new_world()
     else:
-        root = _Branch(_CLASS_FLAGS[cls], stats)
+        root = _Branch(cls.properties, stats)
         root.new_world(None)
     root.schedule(0, _nnf(f, False), 0)
     result = _search(root)
@@ -448,9 +443,10 @@ def satisfiable(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verd
     """Is f true at some world of some model on a frame of the class?
 
     Tableau classes get a definitive answer.  Others are searched up to
-    max_n worlds: a hit is definitive, exhaustion is answer=None.
+    max_n worlds (1..sweep.MAX_N, else ValueError): a hit is definitive,
+    exhaustion is answer=None.
     """
-    if cls in _CLASS_FLAGS or cls is FrameClass.S5:
+    if cls in TABLEAU_CLASSES:
         hit, stats = _tableau_sat(f, cls)
         if hit is None:
             return Verdict(f, cls, "sat", False, "tableau", stats=stats)

@@ -475,7 +475,8 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
     """Check every axiom of the system on every class frame up to max_n worlds.
 
     Returns the (frame, axiom name) pairs where validity fails; soundness of
-    the system over the class predicts none.
+    the system over the class predicts none.  max_n must lie in
+    1..sweep.MAX_N (ValueError).
     """
     progs = [
         (name, sweep.Prog(schema, sorted(variables(schema))))
@@ -483,14 +484,11 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
     ]
     failures: list[tuple[Model, str]] = []
     checked = failed = 0
-    for n in range(1, max_n + 1):
-        for succ, size in sweep.frame_orbits(n):
-            if not sweep.succ_in_class(n, succ, cls):
-                continue
-            checked += size
-            for name, prog in progs:
-                if not sweep.frame_valid(prog, n, succ):
-                    frame = sweep.build_model(frame_worlds(n), succ, (), 0)
-                    failures.append((frame, name))
-                    failed += size
+    for n, succ, size in sweep.class_frames(cls, max_n):
+        checked += size
+        for name, prog in progs:
+            if not sweep.frame_valid(prog, n, succ):
+                frame = sweep.build_model(frame_worlds(n), succ, (), 0)
+                failures.append((frame, name))
+                failed += size
     return ScanReport(system, cls, max_n, checked, tuple(failures), failed)

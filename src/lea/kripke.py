@@ -3,6 +3,12 @@
 Worlds are strings.  A model is immutable once built; operations that
 "modify" a model (adding self-loops, taking disjoint unions, quotients)
 return fresh models.
+
+Frame conditions are stated once, here: one table of bitmask tests over
+successor rows (_check_property), and FrameClass names the properties each
+class imposes.  has_property, the class filter of every frame sweep
+(sweep.succ_in_class) and the tableau's rules (decide reads
+cls.properties) all go through these two.
 """
 
 from __future__ import annotations
@@ -181,86 +187,63 @@ def has_property(m: Model, prop: FrameProperty) -> bool:
     return _check_property(idx.n, idx.succ, prop)
 
 
+def _weakly_connected(succ: Sequence[int], x: int, y: int) -> int:
+    lacking = succ[x] & ~succ[y] & ~(1 << y)
+    return sum(
+        1 << z for z in range(len(succ)) if lacking >> z & 1 and not succ[z] >> y & 1
+    )
+
+
+def _weakly_transitive(succ: Sequence[int], x: int, y: int) -> int:
+    return succ[y] & ~succ[x] & ~(1 << x)
+
+
+def _weak_weak_euclidean(succ: Sequence[int], x: int, y: int) -> int:
+    return succ[x] & ~succ[y] & ~(1 << x | 1 << y)
+
+
+_POINTWISE = {
+    FrameProperty.REFLEXIVE: lambda row, x: row >> x & 1,
+    FrameProperty.SERIAL: lambda row, x: row,
+    FrameProperty.COREFLEXIVE: lambda row, x: not row & ~(1 << x),
+}
+_EDGE_RULES = {
+    FrameProperty.TRANSITIVE: lambda succ, x, y: succ[y] & ~succ[x],
+    FrameProperty.SYMMETRIC: lambda succ, x, y: 1 << x & ~succ[y],
+    FrameProperty.EUCLIDEAN: lambda succ, x, y: succ[x] & ~succ[y],
+    FrameProperty.WEAKLY_CONNECTED: _weakly_connected,
+    FrameProperty.WEAKLY_TRANSITIVE: _weakly_transitive,
+    FrameProperty.STRICT_TRANSITIVE3: _weakly_transitive,
+    FrameProperty.WEAK_WEAK_EUCLIDEAN: _weak_weak_euclidean,
+    FrameProperty.STRICT_EUCLIDEAN3: _weak_weak_euclidean,
+}
+
+
 def _check_property(n: int, succ: Sequence[int], prop: FrameProperty) -> bool:
-    P = FrameProperty
-    if prop is P.REFLEXIVE:
-        return all((succ[i] >> i) & 1 for i in range(n))
-    if prop is P.SERIAL:
-        return all(succ[i] for i in range(n))
-    if prop is P.SYMMETRIC:
-        return all(
-            (succ[t] >> s) & 1 for s in range(n) for t in range(n) if (succ[s] >> t) & 1
-        )
-    if prop is P.COREFLEXIVE:
-        return all(succ[i] & ~(1 << i) == 0 for i in range(n))
-    if prop is P.TRANSITIVE:
-        for x in range(n):
-            two_step = 0
-            ys = succ[x]
-            for y in range(n):
-                if (ys >> y) & 1:
-                    two_step |= succ[y]
-            if two_step & ~succ[x]:
-                return False
-        return True
-    if prop is P.EUCLIDEAN:
-        for x in range(n):
-            s = succ[x]
-            for y in range(n):
-                if (s >> y) & 1 and s & ~succ[y]:
-                    return False
-        return True
-    if prop is P.WEAKLY_TRANSITIVE:
-        for x in range(n):
-            two_step = 0
-            for y in range(n):
-                if (succ[x] >> y) & 1:
-                    two_step |= succ[y]
-            if two_step & ~succ[x] & ~(1 << x):
-                return False
-        return True
-    if prop is P.WEAKLY_CONNECTED:
-        for x in range(n):
-            s = succ[x]
-            for y in range(n):
-                if not (s >> y) & 1:
-                    continue
-                for z in range(n):
-                    if (s >> z) & 1 and y != z:
-                        if not ((succ[y] >> z) & 1 or (succ[z] >> y) & 1):
-                            return False
-        return True
-    if prop is P.WEAK_WEAK_EUCLIDEAN:
-        for x in range(n):
-            s = succ[x]
-            for y in range(n):
-                if not (s >> y) & 1:
-                    continue
-                for z in range(n):
-                    if (s >> z) & 1 and z != x and z != y:
-                        if not (succ[y] >> z) & 1:
-                            return False
-        return True
-    if prop is P.STRICT_TRANSITIVE3:
-        for x in range(n):
-            for y in range(n):
-                if (succ[x] >> y) & 1 and x != y:
-                    for z in range(n):
-                        if (succ[y] >> z) & 1 and z != x and z != y:
-                            if not (succ[x] >> z) & 1:
-                                return False
-        return True
-    if prop is P.STRICT_EUCLIDEAN3:
-        for x in range(n):
-            s = succ[x]
-            for y in range(n):
-                if (s >> y) & 1 and x != y:
-                    for z in range(n):
-                        if (s >> z) & 1 and z != x and z != y:
-                            if not (succ[y] >> z) & 1:
-                                return False
-        return True
-    raise ValueError(f"unknown property {prop!r}")
+    """Does the frame with these successor rows have the property?
+
+    Reflexive, serial and coreflexive test each world's row.  Every other
+    property is an edge rule: for each edge x -> y it returns the worlds z
+    that the condition needs the frame to link (xRz for the transitive
+    forms, yRz for the Euclidean forms, yRz with z = x for symmetry, yRz
+    or zRy for weak connectedness) and that it leaves unlinked, as a mask;
+    the frame has the property when every mask is empty.
+
+    strict-transitive3 shares the rule of weakly-transitive (xRy, yRz,
+    x != z => xRz), and strict-euclidean3 that of weak-weak-euclidean (xRy,
+    xRz, x != z, y != z => yRz).  Proof: the strict forms also exempt x = y
+    and y = z, resp. x = y, and in those cases a premise (yRz or xRy, resp.
+    xRz) is the conclusion itself, so they hold on every frame anyway.
+    """
+    test = _POINTWISE.get(prop)
+    if test is not None:
+        return all(test(succ[x], x) for x in range(n))
+    rule = _EDGE_RULES.get(prop)
+    if rule is None:
+        raise ValueError(f"unknown property {prop!r}")
+    return not any(
+        rule(succ, x, y) for x in range(n) for y in range(n) if succ[x] >> y & 1
+    )
 
 
 class FrameClass(Enum):

@@ -26,6 +26,7 @@ from .formula import (
     variables,
 )
 from .kripke import (
+    FrameClass,
     FrameProperty,
     Model,
     ModelIndex,
@@ -157,18 +158,17 @@ def check_definability(
     Every frame on up to max_n worlds is checked on both sides, one per
     isomorphism class; the first disagreement (smallest size, then frame
     enumeration order) is reported as a witness.  Confirmation is only as
-    strong as max_n.
+    strong as max_n, which must lie in 1..sweep.MAX_N (ValueError).
     """
     prog = sweep.Prog(f, sorted(variables(f)))
-    for n in range(1, max_n + 1):
-        for succ, _ in sweep.frame_orbits(n):
-            holds = sweep.succ_has_property(n, succ, prop)
-            valid = sweep.frame_valid(prog, n, succ)
-            if holds == valid:
-                continue
-            witness = sweep.build_model(frame_worlds(n), succ, (), 0)
-            direction = "property-but-invalid" if holds else "valid-but-no-property"
-            return DefinabilityVerdict(prop, f, max_n, False, witness, direction)
+    for n, succ, _ in sweep.class_frames(FrameClass.K, max_n):
+        holds = sweep.succ_has_property(n, succ, prop)
+        valid = sweep.frame_valid(prog, n, succ)
+        if holds == valid:
+            continue
+        witness = sweep.build_model(frame_worlds(n), succ, (), 0)
+        direction = "property-but-invalid" if holds else "valid-but-no-property"
+        return DefinabilityVerdict(prop, f, max_n, False, witness, direction)
     return DefinabilityVerdict(prop, f, max_n, True)
 
 

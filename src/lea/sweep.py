@@ -150,8 +150,9 @@ def iter_succ_tables(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple((mask >> (s * n)) & width for s in range(n))
 
 
-# Beyond this the seen table alone takes 2^(n*n) bytes (64 GiB at six worlds).
-_ORBIT_MAX_N = 5
+# Frame sweeps cover 1 to MAX_N worlds.  Beyond this the seen table of
+# frame_orbits alone takes 2^(n*n) bytes (64 GiB at six worlds).
+MAX_N = 5
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +164,7 @@ def frame_orbits(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     its orbit, and its n! relabellings mark the rest as seen.  Orbit sizes
     sum to 2^(n*n).  Built on first use and kept per n.
     """
-    if not 1 <= n <= _ORBIT_MAX_N:
-        raise ValueError(f"frame sweeps cover 1 to {_ORBIT_MAX_N} worlds, not {n}")
+    _check_bound(n)
     width = (1 << n) - 1
     # Per permutation: the image of every row bitmask, and the shift that
     # moves the image of row s to row perm[s].
@@ -191,6 +191,26 @@ def frame_orbits(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
             seen[image] = 1
         orbits.append((succ, len(images)))
     return tuple(orbits)
+
+
+def _check_bound(n: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"frame sweeps cover 1 to {MAX_N} worlds, not {n}")
+
+
+def class_frames(cls: FrameClass, max_n: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """(n, succ, orbit size) for the class frames on 1 to max_n worlds, one
+    per isomorphism class, in (size, mask) order.
+
+    The one sweep behind search_sat, soundness scans and definability
+    checks (the last over FrameClass.K).  Raises ValueError for max_n
+    outside 1..MAX_N before it yields anything.
+    """
+    _check_bound(max_n)
+    for n in range(1, max_n + 1):
+        for succ, size in frame_orbits(n):
+            if succ_in_class(n, succ, cls):
+                yield n, succ, size
 
 
 def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass) -> bool:
@@ -251,14 +271,11 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
     """
     names = sorted(variables(f))
     prog = Prog(f, names)
-    for n in range(1, max_n + 1):
-        for succ, _ in frame_orbits(n):
-            if not succ_in_class(n, succ, cls):
-                continue
-            hit = frame_satisfier(prog, n, succ)
-            if hit is not None:
-                v, s = hit
-                m = build_model(frame_worlds(n), succ, names, v)
-                return m, m.worlds[s]
+    for n, succ, _ in class_frames(cls, max_n):
+        hit = frame_satisfier(prog, n, succ)
+        if hit is not None:
+            v, s = hit
+            m = build_model(frame_worlds(n), succ, names, v)
+            return m, m.worlds[s]
     return None
 

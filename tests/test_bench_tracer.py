@@ -41,12 +41,21 @@ def test_tracer_installs_and_uninstalls(tmp_path, capsys):
         assert all(getattr(mod, name) is not orig for (mod, name), orig in originals.items())
         assert main(["check", str(path), "s", "o p"]) == 0
         assert main(["valid", "[] p -> p", "--frame", str(path)]) == 0
+        model_counts = dict(tracer.counts)
+        assert main(["scan", "K", "--class", "KB", "--max-n", "2"]) == 0
+        assert main(["sat", "o p & <> p & <> ~p", "--class", "TB"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert all(getattr(mod, name) is orig for (mod, name), orig in originals.items())
     # Model.index builds through the module-global kripke.ModelIndex, so the
     # wrapped name sees every index build.
-    assert tracer.counts["kripke.index"] == 2
-    assert tracer.counts["semantics.extension"] == 1
-    assert tracer.counts["sweep.prog_run"] == 1
+    assert model_counts["kripke.index"] == 2
+    assert model_counts["semantics.extension"] == 1
+    assert model_counts["sweep.prog_run"] == 1
+    # Class frame sweeps filter through the module-global
+    # sweep.succ_in_class: the scan once per orbit on 1 and 2 worlds
+    # (2 + 10), the bounded search at least once more.
+    assert tracer.counts["sweep.search_sat"] == 1
+    assert tracer.counts["sweep.class_filter"] > 12
+    assert tracer.counts["sweep.class_filter:true"] > 0

@@ -228,6 +228,23 @@ def test_input_errors_exit_2(argv, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("bound", ["0", "6"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("define", "coreflexive", "o p"),
+        ("scan", "K", "--class", "K"),
+        ("sat", "p", "--class", "TB"),
+    ],
+)
+def test_max_n_out_of_range_is_input_error(argv, bound, capsys):
+    # Rejected before any sweep: at 6 a sweep would run for about 40 s.
+    code, out, err = run(capsys, *argv, "--max-n", bound)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-n must be between 1 and 5")
+
+
 def test_unknown_world_is_input_error(models, capsys):
     code, _, err = run(capsys, "check", models["loop"], "zz", "p")
     assert code == 2

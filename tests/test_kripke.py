@@ -78,10 +78,29 @@ def test_from_obj_rejects(obj):
 
 def test_properties_match_first_order_oracle():
     rng = random.Random(99)
-    frames = list(enumerate_frames(2)) + [rand_model(rng, 5) for _ in range(300)]
+    frames = [m for n in (1, 2, 3) for m in enumerate_frames(n)]
+    frames += [rand_model(rng, 5) for _ in range(300)]
     for m in frames:
         for prop in FrameProperty:
             assert has_property(m, prop) == naive_has_property(m, prop), (m, prop)
+
+
+# Each strict variant only exempts cases whose conclusion is already an edge.
+EQUIVALENT_PROPERTIES = [
+    (FrameProperty.WEAKLY_TRANSITIVE, FrameProperty.STRICT_TRANSITIVE3),
+    (FrameProperty.WEAK_WEAK_EUCLIDEAN, FrameProperty.STRICT_EUCLIDEAN3),
+]
+
+
+def test_equivalent_properties_agree():
+    for n in (1, 2, 3):
+        for m in enumerate_frames(n):
+            for a, b in EQUIVALENT_PROPERTIES:
+                assert naive_has_property(m, a) == naive_has_property(m, b), (m, a)
+    for n in (1, 2, 3, 4):
+        for m in enumerate_frames(n):
+            for a, b in EQUIVALENT_PROPERTIES:
+                assert has_property(m, a) == has_property(m, b), (m, a)
 
 
 def test_classes_are_property_conjunctions():

@@ -14,13 +14,16 @@ from helpers import (
     labelled_definability,
     labelled_scan,
     labelled_search_sat,
+    naive_in_class,
     rand_formula,
 )
 from lea import sweep
+from lea.decide import satisfiable
 from lea.formula import parse, render
 from lea.hilbert import System, soundness_scan
-from lea.kripke import FrameClass, FrameProperty
+from lea.kripke import FrameClass, FrameProperty, frame_worlds
 from lea.semantics import check_definability
+from lea.sweep import build_model
 
 
 def _mask(succ):
@@ -51,6 +54,33 @@ def test_frame_orbits_reject_sizes_out_of_range():
         sweep.frame_orbits(0)
     with pytest.raises(ValueError):
         sweep.frame_orbits(6)
+
+
+def test_class_frames_filter_orbits_in_size_then_mask_order():
+    for cls in FrameClass:
+        expect = [
+            (n, succ, size)
+            for n in (1, 2, 3)
+            for succ, size in sweep.frame_orbits(n)
+            if naive_in_class(build_model(frame_worlds(n), succ, (), 0), cls)
+        ]
+        assert list(sweep.class_frames(cls, 3)) == expect, cls.name
+
+
+def test_sweeps_reject_bounds_out_of_range():
+    f = parse("o p")
+    for bound in (0, 6):
+        frames = sweep.class_frames(FrameClass.K, bound)
+        with pytest.raises(ValueError):
+            next(frames)
+        with pytest.raises(ValueError):
+            sweep.search_sat(f, FrameClass.TB, bound)
+        with pytest.raises(ValueError):
+            satisfiable(f, FrameClass.B5, bound)
+        with pytest.raises(ValueError):
+            soundness_scan(System.K_CIRC, FrameClass.K, bound)
+        with pytest.raises(ValueError):
+            check_definability(FrameProperty.COREFLEXIVE, f, bound)
 
 
 DEFINABILITY_PAIRS = [
