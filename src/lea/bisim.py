@@ -143,8 +143,8 @@ def _blocks(m: Model, exempt: bool) -> list[int]:
     """
     idx = m.index
     succs: list[list[int]] = [[] for _ in range(idx.n)]
-    for s, t in m.rel:
-        succs[idx.pos[s]].append(idx.pos[t])
+    for i, j in idx.edges:
+        succs[i].append(j)
     ids: dict[object, int] = {}
     block = [ids.setdefault(sig, len(ids)) for sig in idx.sig]
     while True:

@@ -18,7 +18,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -28,18 +29,7 @@ class Model:
     val: Mapping[str, frozenset[str]]
 
     def __post_init__(self) -> None:
-        if not self.worlds:
-            raise ValueError("a model needs at least one world")
-        seen = set(self.worlds)
-        if len(seen) != len(self.worlds):
-            raise ValueError("duplicate world ids")
-        for s, t in self.rel:
-            if s not in seen or t not in seen:
-                raise ValueError(f"relation mentions unknown world in ({s!r}, {t!r})")
-        for p, ws in self.val.items():
-            for w in ws:
-                if w not in seen:
-                    raise ValueError(f"valuation of {p!r} mentions unknown world {w!r}")
+        _check_worlds(self.worlds, self.rel, self.val, min)
 
     @staticmethod
     def make(
@@ -70,32 +60,75 @@ class PointedModel:
             raise ValueError(f"point {self.point!r} is not a world of the model")
 
 
+def _check_worlds(
+    worlds: Sequence[str],
+    rel: Collection[tuple[str, str]],
+    val: Mapping[str, Collection[str]],
+    pick: Callable,
+) -> None:
+    """Raise ValueError unless worlds is non-empty and duplicate-free and
+    holds every world that rel and val mention.
+
+    One subset test per collection; only a failing one looks for its
+    offenders, and pick names one of them: min for a Model's sets (the
+    least offender, whatever the hash seed), next for a file's lists (the
+    first in file order).
+    """
+    seen = set(worlds)
+    if not seen:
+        raise ValueError("a model needs at least one world")
+    if len(seen) != len(worlds):
+        raise ValueError("duplicate world ids")
+    if not seen.issuperset(chain.from_iterable(rel)):
+        s, t = pick(e for e in rel if not seen.issuperset(e))
+        raise ValueError(f"relation mentions unknown world in ({s!r}, {t!r})")
+    for p, ws in val.items():
+        if not seen.issuperset(ws):
+            w = pick(w for w in ws if w not in seen)
+            raise ValueError(f"valuation of {p!r} mentions unknown world {w!r}")
+
+
 # ---------------------------------------------------------------------------
 # Model index: bitmask successor sets, used by the evaluators and the
 # bisimulation fixpoint.  Worlds map to bit positions in declaration order.
 
 
 class ModelIndex:
+    """Eager: n, pos, all_mask, edges (each edge as a pair of positions, in
+    the relation's iteration order), succ and val_bits, which is all that
+    evaluation reads.  Lazy, built on first use and kept: pred (read by
+    add_self_loops) and sig (read by the bisimulation engine)."""
+
     def __init__(self, m: Model):
-        self.n = len(m.worlds)
-        self.pos = {w: i for i, w in enumerate(m.worlds)}
-        self.all_mask = (1 << self.n) - 1
-        self.succ = [0] * self.n
-        self.pred = [0] * self.n
-        for s, t in m.rel:
-            self.succ[self.pos[s]] |= 1 << self.pos[t]
-            self.pred[self.pos[t]] |= 1 << self.pos[s]
+        n = self.n = len(m.worlds)
+        pos = self.pos = {w: i for i, w in enumerate(m.worlds)}
+        self.all_mask = (1 << n) - 1
+        single = [1 << i for i in range(n)]
+        self.edges = [(pos[s], pos[t]) for s, t in m.rel]
+        succ = self.succ = [0] * n
+        for i, j in self.edges:
+            succ[i] |= single[j]
         self.val_bits: dict[str, int] = {}
         for p, ws in m.val.items():
             bits = 0
             for w in ws:
-                bits |= 1 << self.pos[w]
+                bits |= single[pos[w]]
             self.val_bits[p] = bits
-        # Per-world valuation fingerprint over the declared variables.
-        names = sorted(self.val_bits)
-        self.sig = [
-            tuple((self.val_bits[p] >> i) & 1 for p in names) for i in range(self.n)
-        ]
+
+    @cached_property
+    def pred(self) -> list[int]:
+        pred = [0] * self.n
+        for i, j in self.edges:
+            pred[j] |= 1 << i
+        return pred
+
+    @cached_property
+    def sig(self) -> list[tuple[str, ...]]:
+        """Per-world valuation fingerprint: the world's digit ("0" or "1")
+        in each declared variable, in name order."""
+        n = self.n
+        cols = [format(self.val_bits[p], f"0{n}b")[::-1] for p in sorted(self.val_bits)]
+        return list(zip(*cols)) if cols else [()] * n
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +150,12 @@ def model_to_obj(m: Model, point: str | None = None) -> dict:
     return obj
 
 
+def _all_of(items: Iterable[object], kind: type) -> bool:
+    """isinstance(x, kind) for every x, with one test per distinct type."""
+    types = set(map(type, items))
+    return types <= {kind} or all(issubclass(t, kind) for t in types)
+
+
 def model_from_obj(obj: object) -> tuple[Model, str | None]:
     """Parse the dict form, strictly.  Returns the model and its optional point."""
     if not isinstance(obj, dict):
@@ -128,28 +167,35 @@ def model_from_obj(obj: object) -> tuple[Model, str | None]:
         if key not in obj:
             raise ValueError(f"model is missing {key!r}")
     worlds = obj["worlds"]
-    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+    if not (isinstance(worlds, list) and _all_of(worlds, str)):
         raise ValueError('"worlds" must be a list of strings')
     rel = obj["rel"]
     if not isinstance(rel, list):
         raise ValueError('"rel" must be a list of pairs')
-    pairs = []
-    for entry in rel:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
-            raise ValueError(f'"rel" entry is not a pair of world ids: {entry!r}')
-        pairs.append((entry[0], entry[1]))
+    if not (_all_of(rel, list) and set(map(len, rel)) <= {2}
+            and _all_of(chain.from_iterable(rel), str)):
+        entry = next(e for e in rel if not (
+            isinstance(e, list) and len(e) == 2 and _all_of(e, str)))
+        raise ValueError(f'"rel" entry is not a pair of world ids: {entry!r}')
     val = obj["val"]
     if not isinstance(val, dict):
         raise ValueError('"val" must be an object')
-    valuation = {}
-    for p, ws in val.items():
-        if not (isinstance(ws, list) and all(isinstance(w, str) for w in ws)):
-            raise ValueError(f'valuation of {p!r} must be a list of world ids')
-        valuation[p] = ws
+    if not (_all_of(val.values(), list) and _all_of(chain.from_iterable(val.values()), str)):
+        p = next(p for p, ws in val.items() if not (isinstance(ws, list) and _all_of(ws, str)))
+        raise ValueError(f'valuation of {p!r} must be a list of world ids')
     point = obj.get("point")
     if point is not None and not isinstance(point, str):
         raise ValueError('"point" must be a world id')
-    m = Model.make(worlds, pairs, valuation)
+    try:
+        m = Model(
+            tuple(worlds),
+            frozenset(map(tuple, rel)),
+            {p: frozenset(ws) for p, ws in val.items()},
+        )
+    except ValueError:
+        # Model names the least offender; name the first in file order.
+        _check_worlds(worlds, rel, val, next)
+        raise
     if point is not None and point not in m.worlds:
         raise ValueError(f'point {point!r} is not in "worlds"')
     return m, point

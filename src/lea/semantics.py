@@ -36,19 +36,21 @@ from .kripke import (
 )
 
 
-def _ess_bits(n: int, succ: Sequence[int], sub: int) -> int:
-    bits = 0
-    for s in range(n):
-        if succ[s] & ~sub == 0 or not (sub >> s) & 1:
-            bits |= 1 << s
-    return bits
+def _modal_bits(n: int, succ: Sequence[int], sub: int, ess: bool) -> int:
+    """Worlds where [] f holds, for sub the extension of f; with ess, where
+    o f holds: those and, vacuously, every world where f fails.
 
-
-def _box_bits(n: int, succ: Sequence[int], sub: int) -> int:
-    bits = 0
-    for s in range(n):
-        if succ[s] & ~sub == 0:
+    One pass over the successor rows against miss, the worlds outside sub:
+    a row that meets miss fails [] f, and each other row sets its world's
+    bit.
+    """
+    miss = ((1 << n) - 1) ^ sub
+    bits = miss if ess else 0
+    s = 0
+    for row in succ:
+        if not row & miss:
             bits |= 1 << s
+        s += 1
     return bits
 
 
@@ -83,9 +85,9 @@ def _extension_bits(idx: ModelIndex, f: Formula, memo: dict[int, int]) -> int:
             _extension_bits(idx, f.left, memo) ^ _extension_bits(idx, f.right, memo)
         )
     elif isinstance(f, Ess):
-        bits = _ess_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo))
+        bits = _modal_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo), True)
     elif isinstance(f, Box):
-        bits = _box_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo))
+        bits = _modal_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo), False)
     else:
         raise TypeError(f"not a formula: {f!r}")
     memo[key] = bits
@@ -176,27 +178,35 @@ def check_definability(
 # Layered formula enumeration and bounded equivalence
 
 
-def _boolean_close(reps: dict[int, Formula], full: int) -> None:
-    """Grow reps to the closure of its bitmaps under complement and meet."""
+def _boolean_close(reps: dict[int, Formula], full: int, closed: int = 0) -> None:
+    """Grow reps to the closure of its bitmaps under complement and meet.
+
+    The first `closed` entries are closed already: their complements and
+    pairwise meets are in reps.  Each round checks only the pairs with a
+    newer member, which adds exactly what checking every pair would add,
+    in the same order.
+    """
     while True:
         grew = False
-        for bm, f in list(reps.items()):
+        for bm, f in list(reps.items())[closed:]:
             nb = full ^ bm
             if nb not in reps:
                 reps[nb] = Not(f)
                 grew = True
         items = list(reps.items())
+        fresh = items[closed:]
         for i, (b1, f1) in enumerate(items):
-            for b2, f2 in items[i + 1 :]:
+            for b2, f2 in fresh if i < closed else items[i + 1 :]:
                 meet = b1 & b2
                 if meet not in reps:
                     reps[meet] = And(f1, f2)
                     grew = True
         if not grew:
             return
+        closed = len(items)
 
 
-_MODAL_OPS = {"ess": (_ess_bits, Ess), "box": (_box_bits, Box)}
+_MODAL_OPS = {"ess": (True, Ess), "box": (False, Box)}
 
 
 def _layered_reps(
@@ -208,18 +218,22 @@ def _layered_reps(
 ) -> dict[int, Formula]:
     """Representatives of every formula over the given variables up to the
     given modal depth, deduplicated by extension bitmap on this model."""
-    step, wrap = _MODAL_OPS[modal]
+    ess, wrap = _MODAL_OPS[modal]
     full = (1 << n) - 1
     reps: dict[int, Formula] = {full: Top()}
     for name, bits in var_bits:
         reps.setdefault(bits, Var(name))
     _boolean_close(reps, full)
+    # Entries before `stepped` took their modal step in an earlier layer.
+    stepped = 0
     for _ in range(depth):
-        for bm, f in list(reps.items()):
-            eb = step(n, succ, bm)
+        items = list(reps.items())
+        for bm, f in items[stepped:]:
+            eb = _modal_bits(n, succ, bm, ess)
             if eb not in reps:
                 reps[eb] = wrap(f)
-        _boolean_close(reps, full)
+        stepped = len(items)
+        _boolean_close(reps, full, stepped)
     return reps
 
 

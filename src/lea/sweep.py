@@ -41,12 +41,17 @@ from .kripke import FrameClass, Model, _check_property, frame_worlds
 
 @lru_cache(maxsize=None)
 def _bit_pattern(total_bits: int, b: int) -> int:
-    """Big integer whose v-th bit is (v >> b) & 1, for v < 2^total_bits."""
-    block = (1 << (1 << b)) - 1  # 2^b ones
-    out = 0
-    step = 1 << (b + 1)
-    for start in range(1 << b, 1 << total_bits, step):
-        out |= block << start
+    """Big integer whose v-th bit is (v >> b) & 1, for v < 2^total_bits.
+
+    The bits repeat with period 2^(b+1): 2^b zeros, then 2^b ones.  Start
+    from one period and double the covered width until it spans all
+    2^total_bits bits, so the cost is linear in the pattern's size.
+    """
+    out = ((1 << (1 << b)) - 1) << (1 << b)
+    width, total = 1 << (b + 1), 1 << total_bits
+    while width < total:
+        out |= out << width
+        width <<= 1
     return out
 
 

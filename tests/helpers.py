@@ -46,6 +46,27 @@ def rand_model(
     return Model(worlds, rel, val)
 
 
+def rand_sparse_model(rng: random.Random, n: int, names=("p", "q"), degree: float = 1.5) -> Model:
+    """A sparse model on worlds w0..w{n-1}, for sizes past one machine word.
+
+    About a tenth of the worlds are dead ends, a tenth carry a self-loop
+    and a tenth lie outside every valuation; the rest of the edges leave
+    the other worlds at random.
+    """
+    worlds = tuple(f"w{i}" for i in range(n))
+    tenth = max(1, n // 10)
+    dead = set(rng.sample(worlds, tenth))
+    live = [w for w in worlds if w not in dead]
+    rel = {(rng.choice(live), rng.choice(worlds)) for _ in range(int(degree * n))}
+    rel |= {(w, w) for w in rng.sample(live, tenth)}
+    blank = set(rng.sample(worlds, tenth))
+    val = {
+        name: frozenset(w for w in worlds if w not in blank and rng.random() < 0.5)
+        for name in names
+    }
+    return Model(worlds, frozenset(rel), val)
+
+
 def rand_pointed(rng: random.Random, max_worlds: int = 4, names=("p", "q")) -> PointedModel:
     m = rand_model(rng, max_worlds, names)
     return PointedModel(m, rng.choice(m.worlds))

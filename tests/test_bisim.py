@@ -10,6 +10,7 @@ from helpers import (
     rand_formula,
     rand_model,
     rand_pointed,
+    rand_sparse_model,
     subset_union_oracle,
 )
 from lea.bisim import (
@@ -258,6 +259,39 @@ def test_engine_matches_pair_fixpoint_oracle():
             for b in m.worlds[i:]:
                 got = box_bisimilar(PointedModel(m, a), PointedModel(m, b))
                 assert got == ((a, b) in box), (m, a, b)
+
+
+def _with_shuffled_twin(rng: random.Random, m: Model) -> tuple[Model, dict[str, str]]:
+    """m beside an isomorphic copy whose worlds sit at shuffled positions,
+    and the isomorphism."""
+    order = list(m.worlds)
+    rng.shuffle(order)
+    iso = dict(zip(m.worlds, order))
+    twin = Model(
+        m.worlds,
+        frozenset((iso[s], iso[t]) for s, t in m.rel),
+        {p: frozenset(iso[w] for w in ws) for p, ws in m.val.items()},
+    )
+    return disjoint_union(m, twin), iso
+
+
+def test_engine_matches_pair_fixpoint_oracle_on_larger_models():
+    # 60-100 worlds: sparse models, each beside a shuffled twin so that
+    # blocks span worlds far apart in bit order.
+    rng = random.Random(44)
+    for n in (30, 40, 50):
+        m = rand_sparse_model(rng, n, names=("p",), degree=1.2)
+        u, iso = _with_shuffled_twin(rng, m)
+        assert "sig" not in u.index.__dict__
+        z = pair_fixpoint_oracle(u)
+        assert largest_circ_bisimulation(u).pairs == z, n
+        box = pair_fixpoint_oracle(u, exempt=False)
+        pairs = [("L:" + w, "R:" + iso[w]) for w in m.worlds[::3]]
+        assert all(pair in z and pair in box for pair in pairs)
+        pairs += [tuple(rng.sample(u.worlds, 2)) for _ in range(10)]
+        for a, b in pairs:
+            got = box_bisimilar(PointedModel(u, a), PointedModel(u, b))
+            assert got == ((a, b) in box), (n, a, b)
 
 
 def test_long_alternating_chain_twin():

@@ -9,7 +9,7 @@ import lea
 from helpers import naive_satisfies
 from lea.cli import main
 from lea.formula import And, Or, Var, parse, render
-from lea.kripke import model_from_obj
+from lea.kripke import Model, model_from_obj, model_to_json
 
 LOOP = '{"worlds": ["s"], "rel": [["s", "s"]], "val": {"p": ["s"]}}'
 ISOLATED = '{"worlds": ["t"], "rel": [], "val": {"p": ["t"]}}'
@@ -320,3 +320,85 @@ def test_parser_reused_without_leaking_flags(models, capsys):
     code, out, _ = run(capsys, "check", models["loop"], "s", "p")
     assert code == 0 and out.strip() == "true: p at s"
     assert lea.cli._parser is parser
+
+
+def _cli(argv, seed):
+    """Run the CLI in a fresh interpreter under the given hash seed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lea.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+    return subprocess.run(
+        [sys.executable, "-m", "lea.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "obj, culprit",
+    [
+        ({"worlds": ["a"], "rel": [], "val": {"p": ["x", "y", "z", "a"]}}, "unknown world 'x'"),
+        ({"worlds": ["a"], "rel": [["a", "a"], ["x", "a"], ["a", "y"], ["z", "z"]], "val": {}},
+         "unknown world in ('x', 'a')"),
+    ],
+    ids=["val", "rel"],
+)
+def test_loader_errors_do_not_depend_on_hash_seed(tmp_path, obj, culprit):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    runs = [_cli(["check", str(path), "a", "p"], seed) for seed in (1, 2, 3)]
+    assert [r.returncode for r in runs] == [2, 2, 2]
+    assert all(r.stdout == "" for r in runs)
+    assert runs[0].stderr == runs[1].stderr == runs[2].stderr
+    assert culprit in runs[0].stderr
+
+
+def test_check_on_a_5000_world_chain(tmp_path, capsys):
+    ws = [f"c{i}" for i in range(5000)]
+    m = Model.make(ws, zip(ws, ws[1:]), {"p": ws[::2]})
+    path = tmp_path / "chain.json"
+    path.write_text(model_to_json(m))
+    for world, text in (
+        ("c0", "o p"),
+        ("c1", "o p"),
+        ("c4998", "p & [] ~p & <> T"),
+        ("c4999", "[] F & ~p"),
+        ("c4996", "<> <> <> ~p"),
+        ("c2", "o ~o p"),
+    ):
+        want = naive_satisfies(m, world, parse(text))
+        code, out, _ = run(capsys, "--json", "check", str(path), world, text)
+        assert code == (0 if want else 1), (world, text)
+        assert json.loads(out)["answer"] is want
+
+
+def test_check_leaves_lazy_index_fields_unbuilt(tmp_path, capsys, monkeypatch):
+    # check reads succ and val_bits; pred and sig wait for a caller that
+    # needs them.
+    ws = [f"w{i}" for i in range(300)]
+    m = Model.make(ws, zip(ws, ws[7:] + ws[:7]), {"p": ws[::3], "q": ws[::5]})
+    path = tmp_path / "big.json"
+    path.write_text(model_to_json(m))
+    seen = []
+    real = lea.cli.satisfies
+
+    def spy(model, world, f):
+        seen.append(model)
+        return real(model, world, f)
+
+    monkeypatch.setattr(lea.cli, "satisfies", spy)
+    assert main(["check", str(path), "w3", "o (p -> [] q) | o ~q"]) in (0, 1)
+    capsys.readouterr()
+    (model,) = seen
+    assert "index" in model.__dict__
+    assert "pred" not in model.index.__dict__
+    assert "sig" not in model.index.__dict__
+
+
+def test_valid_frame_on_a_ten_world_cycle(tmp_path, capsys):
+    # 2^20 valuations of two variables, in patterns of 2^20 bits.
+    ws = [f"c{i}" for i in range(10)]
+    path = tmp_path / "cycle.json"
+    path.write_text(model_to_json(Model.make(ws, zip(ws, ws[1:] + ws[:1]))))
+    code, out, _ = run(capsys, "valid", "o p & o q -> o (p & q)", "--frame", str(path))
+    assert code == 0 and out.strip() == "valid on frame"
+    code, out, _ = run(capsys, "valid", "o p -> p | q", "--frame", str(path))
+    assert code == 1

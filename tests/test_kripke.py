@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import enumerate_valuations, naive_has_property, rand_model
+from helpers import enumerate_valuations, naive_has_property, rand_model, rand_sparse_model
 from lea.kripke import (
     FrameClass,
     FrameProperty,
@@ -58,22 +58,50 @@ def test_json_roundtrip():
     assert (again, point) == (m, "t")
 
 
+# Each rejection with its exact message; the ids obj0..obj7 name the
+# original cases.
+REJECTED = [
+    ({"worlds": ["s"], "rel": []}, "model is missing 'val'"),
+    ({"worlds": ["s"], "rel": [], "val": {}, "extra": 1}, "unknown keys in model: ['extra']"),
+    ({"worlds": ["s"], "rel": [["s", "s", "s"]], "val": {}},
+     '"rel" entry is not a pair of world ids: [\'s\', \'s\', \'s\']'),
+    ({"worlds": ["s"], "rel": [], "val": {"p": ["zz"]}},
+     "valuation of 'p' mentions unknown world 'zz'"),
+    ({"worlds": ["s"], "rel": [], "val": {}, "point": "zz"}, 'point \'zz\' is not in "worlds"'),
+    ({"worlds": "s", "rel": [], "val": {}}, '"worlds" must be a list of strings'),
+    ({"worlds": ["s"], "rel": {}, "val": {}}, '"rel" must be a list of pairs'),
+    ({"worlds": ["s"], "rel": [], "val": [["p", []]]}, '"val" must be an object'),
+    # The loader names the first offender in file order.
+    ({"worlds": ["a"], "rel": [], "val": {"p": ["x", "y", "z", "a"]}},
+     "valuation of 'p' mentions unknown world 'x'"),
+    ({"worlds": ["a"], "rel": [["a", "z"], ["y", "a"]], "val": {}},
+     "relation mentions unknown world in ('a', 'z')"),
+    ({"worlds": ["a"], "rel": [["a", "a"], ["a", 1], ["a"]], "val": {}},
+     '"rel" entry is not a pair of world ids: [\'a\', 1]'),
+    ({"worlds": ["a"], "rel": [], "val": {"p": ["a"], "q": "a", "r": [1]}},
+     "valuation of 'q' must be a list of world ids"),
+    ({"worlds": [], "rel": [], "val": {}}, "a model needs at least one world"),
+    ({"worlds": ["a", "b", "a"], "rel": [], "val": {}}, "duplicate world ids"),
+    ({"worlds": ["a"], "rel": [], "val": {}, "point": 0}, '"point" must be a world id'),
+]
+
+
 @pytest.mark.parametrize(
-    "obj",
-    [
-        {"worlds": ["s"], "rel": []},  # missing val
-        {"worlds": ["s"], "rel": [], "val": {}, "extra": 1},
-        {"worlds": ["s"], "rel": [["s", "s", "s"]], "val": {}},
-        {"worlds": ["s"], "rel": [], "val": {"p": ["zz"]}},
-        {"worlds": ["s"], "rel": [], "val": {}, "point": "zz"},
-        {"worlds": "s", "rel": [], "val": {}},
-        {"worlds": ["s"], "rel": {}, "val": {}},
-        {"worlds": ["s"], "rel": [], "val": [["p", []]]},
-    ],
+    "obj, message", REJECTED, ids=[f"obj{i}" for i in range(len(REJECTED))]
 )
-def test_from_obj_rejects(obj):
-    with pytest.raises(ValueError):
+def test_from_obj_rejects(obj, message):
+    with pytest.raises(ValueError) as info:
         model_from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_model_names_least_offender():
+    with pytest.raises(ValueError) as info:
+        Model(("a",), frozenset({("a", "z"), ("y", "a"), ("a", "b")}), {})
+    assert str(info.value) == "relation mentions unknown world in ('a', 'b')"
+    with pytest.raises(ValueError) as info:
+        Model(("a",), frozenset(), {"p": frozenset({"z", "y", "x", "a"})})
+    assert str(info.value) == "valuation of 'p' mentions unknown world 'x'"
 
 
 def test_properties_match_first_order_oracle():
@@ -162,6 +190,27 @@ def test_self_loops_only_add_diagonal():
             assert m.rel <= out.rel
             assert all(x == y for (x, y) in out.rel - m.rel)
     assert in_class(add_self_loops(m, SelfLoopMode.ALL), FrameClass.T) or m.rel
+
+
+def test_self_loop_modes_on_large_models():
+    # Each mode against its definition on the relation; the first mode to
+    # read pred builds it.
+    rng = random.Random(8)
+    for _ in range(3):
+        m = rand_sparse_model(rng, 100)
+        has_succ = {s for s, _ in m.rel}
+        loops = {
+            SelfLoopMode.ALL: set(m.worlds),
+            SelfLoopMode.ENDPOINTS: set(m.worlds) - has_succ,
+            SelfLoopMode.TWO_CYCLES: {s for s, t in m.rel if (t, s) in m.rel},
+            SelfLoopMode.HAS_PREDECESSOR: {t for _, t in m.rel},
+        }
+        assert "pred" not in m.index.__dict__
+        for mode, expected in loops.items():
+            out = add_self_loops(m, mode)
+            assert out.rel == m.rel | {(w, w) for w in expected}, mode
+            assert out.worlds == m.worlds and out.val == m.val
+        assert "pred" in m.index.__dict__
 
 
 def test_disjoint_union():

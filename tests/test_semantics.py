@@ -8,6 +8,7 @@ from helpers import (
     rand_formula,
     rand_model,
     rand_pointed,
+    rand_sparse_model,
 )
 from lea.formula import Formula, Not, Var, modal_depth, parse
 from lea.kripke import (
@@ -61,6 +62,31 @@ def test_extension_is_truth_set():
         assert extension(m, f) == frozenset(
             w for w in m.worlds if naive_satisfies(m, w, f)
         )
+
+
+# Sizes on both sides of the 64- and 128-bit boundaries, and well past them.
+LARGE_SIZES = (60, 63, 64, 65, 127, 128, 129, 200, 600)
+
+
+def test_large_models_match_recursion():
+    # Every dead end, self-loop and unvalued world is checked, plus the
+    # worlds at the word boundaries and a random sample.
+    rng = random.Random(215)
+    for n in LARGE_SIZES:
+        m = rand_sparse_model(rng, n, names=("p", "q"))
+        has_succ = {s for s, _ in m.rel}
+        looped = {s for s, t in m.rel if s == t}
+        valued = set().union(*m.val.values())
+        picked = {w for w in m.worlds if w not in has_succ or w in looped or w not in valued}
+        picked |= {m.worlds[i] for i in (0, 63, 64, 127, 128, n - 1) if i < n}
+        picked |= set(rng.sample(m.worlds, 10))
+        for _ in range(6):
+            f = rand_formula(rng, 4, lang="mixed")
+            ext = extension(m, f)
+            for w in sorted(picked):
+                want = naive_satisfies(m, w, f)
+                assert (w in ext) == want, (n, w, f)
+                assert satisfies(m, w, f) == want, (n, w, f)
 
 
 def test_valid_on_frame_matches_enumeration():

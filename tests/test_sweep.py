@@ -144,3 +144,11 @@ def test_search_sat_matches_labelled_sweep():
             else:
                 hits += 1
     assert hits and misses
+
+
+def test_bit_pattern_is_definitional():
+    # Bit v of the pattern for variable-bit b is bit b of v.
+    for total_bits in range(11):
+        for b in range(total_bits):
+            want = sum(1 << v for v in range(1 << total_bits) if (v >> b) & 1)
+            assert sweep._bit_pattern(total_bits, b) == want, (total_bits, b)
