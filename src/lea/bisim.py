@@ -25,10 +25,6 @@ class BisimRelation:
     carrier: Model
     pairs: frozenset[tuple[str, str]]
 
-    @staticmethod
-    def make(carrier: Model, pairs: Iterable[tuple[str, str]]) -> "BisimRelation":
-        return BisimRelation(carrier, frozenset((s, t) for s, t in pairs))
-
 
 @dataclass(frozen=True)
 class BisimViolation:

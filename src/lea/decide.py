@@ -300,8 +300,6 @@ class _Branch(_Tableau):
             if blocked is not None:
                 blocker, wanted_dep = blocked
                 self.add_edge(w, blocker, dep | wanted_dep)
-                if FrameProperty.SYMMETRIC in self.props:
-                    self.add_edge(blocker, w, dep | wanted_dep)
                 return
         v = self.new_world(w)
         self.schedule(v, body, dep)
@@ -340,7 +338,7 @@ class _Branch(_Tableau):
                     return True
         return False
 
-    def model(self, cls: FrameClass) -> tuple[Model, str]:
+    def model(self) -> tuple[Model, str]:
         n = len(self.contents)
         edges = set(self.edges)
         props = self.props
@@ -358,10 +356,7 @@ class _Branch(_Tableau):
         if FrameProperty.SERIAL in props:
             with_succ = {x for x, _ in edges}
             edges.update((i, i) for i in range(n) if i not in with_succ)
-        model, point = _model_of(self.contents, edges)
-        if not in_class(model, cls):
-            raise DecideError(f"extracted model left class {cls.name}")
-        return model, point
+        return _model_of(self.contents, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,7 @@ class _Clique(_Tableau):
             dep = self.contents[w][f]
             self.schedule(self.new_world(), f[1], dep)
 
-    def model(self, cls: FrameClass) -> tuple[Model, str]:
+    def model(self) -> tuple[Model, str]:
         n = len(self.contents)
         return _model_of(self.contents, [(a, b) for a in range(n) for b in range(n)])
 
@@ -432,7 +427,7 @@ def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[tuple[Model, str] | None,
         root.new_world(None)
     root.schedule(0, _nnf(f, False), 0)
     result = _search(root)
-    return (None if result is None else result.model(cls)), stats
+    return (None if result is None else result.model()), stats
 
 
 # ---------------------------------------------------------------------------

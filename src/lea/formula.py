@@ -4,12 +4,26 @@ The essence operator is written `o` in concrete syntax.  `A` (accident) and
 `<>` (diamond) are surface sugar and are desugared at parse time: `A f`
 becomes `~o f` and `<> f` becomes `~[] ~f`.  Structural equality on the AST
 is therefore equality up to that desugaring.
+
+Each connective's shape is stated once, in this module.  `children` and
+`rebuild` are the arity map, which every generic traversal goes through:
+the ones here, schema matching and boolean abstraction in `hilbert`, and
+the compiler of `sweep.Prog`, whose op tags sit in `sweep._TAGS`.  Only
+code that treats one connective specially, such as the printer's sugar
+or the `o` and `[]` cases of the translations, reads its fields by name.
+`_PREFIX` maps each prefix token to the node it builds, and `_INFIX` gives
+each binary node the symbol and binding level that the parser and the
+printer both read.  Three functions state each connective's meaning on
+their own instead.  `semantics._extension_bits` and `sweep.Prog.run` are
+hot evaluators with one truth function per connective, and `decide._nnf`
+rewrites each connective differently under each polarity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import reduce
+from typing import Callable, Iterator, Mapping
 
 
 class Formula:
@@ -85,14 +99,30 @@ def Dia(f: Formula) -> Formula:
     return Not(Box(Not(f)))
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of f, left to right; () for a leaf."""
+    if isinstance(f, (Not, Ess, Box)):
+        return (f.sub,)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return (f.left, f.right)
+    return ()
+
+
+def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """f with fn applied to each direct subformula, left to right; a leaf
+    comes back unchanged."""
+    if isinstance(f, (Not, Ess, Box)):
+        return type(f)(fn(f.sub))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(fn(f.left), fn(f.right))
+    return f
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Yield every subformula of f, including f itself, parents first."""
     yield f
-    if isinstance(f, (Not, Ess, Box)):
-        yield from subformulas(f.sub)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    for g in children(f):
+        yield from subformulas(g)
 
 
 def variables(f: Formula) -> frozenset[str]:
@@ -102,13 +132,10 @@ def variables(f: Formula) -> frozenset[str]:
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting depth of o/[] operators."""
-    if isinstance(f, (Var, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, (Ess, Box)):
-        return 1 + modal_depth(f.sub)
-    return max(modal_depth(f.left), modal_depth(f.right))
+    depth = 0
+    for g in children(f):
+        depth = max(depth, modal_depth(g))
+    return depth + 1 if isinstance(f, (Ess, Box)) else depth
 
 
 def is_lea(f: Formula) -> bool:
@@ -119,6 +146,29 @@ def is_lea(f: Formula) -> bool:
 def is_ml(f: Formula) -> bool:
     """True when f avoids o entirely (the box-only fragment)."""
     return not any(isinstance(g, Ess) for g in subformulas(f))
+
+
+# ---------------------------------------------------------------------------
+# Operator tables, shared by the parser and the printer
+
+# Prefix operators: token -> node builder.  Acc and Dia desugar `A` and `<>`.
+_PREFIX = {"~": Not, "o": Ess, "A": Acc, "[]": Box, "<>": Dia}
+
+# Binding strength; higher binds tighter.  <-> sits below -> (the grammar
+# treats them as separate levels), | below &, and the prefix operators
+# tightest of all.
+_LEVEL_IFF = 1
+_LEVEL_IMP = 2
+_LEVEL_OR = 3
+_LEVEL_AND = 4
+_LEVEL_UNARY = 5
+_LEVEL_ATOM = 6
+
+# Infix operators: node type -> (symbol, level).  -> and <-> nest to the
+# right, & and | to the left.
+_INFIX = {And: ("&", _LEVEL_AND), Or: ("|", _LEVEL_OR),
+          Implies: ("->", _LEVEL_IMP), Iff: ("<->", _LEVEL_IFF)}
+_BY_LEVEL = {level: (cls, symbol) for cls, (symbol, level) in _INFIX.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +189,9 @@ class ParseError(Exception):
 
 _UNARY_STARTERS = ("~", "o", "A", "[]", "<>", "T", "F", "identifier", "(")
 
+# Symbol tokens by first character, longest first.
+_SYMBOLS = {c: (c,) for c in "()&|~"} | {"-": ("->",), "<": ("<->", "<>"), "[": ("[]",)}
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -156,44 +209,21 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c in "()&|~":
-            kind = {"(": "(", ")": ")", "&": "&", "|": "|", "~": "~"}[c]
-            tokens.append(_Token(kind, c, i))
-            i += 1
-        elif c == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("->", "->", i))
-                i += 2
-            else:
-                raise ParseError(i, ("->",), repr(c))
-        elif c == "<":
-            if text.startswith("<->", i):
-                tokens.append(_Token("<->", "<->", i))
-                i += 3
-            elif text.startswith("<>", i):
-                tokens.append(_Token("<>", "<>", i))
-                i += 2
-            else:
-                raise ParseError(i, ("<->", "<>"), repr(text[i : i + 2]))
-        elif c == "[":
-            if text.startswith("[]", i):
-                tokens.append(_Token("[]", "[]", i))
-                i += 2
-            else:
-                raise ParseError(i, ("[]",), repr(text[i : i + 2]))
+        if c in _SYMBOLS:
+            for symbol in _SYMBOLS[c]:
+                if text.startswith(symbol, i):
+                    break
+            else:  # a stray "-" is shown alone, "<" and "[" with what follows
+                raise ParseError(i, _SYMBOLS[c], repr(c if c == "-" else text[i : i + 2]))
+            tokens.append(_Token(symbol, symbol, i))
+            i += len(symbol)
         elif c.isalpha():
             j = i
             while j < n and text[j].isalnum():
                 j += 1
             word = text[i:j]
-            if word == "T":
-                tokens.append(_Token("T", word, i))
-            elif word == "F":
-                tokens.append(_Token("F", word, i))
-            elif word == "A":
-                tokens.append(_Token("A", word, i))
-            elif word == "o":
-                tokens.append(_Token("o", word, i))
+            if word in ("T", "F", "A", "o"):
+                tokens.append(_Token(word, word, i))
             elif word[0].islower() and word[0] != "o":
                 tokens.append(_Token("ident", word, i))
             else:
@@ -218,74 +248,41 @@ class _Parser:
         self.i += 1
         return tok
 
-    def iff(self) -> Formula:
-        parts = [self.impl()]
-        while self.peek().kind == "<->":
+    def binary(self, level: int) -> Formula:
+        """A formula whose infix operators bind at level or tighter.  A run
+        of one operator is read in a loop, so a long chain nests no calls."""
+        build, symbol = _BY_LEVEL[level]
+        f = self.unary() if level == _LEVEL_AND else self.binary(level + 1)
+        if self.peek().kind != symbol:
+            return f
+        parts = [f]
+        while self.peek().kind == symbol:
             self.advance()
-            parts.append(self.impl())
-        f = parts[-1]
-        for g in reversed(parts[:-1]):
-            f = Iff(g, f)
-        return f
-
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.advance()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
+            parts.append(self.unary() if level == _LEVEL_AND else self.binary(level + 1))
+        if level <= _LEVEL_IMP:  # -> and <-> nest to the right
+            return reduce(lambda right, left: build(left, right), reversed(parts))
+        return reduce(build, parts)
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "o":
-            self.advance()
-            return Ess(self.unary())
-        if tok.kind == "A":
-            self.advance()
-            return Not(Ess(self.unary()))
-        if tok.kind == "[]":
-            self.advance()
-            return Box(self.unary())
-        if tok.kind == "<>":
-            self.advance()
-            return Not(Box(Not(self.unary())))
-        return self.atom()
+        build = _PREFIX.get(self.peek().kind)
+        if build is None:
+            return self.atom()
+        self.advance()
+        return build(self.unary())
 
     def atom(self) -> Formula:
-        tok = self.peek()
+        tok = self.advance()
+        if tok.kind == "ident":
+            return Var(tok.text)
         if tok.kind == "T":
-            self.advance()
             return Top()
         if tok.kind == "F":
-            self.advance()
             return Bot()
-        if tok.kind == "ident":
-            self.advance()
-            return Var(tok.text)
         if tok.kind == "(":
-            self.advance()
-            f = self.iff()
-            closing = self.peek()
+            f = self.binary(_LEVEL_IFF)
+            closing = self.advance()
             if closing.kind != ")":
                 raise ParseError(closing.pos, (")",), closing.text or "end of input")
-            self.advance()
             return f
         raise ParseError(tok.pos, _UNARY_STARTERS, tok.text or "end of input")
 
@@ -297,7 +294,7 @@ def parse(text: str) -> Formula:
     malformed input.
     """
     parser = _Parser(_tokenize(text))
-    f = parser.iff()
+    f = parser.binary(_LEVEL_IFF)
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(trailing.pos, ("end of input",), trailing.text)
@@ -306,16 +303,6 @@ def parse(text: str) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-# Binding strength; higher binds tighter.  <-> sits below -> (the grammar
-# treats them as separate levels), | below &, and the prefix operators
-# tightest of all.
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_UNARY = 5
-_LEVEL_ATOM = 6
 
 
 def render(f: Formula, sugar: bool = False) -> str:
@@ -335,6 +322,14 @@ def _render(f: Formula, min_level: int, sugar: bool) -> str:
 
 
 def _render_top(f: Formula, sugar: bool) -> tuple[str, int]:
+    infix = _INFIX.get(type(f))
+    if infix is not None:
+        symbol, level = infix
+        left, right = children(f)
+        # Only the side an operator nests on may hold its level unbracketed.
+        left_min, right_min = (level + 1, level) if level <= _LEVEL_IMP else (level, level + 1)
+        left_text, right_text = _render(left, left_min, sugar), _render(right, right_min, sugar)
+        return f"{left_text} {symbol} {right_text}", level
     if isinstance(f, Var):
         return f.name, _LEVEL_ATOM
     if isinstance(f, Top):
@@ -351,22 +346,6 @@ def _render_top(f: Formula, sugar: bool) -> tuple[str, int]:
         return "o " + _render(f.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
     if isinstance(f, Box):
         return "[] " + _render(f.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
-    if isinstance(f, And):
-        left = _render(f.left, _LEVEL_AND, sugar)
-        right = _render(f.right, _LEVEL_AND + 1, sugar)
-        return left + " & " + right, _LEVEL_AND
-    if isinstance(f, Or):
-        left = _render(f.left, _LEVEL_OR, sugar)
-        right = _render(f.right, _LEVEL_OR + 1, sugar)
-        return left + " | " + right, _LEVEL_OR
-    if isinstance(f, Implies):
-        left = _render(f.left, _LEVEL_IMP + 1, sugar)
-        right = _render(f.right, _LEVEL_IMP, sugar)
-        return left + " -> " + right, _LEVEL_IMP
-    if isinstance(f, Iff):
-        left = _render(f.left, _LEVEL_IFF + 1, sugar)
-        right = _render(f.right, _LEVEL_IFF, sugar)
-        return left + " <-> " + right, _LEVEL_IFF
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -376,18 +355,13 @@ def _render_top(f: Formula, sugar: bool) -> tuple[str, int]:
 
 def substitute(f: Formula, sub: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace variables by formulas."""
-    if isinstance(f, Var):
-        return sub.get(f.name, f)
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.sub, sub))
-    if isinstance(f, Ess):
-        return Ess(substitute(f.sub, sub))
-    if isinstance(f, Box):
-        return Box(substitute(f.sub, sub))
-    cls = type(f)
-    return cls(substitute(f.left, sub), substitute(f.right, sub))
+
+    def go(g: Formula) -> Formula:
+        if isinstance(g, Var):
+            return sub.get(g.name, g)
+        return rebuild(g, go)
+
+    return go(f)
 
 
 def to_ml(f: Formula) -> Formula:
@@ -399,15 +373,10 @@ def to_ml(f: Formula) -> Formula:
     """
     if isinstance(f, Box):
         raise ValueError(f"not an essence-language formula: contains {render(f)}")
-    if isinstance(f, (Var, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(to_ml(f.sub))
     if isinstance(f, Ess):
         g = to_ml(f.sub)
         return Implies(g, Box(g))
-    cls = type(f)
-    return cls(to_ml(f.left), to_ml(f.right))
+    return rebuild(f, to_ml)
 
 
 def to_lea(f: Formula) -> Formula:
@@ -419,12 +388,7 @@ def to_lea(f: Formula) -> Formula:
     """
     if isinstance(f, Ess):
         raise ValueError(f"not a box-language formula: contains {render(f)}")
-    if isinstance(f, (Var, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(to_lea(f.sub))
     if isinstance(f, Box):
         g = to_lea(f.sub)
         return And(Ess(g), g)
-    cls = type(f)
-    return cls(to_lea(f.left), to_lea(f.right))
+    return rebuild(f, to_lea)

@@ -27,14 +27,13 @@ from .formula import (
     Box,
     Ess,
     Formula,
-    Iff,
     Implies,
-    Not,
-    Or,
     Top,
     Var,
+    children,
     is_lea,
     parse,
+    rebuild,
     render,
     substitute,
     variables,
@@ -99,13 +98,10 @@ def _match(schema: Formula, f: Formula, binding: dict[str, Formula]) -> bool:
         return seen == f
     if type(schema) is not type(f):
         return False
-    if isinstance(schema, (Not, Ess, Box)):
-        return _match(schema.sub, f.sub, binding)
-    if isinstance(schema, (And, Or, Implies, Iff)):
-        return _match(schema.left, f.left, binding) and _match(
-            schema.right, f.right, binding
-        )
-    return True  # Top / Bot
+    for s, g in zip(children(schema), children(f)):
+        if not _match(s, g, binding):
+            return False
+    return True
 
 
 def is_axiom_instance(f: Formula, system: System) -> tuple[str, Substitution] | None:
@@ -120,7 +116,7 @@ def is_axiom_instance(f: Formula, system: System) -> tuple[str, Substitution] | 
 # ---------------------------------------------------------------------------
 # Tautology checking by boolean abstraction
 
-_TAUT_ATOM_LIMIT = 16
+_TAUT_ATOM_LIMIT = 20
 
 
 def is_tautology(f: Formula) -> bool:
@@ -132,21 +128,17 @@ def is_tautology(f: Formula) -> bool:
     value under every assignment to the atoms.
     """
     atoms: dict[Formula, Var] = {}
-    g = _atomise(f, atoms)
+
+    def atomise(g: Formula) -> Formula:
+        if isinstance(g, (Ess, Box, Var)):
+            return atoms.setdefault(g, Var(str(len(atoms))))
+        return rebuild(g, atomise)
+
+    g = atomise(f)
     if len(atoms) > _TAUT_ATOM_LIMIT:
         raise ValueError(f"tautology check over {len(atoms)} atoms; refusing")
     [bits] = sweep.Prog(g, [a.name for a in atoms.values()]).run(1, (0,))
     return bits == (1 << (1 << len(atoms))) - 1
-
-
-def _atomise(f: Formula, atoms: dict[Formula, Var]) -> Formula:
-    if isinstance(f, (Ess, Box, Var)):
-        return atoms.setdefault(f, Var(str(len(atoms))))
-    if isinstance(f, Not):
-        return Not(_atomise(f.sub, atoms))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_atomise(f.left, atoms), _atomise(f.right, atoms))
-    return f  # Top / Bot
 
 
 # ---------------------------------------------------------------------------

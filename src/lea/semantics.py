@@ -96,7 +96,10 @@ def _extension_bits(idx: ModelIndex, f: Formula, memo: dict[int, int]) -> int:
 
 def extension(m: Model, f: Formula) -> frozenset[str]:
     """The set of worlds of m where f holds."""
-    bits = _extension_bits(m.index, f, {})
+    return _world_set(m, _extension_bits(m.index, f, {}))
+
+
+def _world_set(m: Model, bits: int) -> frozenset[str]:
     return frozenset(w for i, w in enumerate(m.worlds) if (bits >> i) & 1)
 
 
@@ -239,8 +242,9 @@ def _layered_reps(
 
 def layered_formulas(
     m: Model, names: Sequence[str], depth: int, modal: str = "ess"
-) -> list[Formula]:
-    """One formula per distinct extension on m, up to the given modal depth.
+) -> list[tuple[Formula, frozenset[str]]]:
+    """One formula per distinct extension on m, up to the given modal depth,
+    each paired with its extension.
 
     Every formula over names with modal depth <= depth in the chosen
     language ("ess" or "box") has the same extension on m as exactly one
@@ -249,7 +253,7 @@ def layered_formulas(
     idx = m.index
     var_bits = [(name, idx.val_bits.get(name, 0)) for name in names]
     reps = _layered_reps(idx.n, idx.succ, var_bits, depth, modal)
-    return list(reps.values())
+    return [(f, _world_set(m, bits)) for bits, f in reps.items()]
 
 
 def bounded_equivalent(

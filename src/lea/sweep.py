@@ -34,6 +34,7 @@ from .formula import (
     Or,
     Top,
     Var,
+    children,
     variables,
 )
 from .kripke import FrameClass, Model, _check_property, frame_worlds
@@ -55,6 +56,12 @@ def _bit_pattern(total_bits: int, b: int) -> int:
     return out
 
 
+# Op tag of each node type but Var; an op's operands are the registers of
+# the node's children.
+_TAGS = {Top: "top", Bot: "bot", Not: "not", Ess: "ess", Box: "box",
+         And: "and", Or: "or", Implies: "imp", Iff: "iff"}
+
+
 class Prog:
     """A formula compiled to a postorder op list over shared registers."""
 
@@ -67,26 +74,11 @@ class Prog:
     def _emit(self, f: Formula) -> int:
         if f in self._regs:
             return self._regs[f]
-        if isinstance(f, Var):
+        tag = _TAGS.get(type(f))
+        if tag is not None:
+            op = (tag, *map(self._emit, children(f)))
+        elif isinstance(f, Var):
             op = ("var", self.names.index(f.name)) if f.name in self.names else ("bot",)
-        elif isinstance(f, Top):
-            op = ("top",)
-        elif isinstance(f, Bot):
-            op = ("bot",)
-        elif isinstance(f, Not):
-            op = ("not", self._emit(f.sub))
-        elif isinstance(f, Ess):
-            op = ("ess", self._emit(f.sub))
-        elif isinstance(f, Box):
-            op = ("box", self._emit(f.sub))
-        elif isinstance(f, And):
-            op = ("and", self._emit(f.left), self._emit(f.right))
-        elif isinstance(f, Or):
-            op = ("or", self._emit(f.left), self._emit(f.right))
-        elif isinstance(f, Implies):
-            op = ("imp", self._emit(f.left), self._emit(f.right))
-        elif isinstance(f, Iff):
-            op = ("iff", self._emit(f.left), self._emit(f.right))
         else:
             raise TypeError(f"not a formula: {f!r}")
         reg = len(self.ops)

@@ -73,8 +73,8 @@ def _models_le3() -> tuple[Model, ...]:
 def test_criterion_01_translation_soundness():
     checked = 0
     for m in _models_le3():
-        for f in layered_formulas(m, ("p",), 2):
-            assert extension(m, f) == extension(m, to_ml(f)), render(f)
+        for f, ext in layered_formulas(m, ("p",), 2):
+            assert ext == extension(m, to_ml(f)), render(f)
             checked += 1
     print(f"criterion 1: pass - to_ml truth-preserving on {checked} model/formula pairs")
 
@@ -84,8 +84,8 @@ def test_criterion_02_reflexive_equivalence():
     for m in _models_le3():
         if not has_property(m, FrameProperty.REFLEXIVE):
             continue
-        for f in layered_formulas(m, ("p",), 2, modal="box"):
-            assert extension(m, f) == extension(m, to_lea(f)), render(f)
+        for f, ext in layered_formulas(m, ("p",), 2, modal="box"):
+            assert ext == extension(m, to_lea(f)), render(f)
             checked += 1
     # outside the reflexive class the round trip breaks: a dead-end world
     # satisfies [] F but to_lea([] F) is o F & F, false everywhere
@@ -221,7 +221,7 @@ def _disagreements(m1: Model, m2: Model, depth: int):
     z = largest_circ_bisimulation(u).pairs
     formulas = layered_formulas(u, ("p",), depth)
     closed = len(layered_formulas(u, ("p",), depth + 1)) == len(formulas)
-    exts = [extension(u, f) for f in formulas]
+    exts = [ext for _, ext in formulas]
     out = []
     for x in m1.worlds:
         lx = "L:" + x

@@ -194,6 +194,21 @@ def test_prove_roundtrip(tmp_path, capsys):
     assert "rejected at line 1" in out
 
 
+def test_prove_accepts_genproof_up_to_the_atom_limit(tmp_path, capsys):
+    # genproof N needs a tautology over N + 2 atoms: 18 is the largest N
+    # within the 20-atom limit, and 19 is refused with the atom count.
+    for n, want_code, want_text in (
+        (18, 0, "accepted (65 lines)"),
+        (19, 1, "rejected at line 67: tautology check over 21 atoms; refusing"),
+    ):
+        code, out, _ = run(capsys, "genproof", str(n))
+        assert code == 0
+        proof = tmp_path / f"conj{n}.txt"
+        proof.write_text(out)
+        code, out, _ = run(capsys, "prove", "K", str(proof))
+        assert (code, out.strip()) == (want_code, want_text)
+
+
 def test_genproof_bad_n(capsys):
     code, _, err = run(capsys, "genproof", "1")
     assert code == 2

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from helpers import rand_formula
+from lea import formula as formula_module
 from lea.formula import (
     Acc,
     And,
@@ -10,6 +12,7 @@ from lea.formula import (
     Box,
     Dia,
     Ess,
+    Formula,
     Iff,
     Implies,
     Not,
@@ -17,10 +20,12 @@ from lea.formula import (
     ParseError,
     Top,
     Var,
+    children,
     is_lea,
     is_ml,
     modal_depth,
     parse,
+    rebuild,
     render,
     subformulas,
     substitute,
@@ -28,6 +33,7 @@ from lea.formula import (
     to_ml,
     variables,
 )
+from lea.sweep import Prog
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -152,3 +158,52 @@ def test_translation_preserves_depth():
         assert modal_depth(to_ml(f)) == modal_depth(f)
         g = rand_formula(rng, 3, lang="ml")
         assert modal_depth(to_lea(g)) == modal_depth(g)
+
+
+def _node_types() -> list[type]:
+    """Every concrete Formula subclass defined in lea.formula."""
+    return [
+        c
+        for c in vars(formula_module).values()
+        if isinstance(c, type) and issubclass(c, Formula) and c is not Formula
+    ]
+
+
+def _arity(cls: type) -> int:
+    return sum(fld.type == "Formula" for fld in dataclasses.fields(cls))
+
+
+def _node(cls: type, kids) -> Formula:
+    """An instance of cls whose Formula fields take kids in order; a plain
+    field (a variable's name) takes "p"."""
+    kids = iter(kids)
+    fields = dataclasses.fields(cls)
+    return cls(*(next(kids) if fld.type == "Formula" else "p" for fld in fields))
+
+
+def test_connective_tables_cover_every_node_type():
+    # A node type missing from the arity map, the parser or printer tables,
+    # or Prog's tag table fails here.  Every type is nested in every other,
+    # so each pair of binding levels meets once.
+    types = _node_types()
+    assert {Var, Top, Bot, Not, Ess, Box, And, Or, Implies, Iff} <= set(types)
+    for outer in types:
+        for inner in types:
+            kids = [_node(inner, [Var(x)] * _arity(inner)) for x in ("q", "r")]
+            kids = kids[: _arity(outer)]
+            f = _node(outer, kids)
+            assert children(f) == tuple(kids)
+            assert len(children(f)) == _arity(outer)
+            assert rebuild(f, lambda g: g) == f
+            assert children(rebuild(f, lambda g: Top())) == (Top(),) * _arity(outer)
+            for sugar in (False, True):
+                assert parse(render(f, sugar=sugar)) == f, (f, sugar)
+            prog = Prog(f, ("p", "q", "r"))
+            assert len(prog.ops) == len(set(subformulas(f)))
+            if outer is not Var:
+                assert len(prog.ops[prog.root]) == 1 + _arity(outer)
+    for bad in (object(), And(Var("p"), object())):
+        with pytest.raises(TypeError):
+            render(bad)
+        with pytest.raises(TypeError):
+            Prog(bad, ("p",))

@@ -163,7 +163,7 @@ def test_tautology_many_modal_atoms():
 
 
 def test_tautology_atom_limit():
-    f = parse(" | ".join(f"x{i}" for i in range(17)))
+    f = parse(" | ".join(f"x{i}" for i in range(21)))
     with pytest.raises(ValueError):
         is_tautology(f)
 

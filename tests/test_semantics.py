@@ -141,9 +141,10 @@ def test_layered_formulas_cover_extensions():
     for _ in range(40):
         m = rand_model(rng, 4, names=("p",))
         reps = layered_formulas(m, ("p",), 2)
-        exts = [extension(m, f) for f in reps]
+        assert all(ext == extension(m, f) for f, ext in reps)
+        exts = [ext for _, ext in reps]
         assert len(set(exts)) == len(exts)
-        assert all(modal_depth(f) <= 2 for f in reps)
+        assert all(modal_depth(f) <= 2 for f, _ in reps)
         # every random formula of that depth lands on a known extension
         for _ in range(20):
             f = rand_formula(rng, 2, names=("p",), lang="lea")
@@ -155,7 +156,8 @@ def test_layered_formulas_box_language():
     for _ in range(40):
         m = rand_model(rng, 4, names=("p",))
         reps = layered_formulas(m, ("p",), 2, modal="box")
-        exts = {extension(m, f) for f in reps}
+        assert all(ext == extension(m, f) for f, ext in reps)
+        exts = {ext for _, ext in reps}
         for _ in range(20):
             f = rand_formula(rng, 2, names=("p",), lang="ml")
             assert extension(m, f) in exts, (m, f)
