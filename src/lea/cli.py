@@ -2,9 +2,13 @@
 
 One operation per invocation, verdict on stdout, no state between runs.
 Exit codes: 0 for an affirmative verdict (true, valid, sat, bisimilar,
-accepted, confirmed, clean scan), 1 for a negative one, 2 for unusable
-input, a --max-n outside 1 to sweep.MAX_N included.  --json swaps the
-human line for a machine-readable object.
+accepted, confirmed, clean scan), 1 for a negative one or a stated limit,
+2 for unusable input, a --max-n outside 1 to sweep.MAX_N included.  A limit
+prints `unknown: <reason>` (JSON "answer": null): a bounded search that
+found no model, a tautology check past its atom limit, or a formula nested
+too deeply for the recursion limit.  The tableau's expansion budget is the
+exception: it still exits 2 with an error.  --json swaps the human line for
+a machine-readable object.
 
 Formulas are given inline or as @path; models are always files.
 """
@@ -74,40 +78,26 @@ def _read_model(path: str) -> tuple[Model, str | None]:
             return model_from_json(fh.read())
     except OSError as e:
         raise _InputError(f"cannot read model file: {e}") from e
-    except (ValueError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
         raise _InputError(f"bad model in {path}: {e}") from e
 
 
-def _frame_class(name: str) -> FrameClass:
-    try:
-        return FrameClass[name.upper()]
-    except KeyError:
-        options = ", ".join(c.name for c in FrameClass)
-        raise _InputError(f"unknown frame class {name!r} (one of: {options})") from None
-
-
-def _frame_property(name: str) -> FrameProperty:
-    try:
-        return FrameProperty(name.lower())
-    except ValueError:
-        options = ", ".join(p.value for p in FrameProperty)
-        raise _InputError(f"unknown property {name!r} (one of: {options})") from None
-
-
-_SYSTEMS = {
-    "K": System.K_CIRC,
-    "K4": System.K4_CIRC,
-    "KB": System.KB_CIRC,
-    "KB5": System.KB5_CIRC,
+# Named inputs: kind -> (case fold of the name, the options by folded name).
+_NAMED = {
+    "frame class": (str.upper, {c.name: c for c in FrameClass}),
+    "property": (str.lower, {p.value: p for p in FrameProperty}),
+    "system": (str.upper, {"K": System.K_CIRC, "K4": System.K4_CIRC,
+                           "KB": System.KB_CIRC, "KB5": System.KB5_CIRC}),
 }
 
 
-def _system(name: str) -> System:
+def _named(kind: str, name: str):
+    fold, options = _NAMED[kind]
     try:
-        return _SYSTEMS[name.upper()]
+        return options[fold(name)]
     except KeyError:
         raise _InputError(
-            f"unknown system {name!r} (one of: {', '.join(_SYSTEMS)})"
+            f"unknown {kind} {name!r} (one of: {', '.join(options)})"
         ) from None
 
 
@@ -149,12 +139,14 @@ def _cmd_valid(ns) -> tuple[int, dict, str]:
         }
         human = "valid on frame" if answer else "not valid on frame"
         return (0 if answer else 1), payload, human
-    return _verdict_reply(decide.valid(f, _frame_class(ns.frame_class), ns.max_n))
+    cls = _named("frame class", ns.frame_class)
+    return _verdict_reply(decide.valid(f, cls, ns.max_n))
 
 
 def _cmd_sat(ns) -> tuple[int, dict, str]:
     f = _read_formula(ns.formula)
-    return _verdict_reply(decide.satisfiable(f, _frame_class(ns.frame_class), ns.max_n))
+    cls = _named("frame class", ns.frame_class)
+    return _verdict_reply(decide.satisfiable(f, cls, ns.max_n))
 
 
 # Human lines per question: (unknown, affirmative, negative).
@@ -226,7 +218,7 @@ def _cmd_translate(ns) -> tuple[int, dict, str]:
 
 
 def _cmd_define(ns) -> tuple[int, dict, str]:
-    prop = _frame_property(ns.property)
+    prop = _named("property", ns.property)
     f = _read_formula(ns.formula)
     verdict = check_definability(prop, f, ns.max_n)
     payload = {
@@ -243,7 +235,7 @@ def _cmd_define(ns) -> tuple[int, dict, str]:
 
 
 def _cmd_prove(ns) -> tuple[int, dict, str]:
-    system = _system(ns.system)
+    system = _named("system", ns.system)
     try:
         with open(ns.file, encoding="utf-8") as fh:
             text = fh.read()
@@ -258,13 +250,15 @@ def _cmd_prove(ns) -> tuple[int, dict, str]:
         payload = {"answer": True, "lines": len(derivation.lines)}
         return 0, payload, f"accepted ({len(derivation.lines)} lines)"
     index, message = report.first_error
-    payload = {"answer": False, "line": index, "reason": message}
+    payload = {"answer": report.ok, "line": index, "reason": message}
+    if report.ok is None:
+        return 1, payload, f"unknown: line {index}: {message}"
     return 1, payload, f"rejected at line {index}: {message}"
 
 
 def _cmd_scan(ns) -> tuple[int, dict, str]:
-    system = _system(ns.system)
-    cls = _frame_class(ns.frame_class)
+    system = _named("system", ns.system)
+    cls = _named("frame class", ns.frame_class)
     report = soundness_scan(system, cls, ns.max_n)
     failures = [
         {"axiom": name, "model": model_to_obj(model)}
@@ -404,12 +398,12 @@ def main(argv=None) -> int:
         if not 1 <= ns.max_n <= MAX_N:
             raise _InputError(f"--max-n must be between 1 and {MAX_N}, not {ns.max_n}")
         code, payload, human = ns.func(ns)
-    except _InputError as e:
+    except (_InputError, decide.DecideError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except decide.DecideError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except RecursionError:
+        reason = "formula nests too deeply for the recursion limit"
+        code, payload, human = 1, {"answer": None, "reason": reason}, f"unknown: {reason}"
     if ns.json:
         print(json.dumps(payload, sort_keys=True))
     else:

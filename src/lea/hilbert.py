@@ -28,6 +28,7 @@ from .formula import (
     Ess,
     Formula,
     Implies,
+    ParseError,
     Top,
     Var,
     children,
@@ -36,7 +37,6 @@ from .formula import (
     rebuild,
     render,
     substitute,
-    variables,
 )
 from .kripke import FrameClass, Model, frame_worlds
 
@@ -119,13 +119,18 @@ def is_axiom_instance(f: Formula, system: System) -> tuple[str, Substitution] | 
 _TAUT_ATOM_LIMIT = 20
 
 
+class AtomLimitError(ValueError):
+    """A formula with more atoms than is_tautology checks."""
+
+
 def is_tautology(f: Formula) -> bool:
     """Propositional tautology after abstracting modal subtrees as atoms.
 
     Maximal o/[] subformulas and variables become atoms (structurally equal
     occurrences share one atom); T and F stay constants.  The abstracted
-    formula runs once through a one-world sweep, whose bignum holds its
-    value under every assignment to the atoms.
+    formula is a tautology when a one-world sweep, whose bignum holds its
+    value under every assignment to the atoms, finds no falsifying hit.
+    Raises AtomLimitError past _TAUT_ATOM_LIMIT atoms.
     """
     atoms: dict[Formula, Var] = {}
 
@@ -136,9 +141,10 @@ def is_tautology(f: Formula) -> bool:
 
     g = atomise(f)
     if len(atoms) > _TAUT_ATOM_LIMIT:
-        raise ValueError(f"tautology check over {len(atoms)} atoms; refusing")
-    [bits] = sweep.Prog(g, [a.name for a in atoms.values()]).run(1, (0,))
-    return bits == (1 << (1 << len(atoms))) - 1
+        raise AtomLimitError(
+            f"tautology check over {len(atoms)} atoms exceeds the limit of {_TAUT_ATOM_LIMIT}"
+        )
+    return sweep.frame_hit(sweep.Prog(g), 1, (0,), False) is None
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +208,19 @@ class Derivation:
 
 @dataclass(frozen=True)
 class CheckReport:
-    ok: bool
+    ok: bool | None  # None: unknown, first_error names a line past a limit
     first_error: tuple[int, str] | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.ok is True
 
 
 def check_derivation(d: Derivation, system: System) -> CheckReport:
     """Validate every line of d against the rules of the system.
 
-    Reports the first offending line.  Premise lines are accepted as given;
-    a derivation without them establishes its conclusion outright.
+    Reports the first offending line, or the first line past the tautology
+    atom limit as unknown.  Premise lines are accepted as given; a
+    derivation without them establishes its conclusion outright.
     """
     if not d.lines:
         return CheckReport(False, (0, "empty derivation"))
@@ -223,7 +230,10 @@ def check_derivation(d: Derivation, system: System) -> CheckReport:
             return CheckReport(
                 False, (line.index, f"line numbered {line.index}, expected {offset + 1}")
             )
-        reason = _check_line(line, by_index, system)
+        try:
+            reason = _check_line(line, by_index, system)
+        except AtomLimitError as e:
+            return CheckReport(None, (line.index, str(e)))
         if reason is not None:
             return CheckReport(False, (line.index, reason))
         by_index[line.index] = line.formula
@@ -244,11 +254,8 @@ def _check_line(
     if isinstance(just, Premise):
         return None
     if isinstance(just, Taut):
-        try:
-            if not is_tautology(f):
-                return "not a propositional tautology under boolean abstraction"
-        except ValueError as e:
-            return str(e)
+        if not is_tautology(f):
+            return "not a propositional tautology under boolean abstraction"
         return None
     if isinstance(just, Axiom):
         try:
@@ -347,7 +354,7 @@ def parse_derivation(text: str) -> Derivation:
         index = int(m.group(1))
         try:
             f = parse(m.group(2))
-        except Exception as e:
+        except ParseError as e:
             raise DerivationSyntaxError(lineno, f"bad formula: {e}") from e
         just = _parse_justification(m.group(3).strip(), lineno)
         lines.append(Line(index, f, just))
@@ -386,7 +393,7 @@ def _parse_justification(text: str, lineno: int) -> Justification:
                 raise DerivationSyntaxError(lineno, f"bad binding {item.strip()!r}")
             try:
                 subst[var] = parse(body.strip())
-            except Exception as e:
+            except ParseError as e:
                 raise DerivationSyntaxError(lineno, f"bad binding formula: {e}") from e
         return Sub(int(num), subst)
     raise DerivationSyntaxError(lineno, f"unknown justification {text!r}")
@@ -470,16 +477,13 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
     the system over the class predicts none.  max_n must lie in
     1..sweep.MAX_N (ValueError).
     """
-    progs = [
-        (name, sweep.Prog(schema, sorted(variables(schema))))
-        for name, schema in system.axioms
-    ]
+    progs = [(name, sweep.Prog(schema)) for name, schema in system.axioms]
     failures: list[tuple[Model, str]] = []
     checked = failed = 0
     for n, succ, size in sweep.class_frames(cls, max_n):
         checked += size
         for name, prog in progs:
-            if not sweep.frame_valid(prog, n, succ):
+            if sweep.frame_hit(prog, n, succ, False) is not None:
                 frame = sweep.build_model(frame_worlds(n), succ, (), 0)
                 failures.append((frame, name))
                 failed += size

@@ -23,7 +23,6 @@ from .formula import (
     Or,
     Top,
     Var,
-    variables,
 )
 from .kripke import (
     FrameClass,
@@ -117,8 +116,7 @@ def valid_on_frame(m: Model, f: Formula) -> bool:
     Only m's worlds and relation matter; its own valuation is ignored.
     """
     idx = m.index
-    prog = sweep.Prog(f, sorted(variables(f)))
-    return sweep.frame_valid(prog, idx.n, idx.succ)
+    return sweep.frame_hit(sweep.Prog(f), idx.n, idx.succ, False) is None
 
 
 def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
@@ -128,12 +126,12 @@ def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
     is valid on the frame.
     """
     idx = m.index
-    names = sorted(variables(f))
-    hit = sweep.frame_falsifier(sweep.Prog(f, names), idx.n, idx.succ)
+    prog = sweep.Prog(f)
+    hit = sweep.frame_hit(prog, idx.n, idx.succ, False)
     if hit is None:
         return None
     v, s = hit
-    return sweep.build_model(m.worlds, idx.succ, names, v), m.worlds[s]
+    return sweep.build_model(m.worlds, idx.succ, prog.names, v), m.worlds[s]
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +163,10 @@ def check_definability(
     enumeration order) is reported as a witness.  Confirmation is only as
     strong as max_n, which must lie in 1..sweep.MAX_N (ValueError).
     """
-    prog = sweep.Prog(f, sorted(variables(f)))
+    prog = sweep.Prog(f)
     for n, succ, _ in sweep.class_frames(FrameClass.K, max_n):
         holds = sweep.succ_has_property(n, succ, prop)
-        valid = sweep.frame_valid(prog, n, succ)
+        valid = sweep.frame_hit(prog, n, succ, False) is None
         if holds == valid:
             continue
         witness = sweep.build_model(frame_worlds(n), succ, (), 0)

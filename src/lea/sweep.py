@@ -7,7 +7,10 @@ connectives become bitwise operations on those integers, so checking a
 formula against every valuation of a frame costs a handful of int ops per
 formula node instead of a loop over valuations.
 
-Valuation number v assigns variable j the world set (v >> (n*j)) & (2^n - 1).
+Valuation number v assigns the j-th of the formula's variables in sorted
+order (Prog.names) the world set (v >> (n*j)) & (2^n - 1).  Every frame
+question is one frame_hit: the smallest (valuation number, world) where the
+formula takes a given truth value.  Validity is no hit for False.
 
 Frame sweeps visit one frame per isomorphism class (frame_orbits): the
 frame with the smallest mask, weighted by the size of its orbit.  Frame
@@ -63,10 +66,11 @@ _TAGS = {Top: "top", Bot: "bot", Not: "not", Ess: "ess", Box: "box",
 
 
 class Prog:
-    """A formula compiled to a postorder op list over shared registers."""
+    """A formula compiled to a postorder op list over shared registers;
+    names holds its variables, sorted."""
 
-    def __init__(self, f: Formula, names: Sequence[str]):
-        self.names = tuple(names)
+    def __init__(self, f: Formula):
+        self.names = tuple(sorted(variables(f)))
         self.ops: list[tuple] = []
         self._regs: dict[Formula, int] = {}
         self.root = self._emit(f)
@@ -78,7 +82,7 @@ class Prog:
         if tag is not None:
             op = (tag, *map(self._emit, children(f)))
         elif isinstance(f, Var):
-            op = ("var", self.names.index(f.name)) if f.name in self.names else ("bot",)
+            op = ("var", self.names.index(f.name))
         else:
             raise TypeError(f"not a formula: {f!r}")
         reg = len(self.ops)
@@ -218,29 +222,22 @@ def succ_has_property(n: int, succ: Sequence[int], prop) -> bool:
     return _check_property(n, succ, prop)
 
 
-def frame_valid(prog: Prog, n: int, succ: Sequence[int]) -> bool:
-    """True when the compiled formula holds at every world, every valuation."""
-    total_bits = n * len(prog.names)
-    full = (1 << (1 << total_bits)) - 1
-    out = prog.run(n, succ)
-    return all(bits == full for bits in out)
+def frame_hit(prog: Prog, n: int, succ: Sequence[int], value: bool) -> tuple[int, int] | None:
+    """Smallest (valuation number, world) where the compiled formula takes
+    the given truth value on the frame, or None where it takes it nowhere.
 
-
-def frame_falsifier(prog: Prog, n: int, succ: Sequence[int]) -> tuple[int, int] | None:
-    """(valuation number, world) falsifying the formula, or None if valid."""
-    full = (1 << (1 << (n * len(prog.names)))) - 1
-    return _first_hit([full ^ bits for bits in prog.run(n, succ)])
-
-
-def frame_satisfier(prog: Prog, n: int, succ: Sequence[int]) -> tuple[int, int] | None:
-    """(valuation number, world) satisfying the formula, or None."""
-    return _first_hit(prog.run(n, succ))
-
-
-def _first_hit(out: list[int]) -> tuple[int, int] | None:
-    """Smallest (valuation number, world) with a set bit in out[world]."""
-    hits = [((bits & -bits).bit_length() - 1, s) for s, bits in enumerate(out) if bits]
-    return min(hits, default=None)
+    The formula is valid on the frame when it has no hit for False.
+    """
+    # The bitmap of a world where the formula never takes the value.
+    miss = 0 if value else (1 << (1 << (n * len(prog.names)))) - 1
+    hit = None
+    for s, bits in enumerate(prog.run(n, succ)):
+        if bits != miss:
+            bits ^= miss
+            v = (bits & -bits).bit_length() - 1
+            if hit is None or v < hit[0]:
+                hit = v, s
+    return hit
 
 
 def build_model(
@@ -266,13 +263,12 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
     world) order, or None when no model with at most max_n worlds exists.
     One-way evidence: None never means unsatisfiable.
     """
-    names = sorted(variables(f))
-    prog = Prog(f, names)
+    prog = Prog(f)
     for n, succ, _ in class_frames(cls, max_n):
-        hit = frame_satisfier(prog, n, succ)
+        hit = frame_hit(prog, n, succ, True)
         if hit is not None:
             v, s = hit
-            m = build_model(frame_worlds(n), succ, names, v)
+            m = build_model(frame_worlds(n), succ, prog.names, v)
             return m, m.worlds[s]
     return None
 

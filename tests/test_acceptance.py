@@ -353,14 +353,14 @@ def test_criterion_10_soundness_scans():
         report = soundness_scan(system, cls, 4)
         assert bool(report), (system.name, report.failures[:1])
         frames += report.frames_checked
-    prog = sweep.Prog(KW_EUC_ALT, ["p"])
+    prog = sweep.Prog(KW_EUC_ALT)
     euclidean = 0
     for n in range(1, 5):
         for succ in sweep.iter_succ_tables(n):
             if not sweep.succ_has_property(n, succ, FrameProperty.EUCLIDEAN):
                 continue
             euclidean += 1
-            assert sweep.frame_valid(prog, n, succ), (n, succ)
+            assert sweep.frame_hit(prog, n, succ, False) is None, (n, succ)
     assert euclidean == 354
     print(f"criterion 10: pass - 4 systems clean on {frames} frames; KwEuc variant valid on {euclidean} euclidean frames")
 

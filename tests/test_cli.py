@@ -196,10 +196,13 @@ def test_prove_roundtrip(tmp_path, capsys):
 
 def test_prove_accepts_genproof_up_to_the_atom_limit(tmp_path, capsys):
     # genproof N needs a tautology over N + 2 atoms: 18 is the largest N
-    # within the 20-atom limit, and 19 is refused with the atom count.
-    for n, want_code, want_text in (
-        (18, 0, "accepted (65 lines)"),
-        (19, 1, "rejected at line 67: tautology check over 21 atoms; refusing"),
+    # within the 20-atom limit.  Past it the line is not checked, so the
+    # answer is unknown, not a rejection.
+    limit = "tautology check over 21 atoms exceeds the limit of 20"
+    for n, want_code, want_text, want_json in (
+        (18, 0, "accepted (65 lines)", {"answer": True, "lines": 65}),
+        (19, 1, f"unknown: line 67: {limit}",
+         {"answer": None, "line": 67, "reason": limit}),
     ):
         code, out, _ = run(capsys, "genproof", str(n))
         assert code == 0
@@ -207,6 +210,8 @@ def test_prove_accepts_genproof_up_to_the_atom_limit(tmp_path, capsys):
         proof.write_text(out)
         code, out, _ = run(capsys, "prove", "K", str(proof))
         assert (code, out.strip()) == (want_code, want_text)
+        code, out, _ = run(capsys, "prove", "K", str(proof), "--json")
+        assert (code, json.loads(out)) == (want_code, want_json)
 
 
 def test_genproof_bad_n(capsys):
@@ -417,3 +422,24 @@ def test_valid_frame_on_a_ten_world_cycle(tmp_path, capsys):
     assert code == 0 and out.strip() == "valid on frame"
     code, out, _ = run(capsys, "valid", "o p -> p | q", "--frame", str(path))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat", "(" * 200 + "p" + ")" * 200, "--class", "K"],
+        ["check", "{model}", "s", "~" * 600 + "p"],
+    ],
+    ids=["parse", "render"],
+)
+def test_deep_nesting_is_a_stated_limit(tmp_path, argv):
+    # The parser recurses about six frames a parenthesis and render two a
+    # connective; past the recursion limit the answer is unknown, exit 1.
+    path = tmp_path / "one.json"
+    path.write_text('{"worlds": ["s"], "rel": [], "val": {"p": ["s"]}}')
+    argv = [a.replace("{model}", str(path)) for a in argv]
+    reason = "formula nests too deeply for the recursion limit"
+    text, js = _cli(argv, 0), _cli(argv + ["--json"], 0)
+    assert (text.returncode, text.stdout, text.stderr) == (1, f"unknown: {reason}\n", "")
+    assert (js.returncode, js.stderr) == (1, "")
+    assert json.loads(js.stdout) == {"answer": None, "reason": reason}

@@ -198,7 +198,7 @@ def test_connective_tables_cover_every_node_type():
             assert children(rebuild(f, lambda g: Top())) == (Top(),) * _arity(outer)
             for sugar in (False, True):
                 assert parse(render(f, sugar=sugar)) == f, (f, sugar)
-            prog = Prog(f, ("p", "q", "r"))
+            prog = Prog(f)
             assert len(prog.ops) == len(set(subformulas(f)))
             if outer is not Var:
                 assert len(prog.ops[prog.root]) == 1 + _arity(outer)
@@ -206,4 +206,4 @@ def test_connective_tables_cover_every_node_type():
         with pytest.raises(TypeError):
             render(bad)
         with pytest.raises(TypeError):
-            Prog(bad, ("p",))
+            Prog(bad)

@@ -166,6 +166,10 @@ def test_tautology_atom_limit():
     f = parse(" | ".join(f"x{i}" for i in range(21)))
     with pytest.raises(ValueError):
         is_tautology(f)
+    # A line past the limit is not checked: unknown, not rejected.
+    report = check_derivation(Derivation((Line(1, f, Taut()),)), System.K_CIRC)
+    assert (report.ok, bool(report)) == (None, False)
+    assert report.first_error == (1, "tautology check over 21 atoms exceeds the limit of 20")
 
 
 def test_gen_conj_accepted():

@@ -10,7 +10,7 @@ from helpers import (
     rand_pointed,
     rand_sparse_model,
 )
-from lea.formula import Formula, Not, Var, modal_depth, parse
+from lea.formula import Formula, Not, Var, modal_depth, parse, variables
 from lea.kripke import (
     FrameProperty,
     Model,
@@ -21,6 +21,7 @@ from lea.semantics import (
     bounded_equivalent,
     check_definability,
     extension,
+    frame_countermodel,
     layered_formulas,
     satisfies,
     valid_on_frame,
@@ -101,6 +102,37 @@ def test_valid_on_frame_matches_enumeration():
             for w in v.worlds
         )
         assert valid_on_frame(m, f) == expect, (m, f)
+
+
+def test_frame_countermodel_is_the_least_falsifier():
+    # The witness is the least (valuation number, world).  Valuation number
+    # v gives the j-th sorted variable the worlds in bits n*j .. n*j+n-1 of v.
+    rng = random.Random(214)
+    refuted = 0
+    for _ in range(100):
+        frame = rand_model(rng, 3, names=())
+        f = rand_formula(rng, 3, names=("p", "q"), lang="mixed")
+        names = sorted(variables(f))
+        n = len(frame.worlds)
+        misses = []
+        for m in enumerate_valuations(frame, names):
+            v = 0
+            for j, name in enumerate(names):
+                for i, w in enumerate(m.worlds):
+                    if w in m.val[name]:
+                        v |= 1 << (n * j + i)
+            misses += [(v, i, m) for i, w in enumerate(m.worlds)
+                       if not naive_satisfies(m, w, f)]
+        got = frame_countermodel(frame, f)
+        if not misses:
+            assert got is None, (frame, f)
+            continue
+        refuted += 1
+        v, i, want = min(misses, key=lambda miss: miss[:2])
+        model, point = got
+        assert (model.worlds, model.rel, dict(model.val), point) == (
+            want.worlds, want.rel, dict(want.val), want.worlds[i]), (frame, f)
+    assert refuted >= 50
 
 
 def test_valid_on_frame_goldens():
