@@ -5,10 +5,10 @@ Exit codes: 0 for an affirmative verdict (true, valid, sat, bisimilar,
 accepted, confirmed, clean scan), 1 for a negative one or a stated limit,
 2 for unusable input, a --max-n outside 1 to sweep.MAX_N included.  A limit
 prints `unknown: <reason>` (JSON "answer": null): a bounded search that
-found no model, a tautology check past its atom limit, or a formula nested
-too deeply for the recursion limit.  The tableau's expansion budget is the
-exception: it still exits 2 with an error.  --json swaps the human line for
-a machine-readable object.
+found no model, a tautology check past its atom limit, a frame sweep past
+its valuation limit, or a formula nested too deeply for the recursion
+limit.  The tableau's expansion budget is the exception: it still exits 2
+with an error.  --json swaps the human line for a machine-readable object.
 
 Formulas are given inline or as @path; models are always files.
 """
@@ -52,7 +52,7 @@ from .semantics import (
     satisfies,
     valid_on_frame,
 )
-from .sweep import MAX_N
+from .sweep import MAX_N, ValuationLimitError
 
 
 class _InputError(Exception):
@@ -131,7 +131,11 @@ def _cmd_valid(ns) -> tuple[int, dict, str]:
     f = _read_formula(ns.formula)
     if ns.frame is not None:
         model, _ = _read_model(ns.frame)
-        answer = valid_on_frame(model, f)
+        try:
+            answer = valid_on_frame(model, f)
+        except ValuationLimitError as e:
+            payload = {"answer": None, "method": "frame-sweep", "reason": str(e)}
+            return 1, payload, f"unknown: {e}"
         payload = {
             "answer": answer,
             "method": "frame-sweep",

@@ -8,15 +8,15 @@ is therefore equality up to that desugaring.
 Each connective's shape is stated once, in this module.  `children` and
 `rebuild` are the arity map, which every generic traversal goes through:
 the ones here, schema matching and boolean abstraction in `hilbert`, and
-the compiler of `sweep.Prog`, whose op tags sit in `sweep._TAGS`.  Only
-code that treats one connective specially, such as the printer's sugar
-or the `o` and `[]` cases of the translations, reads its fields by name.
-`_PREFIX` maps each prefix token to the node it builds, and `_INFIX` gives
-each binary node the symbol and binding level that the parser and the
-printer both read.  Three functions state each connective's meaning on
-their own instead.  `semantics._extension_bits` and `sweep.Prog.run` are
-hot evaluators with one truth function per connective, and `decide._nnf`
-rewrites each connective differently under each polarity.
+the compiler of `sweep.Prog`.  Only code that treats one connective
+specially, such as the printer's sugar or the `o` and `[]` cases of the
+translations, reads its fields by name.  `_PREFIX` maps each prefix token
+to the node it builds, and `_INFIX` gives each binary node the symbol and
+binding level that the parser and the printer both read.  Two places state
+each connective's meaning on their own instead.  `sweep._BOOLEAN` is the
+truth table of the one evaluator, `sweep.Prog`, behind truth on a model
+and every frame sweep, and `decide._nnf` rewrites each connective
+differently under each polarity.
 """
 
 from __future__ import annotations

@@ -116,13 +116,6 @@ def is_axiom_instance(f: Formula, system: System) -> tuple[str, Substitution] | 
 # ---------------------------------------------------------------------------
 # Tautology checking by boolean abstraction
 
-_TAUT_ATOM_LIMIT = 20
-
-
-class AtomLimitError(ValueError):
-    """A formula with more atoms than is_tautology checks."""
-
-
 def is_tautology(f: Formula) -> bool:
     """Propositional tautology after abstracting modal subtrees as atoms.
 
@@ -130,7 +123,8 @@ def is_tautology(f: Formula) -> bool:
     occurrences share one atom); T and F stay constants.  The abstracted
     formula is a tautology when a one-world sweep, whose bignum holds its
     value under every assignment to the atoms, finds no falsifying hit.
-    Raises AtomLimitError past _TAUT_ATOM_LIMIT atoms.
+    Raises sweep.ValuationLimitError past sweep.MAX_VALUATION_BITS atoms,
+    the frame sweep's valuation limit on one world.
     """
     atoms: dict[Formula, Var] = {}
 
@@ -140,9 +134,10 @@ def is_tautology(f: Formula) -> bool:
         return rebuild(g, atomise)
 
     g = atomise(f)
-    if len(atoms) > _TAUT_ATOM_LIMIT:
-        raise AtomLimitError(
-            f"tautology check over {len(atoms)} atoms exceeds the limit of {_TAUT_ATOM_LIMIT}"
+    if len(atoms) > sweep.MAX_VALUATION_BITS:
+        raise sweep.ValuationLimitError(
+            f"tautology check over {len(atoms)} atoms exceeds the limit of "
+            f"{sweep.MAX_VALUATION_BITS}"
         )
     return sweep.frame_hit(sweep.Prog(g), 1, (0,), False) is None
 
@@ -232,7 +227,7 @@ def check_derivation(d: Derivation, system: System) -> CheckReport:
             )
         try:
             reason = _check_line(line, by_index, system)
-        except AtomLimitError as e:
+        except sweep.ValuationLimitError as e:
             return CheckReport(None, (line.index, str(e)))
         if reason is not None:
             return CheckReport(False, (line.index, reason))

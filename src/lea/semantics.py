@@ -8,22 +8,11 @@ every successor, and o f holds at s when f-at-s forces f at every successor
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from . import sweep
-from .formula import (
-    And,
-    Bot,
-    Box,
-    Ess,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Top,
-    Var,
-)
+from .formula import And, Box, Ess, Formula, Not, Top, Var
 from .kripke import (
     FrameClass,
     FrameProperty,
@@ -53,49 +42,16 @@ def _modal_bits(n: int, succ: Sequence[int], sub: int, ess: bool) -> int:
     return bits
 
 
-def _extension_bits(idx: ModelIndex, f: Formula, memo: dict[int, int]) -> int:
-    """Bitmap of the worlds where f holds.
-
-    memo is keyed by id(f): every subformula stays alive while the caller
-    holds f, so ids are stable and no lookup rehashes a subtree.
-    """
-    key = id(f)
-    if key in memo:
-        return memo[key]
-    full = idx.all_mask
-    if isinstance(f, Var):
-        bits = idx.val_bits.get(f.name, 0)
-    elif isinstance(f, Top):
-        bits = full
-    elif isinstance(f, Bot):
-        bits = 0
-    elif isinstance(f, Not):
-        bits = full ^ _extension_bits(idx, f.sub, memo)
-    elif isinstance(f, And):
-        bits = _extension_bits(idx, f.left, memo) & _extension_bits(idx, f.right, memo)
-    elif isinstance(f, Or):
-        bits = _extension_bits(idx, f.left, memo) | _extension_bits(idx, f.right, memo)
-    elif isinstance(f, Implies):
-        bits = (full ^ _extension_bits(idx, f.left, memo)) | _extension_bits(
-            idx, f.right, memo
-        )
-    elif isinstance(f, Iff):
-        bits = full ^ (
-            _extension_bits(idx, f.left, memo) ^ _extension_bits(idx, f.right, memo)
-        )
-    elif isinstance(f, Ess):
-        bits = _modal_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo), True)
-    elif isinstance(f, Box):
-        bits = _modal_bits(idx.n, idx.succ, _extension_bits(idx, f.sub, memo), False)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = bits
-    return bits
+def _bits(idx: ModelIndex, f: Formula) -> int:
+    """Bitmap of the worlds where f holds: f's register under the one
+    valuation of the model, with the row-wise modal step."""
+    step = partial(_modal_bits, idx.n, idx.succ)
+    return sweep.Prog(f).evaluate(idx.all_mask, idx.val_bits, step)
 
 
 def extension(m: Model, f: Formula) -> frozenset[str]:
     """The set of worlds of m where f holds."""
-    return _world_set(m, _extension_bits(m.index, f, {}))
+    return _world_set(m, _bits(m.index, f))
 
 
 def _world_set(m: Model, bits: int) -> frozenset[str]:
@@ -107,31 +63,41 @@ def satisfies(m: Model, w: str, f: Formula) -> bool:
     idx = m.index
     if w not in idx.pos:
         raise ValueError(f"unknown world {w!r}")
-    return bool(_extension_bits(idx, f, {}) >> idx.pos[w] & 1)
+    return bool(_bits(idx, f) >> idx.pos[w] & 1)
 
 
 def valid_on_frame(m: Model, f: Formula) -> bool:
     """Truth of f at every world under every valuation of f's variables.
 
     Only m's worlds and relation matter; its own valuation is ignored.
+    Raises sweep.ValuationLimitError past 2^sweep.MAX_VALUATION_BITS.
     """
-    idx = m.index
-    return sweep.frame_hit(sweep.Prog(f), idx.n, idx.succ, False) is None
+    return _frame_hit(m, f)[1] is None
 
 
 def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
     """m's frame with a valuation of f's variables, and a world where f fails.
 
     The first falsifying (valuation, world) in sweep order, or None when f
-    is valid on the frame.
+    is valid on the frame.  Raises as valid_on_frame does.
     """
-    idx = m.index
-    prog = sweep.Prog(f)
-    hit = sweep.frame_hit(prog, idx.n, idx.succ, False)
+    prog, hit = _frame_hit(m, f)
     if hit is None:
         return None
     v, s = hit
-    return sweep.build_model(m.worlds, idx.succ, prog.names, v), m.worlds[s]
+    return sweep.build_model(m.worlds, m.index.succ, prog.names, v), m.worlds[s]
+
+
+def _frame_hit(m: Model, f: Formula) -> tuple[sweep.Prog, tuple[int, int] | None]:
+    idx = m.index
+    prog = sweep.Prog(f)
+    k = len(prog.names)
+    if idx.n * k > sweep.MAX_VALUATION_BITS:
+        raise sweep.ValuationLimitError(
+            f"frame sweep over 2^{idx.n * k} valuations ({idx.n} worlds, {k} variables) "
+            f"exceeds the limit of 2^{sweep.MAX_VALUATION_BITS}"
+        )
+    return prog, sweep.frame_hit(prog, idx.n, idx.succ, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
-"""Exhaustive frame/valuation sweeps.
+"""The one evaluator of formulas on bitmaps, and exhaustive frame sweeps.
 
-The trick used throughout: for a fixed frame with n worlds and k variables,
-pack the truth value of a formula at one world across all 2^(n*k) valuations
-into a single big integer (bit v = truth under valuation number v).  Boolean
-connectives become bitwise operations on those integers, so checking a
-formula against every valuation of a frame costs a handful of int ops per
-formula node instead of a loop over valuations.
-
-Valuation number v assigns the j-th of the formula's variables in sorted
-order (Prog.names) the world set (v >> (n*j)) & (2^n - 1).  Every frame
-question is one frame_hit: the smallest (valuation number, world) where the
-formula takes a given truth value.  Validity is no hit for False.
+Prog compiles a formula to a postorder op list and runs it through one
+table of truth functions on registers.  A register is one int whose bit
+v*n + s is the truth at world s (of n) under valuation number v, so
+checking a formula against every valuation of a frame costs a handful of
+int ops per formula node.  A model is the case of one valuation: bit s is
+world s, and every register is an extension bitmap.  Valuation number v
+assigns the j-th of the formula's variables in sorted order (Prog.names)
+the world set (v >> (n*j)) & (2^n - 1).  Every frame question is one
+frame_hit, the lowest set bit of a register: the smallest (valuation
+number, world) where the formula takes a given truth value.  Validity is
+no hit for False.
 
 Frame sweeps visit one frame per isomorphism class (frame_orbits): the
 frame with the smallest mask, weighted by the size of its orbit.  Frame
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .formula import (
     And,
@@ -38,106 +38,143 @@ from .formula import (
     Top,
     Var,
     children,
-    variables,
 )
 from .kripke import FrameClass, Model, _check_property, frame_worlds
 
-
-@lru_cache(maxsize=None)
-def _bit_pattern(total_bits: int, b: int) -> int:
-    """Big integer whose v-th bit is (v >> b) & 1, for v < 2^total_bits.
-
-    The bits repeat with period 2^(b+1): 2^b zeros, then 2^b ones.  Start
-    from one period and double the covered width until it spans all
-    2^total_bits bits, so the cost is linear in the pattern's size.
-    """
-    out = ((1 << (1 << b)) - 1) << (1 << b)
-    width, total = 1 << (b + 1), 1 << total_bits
-    while width < total:
-        out |= out << width
-        width <<= 1
-    return out
+# Registers over every valuation of k variables on n worlds hold n * 2^(n*k)
+# bits: megabytes past n*k = MAX_VALUATION_BITS, and 2^k times more a world.
+MAX_VALUATION_BITS = 20
 
 
-# Op tag of each node type but Var; an op's operands are the registers of
-# the node's children.
-_TAGS = {Top: "top", Bot: "bot", Not: "not", Ess: "ess", Box: "box",
-         And: "and", Or: "or", Implies: "imp", Iff: "iff"}
+class ValuationLimitError(ValueError):
+    """A sweep over more than 2^MAX_VALUATION_BITS valuations."""
+
+
+# The truth function of each boolean node type on registers: full is the
+# register that is true everywhere, x and y are the children's registers.
+_BOOLEAN: dict[type, Callable[..., int]] = {
+    Top: lambda full: full,
+    Bot: lambda full: 0,
+    Not: lambda full, x: full ^ x,
+    And: lambda full, x, y: x & y,
+    Or: lambda full, x, y: x | y,
+    Implies: lambda full, x, y: (full ^ x) | y,
+    Iff: lambda full, x, y: full ^ x ^ y,
+}
+
+# A modal step: (body's register, ess) -> register of o body, or of [] body.
+Step = Callable[[int, bool], int]
 
 
 class Prog:
-    """A formula compiled to a postorder op list over shared registers;
-    names holds its variables, sorted."""
+    """A formula compiled to a postorder op list over shared registers.
+
+    ops[i] is (node type, *child registers), or (Var, name); root is the
+    formula's register and names holds its variables, sorted.  Nodes are
+    looked up by id, then by (node type, child registers), so compiling is
+    linear in the formula's DAG and equal subterms share one register.
+    """
 
     def __init__(self, f: Formula):
-        self.names = tuple(sorted(variables(f)))
-        self.ops: list[tuple] = []
-        self._regs: dict[Formula, int] = {}
-        self.root = self._emit(f)
+        ops: list[tuple] = []
+        by_id: dict[int, int] = {}
+        by_shape: dict[tuple, int] = {}
 
-    def _emit(self, f: Formula) -> int:
-        if f in self._regs:
-            return self._regs[f]
-        tag = _TAGS.get(type(f))
-        if tag is not None:
-            op = (tag, *map(self._emit, children(f)))
-        elif isinstance(f, Var):
-            op = ("var", self.names.index(f.name))
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        reg = len(self.ops)
-        self.ops.append(op)
-        self._regs[f] = reg
-        return reg
+        def emit(g: Formula) -> int:
+            reg = by_id.get(id(g))
+            if reg is not None:
+                return reg
+            kind = type(g)
+            if kind is Var:
+                shape = (Var, g.name)
+            elif kind in _BOOLEAN or kind is Ess or kind is Box:
+                shape = (kind, *map(emit, children(g)))
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            reg = by_shape.get(shape)
+            if reg is None:
+                reg = by_shape[shape] = len(ops)
+                ops.append(shape)
+            by_id[id(g)] = reg
+            return reg
 
-    def run(self, n: int, succ: Sequence[int]) -> list[int]:
-        """Per-world truth bitmaps of the root over all valuations."""
-        k = len(self.names)
-        total_bits = n * k
-        full = (1 << (1 << total_bits)) - 1
-        regs: list[list[int]] = []
+        self.ops = ops
+        self.root = emit(f)
+        self.names = tuple(sorted({op[1] for op in ops if op[0] is Var}))
+
+    def evaluate(self, full: int, var_regs: Mapping[str, int], step: Step) -> int:
+        """The root's register, from the all-true register, the variables'
+        registers (a missing one is false everywhere) and the modal step."""
+        regs: list[int] = []
+        push = regs.append
         for op in self.ops:
-            tag = op[0]
-            if tag == "var":
-                j = op[1]
-                regs.append([_bit_pattern(total_bits, n * j + s) for s in range(n)])
-            elif tag == "top":
-                regs.append([full] * n)
-            elif tag == "bot":
-                regs.append([0] * n)
-            elif tag == "not":
-                a = regs[op[1]]
-                regs.append([full ^ a[s] for s in range(n)])
-            elif tag == "and":
-                a, b = regs[op[1]], regs[op[2]]
-                regs.append([a[s] & b[s] for s in range(n)])
-            elif tag == "or":
-                a, b = regs[op[1]], regs[op[2]]
-                regs.append([a[s] | b[s] for s in range(n)])
-            elif tag == "imp":
-                a, b = regs[op[1]], regs[op[2]]
-                regs.append([(full ^ a[s]) | b[s] for s in range(n)])
-            elif tag == "iff":
-                a, b = regs[op[1]], regs[op[2]]
-                regs.append([full ^ (a[s] ^ b[s]) for s in range(n)])
-            else:  # ess / box
-                a = regs[op[1]]
-                out = []
-                for s in range(n):
-                    boxed = full
-                    targets = succ[s]
-                    t = 0
-                    while targets:
-                        if targets & 1:
-                            boxed &= a[t]
-                        targets >>= 1
-                        t += 1
-                    if tag == "box":
-                        out.append(boxed)
-                    else:
-                        out.append((full ^ a[s]) | boxed)
-                regs.append(out)
+            kind = op[0]
+            fn = _BOOLEAN.get(kind)
+            if kind is Var:
+                push(var_regs.get(op[1], 0))
+            elif fn is None:
+                push(step(regs[op[1]], kind is Ess))
+            elif len(op) == 3:
+                push(fn(full, regs[op[1]], regs[op[2]]))
+            elif len(op) == 2:
+                push(fn(full, regs[op[1]]))
+            else:
+                push(fn(full))
         return regs[self.root]
+
+    def run(self, n: int, succ: Sequence[int]) -> int:
+        """The root's register over every valuation of the frame."""
+        full, ones, var_regs = _valuation_registers(n, len(self.names))
+        return self.evaluate(full, dict(zip(self.names, var_regs)),
+                             _frame_step(n, succ, full, ones))
+
+
+@lru_cache(maxsize=16)
+def _valuation_registers(n: int, k: int) -> tuple[int, int, tuple[int, ...]]:
+    """(full, ones, variable registers) for k variables on n worlds.
+
+    full is true everywhere and ones has bit v*n for every valuation v.
+    Bit v*n + s of variable j's register is bit n*j + s of v: its truth at
+    world s under valuation v.
+    """
+    regs = [0] * k
+    ones = 1
+    # Per bit b of v, double the valuations covered: the new half copies the
+    # old, with variable b // n also true at world b % n.  Linear in size.
+    for b in range(n * k):
+        width = n << b
+        regs = [reg | reg << width for reg in regs]
+        regs[b // n] |= ones << (width + b % n)
+        ones |= ones << width
+    return ones * ((1 << n) - 1), ones, tuple(regs)
+
+
+def _frame_step(n: int, succ: Sequence[int], full: int, ones: int) -> Step:
+    """The modal step over every valuation of the frame at once.
+
+    An edge s -> t reads bit v*n + t for bit v*n + s.  Per offset t - s, one
+    shift of the body's failures and a mask of the edges' sources mark the
+    worlds with a failing successor at that offset, in every valuation.
+    """
+    sources: dict[int, int] = {}
+    for s, row in enumerate(succ):
+        while row:
+            low = row & -row
+            d = low.bit_length() - 1 - s
+            sources[d] = sources.get(d, 0) | 1 << s
+            row ^= low
+    # Failures are shifted left by n first, so every offset shifts right.
+    lanes = [(n + d, ones * worlds) for d, worlds in sources.items()]
+
+    def step(x: int, ess: bool) -> int:
+        miss = (full ^ x) << n
+        failed = 0
+        for shift, mask in lanes:
+            failed |= (miss >> shift) & mask
+        # [] fails where a successor fails; o only where the body also holds.
+        return full ^ (failed & x if ess else failed)
+
+    return step
 
 
 def iter_succ_tables(n: int) -> Iterator[tuple[int, ...]]:
@@ -228,16 +265,12 @@ def frame_hit(prog: Prog, n: int, succ: Sequence[int], value: bool) -> tuple[int
 
     The formula is valid on the frame when it has no hit for False.
     """
-    # The bitmap of a world where the formula never takes the value.
-    miss = 0 if value else (1 << (1 << (n * len(prog.names)))) - 1
-    hit = None
-    for s, bits in enumerate(prog.run(n, succ)):
-        if bits != miss:
-            bits ^= miss
-            v = (bits & -bits).bit_length() - 1
-            if hit is None or v < hit[0]:
-                hit = v, s
-    return hit
+    bits = prog.run(n, succ)
+    if not value:
+        bits ^= _valuation_registers(n, len(prog.names))[0]
+    if not bits:
+        return None
+    return divmod((bits & -bits).bit_length() - 1, n)
 
 
 def build_model(

@@ -424,6 +424,19 @@ def test_valid_frame_on_a_ten_world_cycle(tmp_path, capsys):
     assert code == 1
 
 
+def test_valid_frame_past_the_valuation_limit_is_unknown(tmp_path, capsys):
+    # 2^22 valuations of two variables on eleven worlds: a stated limit.
+    ws = [f"c{i}" for i in range(11)]
+    path = tmp_path / "cycle.json"
+    path.write_text(model_to_json(Model.make(ws, zip(ws, ws[1:] + ws[:1]))))
+    reason = "frame sweep over 2^22 valuations (11 worlds, 2 variables) exceeds the limit of 2^20"
+    argv = ["valid", "o p & o q -> o (p & q)", "--frame", str(path)]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.strip()) == (1, f"unknown: {reason}")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert (code, json.loads(out)) == (1, {"answer": None, "method": "frame-sweep", "reason": reason})
+
+
 @pytest.mark.parametrize(
     "argv",
     [

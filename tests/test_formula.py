@@ -33,6 +33,8 @@ from lea.formula import (
     to_ml,
     variables,
 )
+from lea.kripke import Model
+from lea.semantics import extension
 from lea.sweep import Prog
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -136,6 +138,17 @@ def test_translation_goldens():
     assert render(to_lea(parse("[] [] p"))) == "o (o p & p) & (o p & p)"
     assert to_ml(parse("o p")) == parse("p -> [] p")
     assert to_lea(parse("[] p")) == parse("o p & p")
+    # to_ml(o^k p) shares each level's translation between its two uses:
+    # 2k + 1 distinct nodes but 2^k paths to p, which Prog compiles once.
+    # The formulas stay out of the asserts: printing one walks every path.
+    towers = {0: p}
+    for k in range(1, 201):
+        towers[k] = Ess(towers[k - 1])
+    ops = len(Prog(to_ml(towers[200])).ops)
+    assert ops == 401
+    m = Model.make(("s", "t", "u"), [("s", "t"), ("t", "u"), ("u", "s")], {"p": ("s", "t")})
+    via_ml, direct = extension(m, to_ml(towers[30])), extension(m, towers[30])
+    assert via_ml == direct == {"s", "t"}
 
 
 def test_translation_fragments():
@@ -183,7 +196,7 @@ def _node(cls: type, kids) -> Formula:
 
 def test_connective_tables_cover_every_node_type():
     # A node type missing from the arity map, the parser or printer tables,
-    # or Prog's tag table fails here.  Every type is nested in every other,
+    # or Prog's truth table fails here.  Every type is nested in every other,
     # so each pair of binding levels meets once.
     types = _node_types()
     assert {Var, Top, Bot, Not, Ess, Box, And, Or, Implies, Iff} <= set(types)

@@ -147,8 +147,17 @@ def test_search_sat_matches_labelled_sweep():
 
 
 def test_bit_pattern_is_definitional():
-    # Bit v of the pattern for variable-bit b is bit b of v.
-    for total_bits in range(11):
-        for b in range(total_bits):
-            want = sum(1 << v for v in range(1 << total_bits) if (v >> b) & 1)
-            assert sweep._bit_pattern(total_bits, b) == want, (total_bits, b)
+    # Bit v*n + s of variable j's register (n worlds, k variables) is bit
+    # n*j + s of v: its truth at world s under valuation v.
+    for n in range(1, 11):
+        for k in range(1, 10 // n + 1):
+            full, _, regs = sweep._valuation_registers(n, k)
+            assert full == (1 << (n << (n * k))) - 1, (n, k)
+            for j, reg in enumerate(regs):
+                want = sum(
+                    1 << (v * n + s)
+                    for v in range(1 << (n * k))
+                    for s in range(n)
+                    if (v >> (n * j + s)) & 1
+                )
+                assert reg == want, (n, k, j)
