@@ -204,7 +204,7 @@ def _cmd_bisim(ns) -> tuple[int, dict, str]:
 def _cmd_contract(ns) -> tuple[int, dict, str]:
     model, point = _read_model(ns.model)
     result = contract(model)
-    obj = model_to_obj(result.model, result.class_of[point] if point else None)
+    obj = model_to_obj(result.model, result.class_of[point] if point is not None else None)
     obj["classes"] = {w: result.class_of[w] for w in model.worlds}
     human = json.dumps(obj, sort_keys=True)
     return 0, obj, human

@@ -11,9 +11,9 @@ model.  TB and B5 fall back to exhaustive search over small frames
 (sweep.search_sat); "no model up to the bound" is reported as unknown,
 never as unsatisfiable.
 
-The tableau search runs on an explicit stack and backjumps over choice
-points that a clash does not depend on.  It stores at most 50,000 formulas
-per question; past that it raises DecideError.
+The tableau search backtracks by undoing a trail of its writes, and jumps
+over choice points that a clash does not depend on.  It stores at most
+50,000 formulas per question; past that it raises DecideError.
 
 Every witness produced here is replayed through the model checker before
 being returned; a witness that fails replay raises instead of lying.
@@ -21,7 +21,6 @@ being returned; a witness that fails replay raises instead of lying.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -80,48 +79,50 @@ class Verdict:
 
 
 def _nnf(f: Formula, neg: bool):
-    if isinstance(f, Var):
-        return ("lit", f.name, neg)
-    if isinstance(f, Top):
-        return ("bot",) if neg else ("top",)
-    if isinstance(f, Bot):
-        return ("top",) if neg else ("bot",)
-    if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
-    if isinstance(f, And):
-        if neg:
-            return ("or", _nnf(f.left, True), _nnf(f.right, True))
-        return ("and", _nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Or):
-        if neg:
-            return ("and", _nnf(f.left, True), _nnf(f.right, True))
-        return ("or", _nnf(f.left, False), _nnf(f.right, False))
-    if isinstance(f, Implies):
-        if neg:
-            return ("and", _nnf(f.left, False), _nnf(f.right, True))
-        return ("or", _nnf(f.left, True), _nnf(f.right, False))
-    if isinstance(f, Iff):
-        if neg:
-            return (
-                "or",
-                ("and", _nnf(f.left, False), _nnf(f.right, True)),
-                ("and", _nnf(f.left, True), _nnf(f.right, False)),
-            )
-        return (
-            "and",
-            ("or", _nnf(f.left, True), _nnf(f.right, False)),
-            ("or", _nnf(f.right, True), _nnf(f.left, False)),
-        )
-    if isinstance(f, Box):
-        if neg:
-            return ("dia", _nnf(f.sub, True))
-        return ("box", _nnf(f.sub, False))
-    if isinstance(f, Ess):
-        # o g  is  g -> [] g  pointwise.
-        if neg:
-            return ("and", _nnf(f.sub, False), ("dia", _nnf(f.sub, True)))
-        return ("or", _nnf(f.sub, True), ("box", _nnf(f.sub, False)))
-    raise TypeError(f"not a formula: {f!r}")
+    """NNF of f, or of ~f when neg.  o and <-> rewrite a child in both
+    polarities, so each (node, polarity) is rewritten once per call; nested
+    o would otherwise take 2^depth steps.  Shared subtuples change no value."""
+    memo: dict[tuple[int, bool], tuple] = {}
+
+    def nnf(f: Formula, neg: bool):
+        key = (id(f), neg)
+        if key in memo:
+            return memo[key]
+        if isinstance(f, Var):
+            out = ("lit", f.name, neg)
+        elif isinstance(f, Top):
+            out = ("bot",) if neg else ("top",)
+        elif isinstance(f, Bot):
+            out = ("top",) if neg else ("bot",)
+        elif isinstance(f, Not):
+            out = nnf(f.sub, not neg)
+        elif isinstance(f, And):
+            out = ("or" if neg else "and", nnf(f.left, neg), nnf(f.right, neg))
+        elif isinstance(f, Or):
+            out = ("and" if neg else "or", nnf(f.left, neg), nnf(f.right, neg))
+        elif isinstance(f, Implies):
+            out = ("and" if neg else "or", nnf(f.left, not neg), nnf(f.right, neg))
+        elif isinstance(f, Iff):
+            if neg:
+                out = ("or", ("and", nnf(f.left, False), nnf(f.right, True)),
+                       ("and", nnf(f.left, True), nnf(f.right, False)))
+            else:
+                out = ("and", ("or", nnf(f.left, True), nnf(f.right, False)),
+                       ("or", nnf(f.right, True), nnf(f.left, False)))
+        elif isinstance(f, Box):
+            out = ("dia", nnf(f.sub, True)) if neg else ("box", nnf(f.sub, False))
+        elif isinstance(f, Ess):
+            # o g  is  g -> [] g  pointwise.
+            if neg:
+                out = ("and", nnf(f.sub, False), ("dia", nnf(f.sub, True)))
+            else:
+                out = ("or", nnf(f.sub, True), ("box", nnf(f.sub, False)))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = out
+        return out
+
+    return nnf(f, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -129,29 +130,40 @@ def _nnf(f: Formula, neg: bool):
 # to its dependency mask: bit k is set when the formula rests on the disjunct
 # taken at the k-th open choice point.  A clash records the union of the
 # masks of its two halves, so a choice point whose bit is missing from it
-# played no part and its second disjunct would close the same way.  A
-# formula derived again keeps the mask it first came with.
+# played no part and its second disjunct would close the same way.  A formula
+# derived again keeps the mask it first came with.  The search keeps one
+# state: put and push log each write as (container, key), key -1 for a list
+# item, and undo deletes entries newest first.  A choice point saves only the
+# trail length and the three queue heads.
 
 _BUDGET = 50_000
 
 
 class _Tableau:
     def __init__(self, stats: dict[str, int]):
-        self.stats = stats  # shared by every clone: budget and counters
+        self.stats = stats  # budget and counters, never undone
+        self.trail: list[tuple] = []
         self.contents: list[dict] = []
-        self.alpha: deque = deque()
-        self.beta: deque = deque()
-        self.pi: deque = deque()
+        self.alpha: list = []
+        self.beta: list = []
+        self.pi: list = []
+        self.heads = [0, 0, 0]  # next unread item of alpha, beta, pi
         self.clash: int | None = None
 
-    def clone(self):
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        twin.contents = [dict(c) for c in self.contents]
-        twin.alpha = deque(self.alpha)
-        twin.beta = deque(self.beta)
-        twin.pi = deque(self.pi)
-        return twin
+    def put(self, table: dict, key, value) -> None:
+        table[key] = value
+        self.trail.append((table, key))
+
+    def push(self, items: list, item) -> None:
+        items.append(item)
+        self.trail.append((items, -1))
+
+    def undo(self, length: int, heads: tuple[int, int, int]) -> None:
+        while len(self.trail) > length:
+            container, key = self.trail.pop()
+            del container[key]
+        self.heads[:] = heads
+        self.clash = None
 
     def schedule(self, w: int, f, dep: int) -> None:
         content = self.contents[w]
@@ -160,7 +172,7 @@ class _Tableau:
         self.stats["expansions"] += 1
         if self.stats["expansions"] > _BUDGET:
             raise DecideError("tableau expansion budget exhausted")
-        content[f] = dep
+        self.put(content, f, dep)
         tag = f[0]
         if tag == "bot":
             self.clash = dep
@@ -171,28 +183,32 @@ class _Tableau:
         elif tag == "top":
             pass
         elif tag == "or":
-            self.beta.append((w, f))
+            self.push(self.beta, (w, f))
         elif tag == "dia":
-            self.pi.append((w, f))
+            self.push(self.pi, (w, f))
         else:  # and / box
-            self.alpha.append((w, f))
+            self.push(self.alpha, (w, f))
 
     def next_choice(self):
         """Apply the deterministic rules until the branch closes, leaves
         nothing to do (None), or reaches a disjunction, returned as (w, f)."""
+        heads = self.heads
         while self.clash is None:
-            if self.alpha:
-                w, f = self.alpha.popleft()
+            if heads[0] < len(self.alpha):
+                w, f = self.alpha[heads[0]]
+                heads[0] += 1
                 if f[0] == "and":
                     dep = self.contents[w][f]
                     self.schedule(w, f[1], dep)
                     self.schedule(w, f[2], dep)
                 else:
                     self.apply_box(w, f)
-            elif self.beta:
-                return self.beta.popleft()
-            elif self.pi:
-                self.expand_dia(*self.pi.popleft())
+            elif heads[1] < len(self.beta):
+                heads[1] += 1
+                return self.beta[heads[1] - 1]
+            elif heads[2] < len(self.pi):
+                heads[2] += 1
+                self.expand_dia(*self.pi[heads[2] - 1])
             elif not self.grow():
                 return None
         return None
@@ -201,43 +217,42 @@ class _Tableau:
         return False
 
 
-def _search(state: _Tableau) -> _Tableau | None:
+def _search(state: _Tableau) -> bool:
     """Depth-first search over disjunctions with dependency-directed
-    backjumping; returns the first open saturated branch, or None.
+    backjumping; True once state holds the first open saturated branch.
 
-    The first disjunct of choice point k runs in place with bit k added;
-    the stack keeps a copy of the state from before it.  When the branch
-    closes, every choice point whose bit is missing from the clash is
-    popped unexplored.  The first one that took part resumes from its
-    copy with the second disjunct, which depends on what the first
-    disjunct's clash depended on instead of on bit k.  Only closed
-    subtrees are skipped, so the open branch found is the one plain
-    chronological backtracking finds first.
+    The first disjunct of choice point k runs in place with bit k added; the
+    stack keeps the trail length from before it.  When the branch closes,
+    each choice point whose bit the clash lacks is popped unexplored.  The
+    first one that took part undoes the trail to that length and takes the
+    second disjunct, which depends on what the clash depended on instead of
+    on bit k.  Only closed subtrees are skipped, so the open branch found is
+    the one plain chronological backtracking finds first.
     """
     stats = state.stats
-    stack: list[tuple[_Tableau, int, tuple, int]] = []
+    stack: list[tuple[int, tuple[int, int, int], int, tuple, int]] = []
     while True:
         choice = state.next_choice()
         if state.clash is None:
             if choice is None:
-                return state
+                return True
             w, f = choice
             dep = state.contents[w][f]
-            stack.append((state.clone(), w, f, dep))
+            stack.append((len(state.trail), tuple(state.heads), w, f, dep))
             stats["choice_points"] += 1
             state.schedule(w, f[1], dep | 1 << (len(stack) - 1))
             continue
         clash = state.clash
         while stack:
-            saved, w, f, dep = stack.pop()
+            length, heads, w, f, dep = stack.pop()
             bit = 1 << len(stack)
             if clash & bit:
-                state = saved
+                state.undo(length, heads)
                 state.schedule(w, f[2], dep | (clash & ~bit))
                 break
             stats["backjumps"] += 1
         else:
-            return None
+            return False
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +269,16 @@ class _Branch(_Tableau):
         self.parent: list[int | None] = []
         self.edges: dict[tuple[int, int], int] = {}
 
-    def clone(self) -> "_Branch":
-        twin = super().clone()
-        twin.boxes = [dict(b) for b in self.boxes]
-        twin.parent = list(self.parent)
-        twin.edges = dict(self.edges)
-        return twin
-
     def new_world(self, parent: int | None) -> int:
-        self.contents.append({})
-        self.boxes.append({})
-        self.parent.append(parent)
+        self.push(self.contents, {})
+        self.push(self.boxes, {})
+        self.push(self.parent, parent)
         return len(self.contents) - 1
 
     def add_edge(self, x: int, y: int, dep: int) -> None:
         if (x, y) in self.edges:
             return
-        self.edges[(x, y)] = dep
+        self.put(self.edges, (x, y), dep)
         boxes = self.boxes[x]
         for body in sorted(boxes):
             self._push_box_along(y, body, boxes[body] | dep)
@@ -285,7 +293,7 @@ class _Branch(_Tableau):
         if body in self.boxes[w]:
             return
         dep = self.contents[w][f]
-        self.boxes[w][body] = dep
+        self.put(self.boxes[w], body, dep)
         if FrameProperty.REFLEXIVE in self.props:
             self.schedule(w, body, dep)
         for (x, y), edge_dep in sorted(self.edges.items()):
@@ -368,16 +376,10 @@ class _Clique(_Tableau):
     def __init__(self, stats: dict[str, int]):
         super().__init__(stats)
         self.global_boxes: dict = {}
-        self.fired: set = set()
-
-    def clone(self) -> "_Clique":
-        twin = super().clone()
-        twin.global_boxes = dict(self.global_boxes)
-        twin.fired = set(self.fired)
-        return twin
+        self.fired: dict = {}  # dia bodies given a witness; values unused
 
     def new_world(self) -> int:
-        self.contents.append({})
+        self.push(self.contents, {})
         w = len(self.contents) - 1
         for body, dep in self.global_boxes.items():
             self.schedule(w, body, dep)
@@ -388,13 +390,13 @@ class _Clique(_Tableau):
         if body in self.global_boxes:
             return
         dep = self.contents[w][f]
-        self.global_boxes[body] = dep
+        self.put(self.global_boxes, body, dep)
         for v in range(len(self.contents)):
             self.schedule(v, body, dep)
 
     def expand_dia(self, w: int, f) -> None:
         if f[1] not in self.fired:
-            self.fired.add(f[1])
+            self.put(self.fired, f[1], True)
             dep = self.contents[w][f]
             self.schedule(self.new_world(), f[1], dep)
 
@@ -426,8 +428,7 @@ def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[tuple[Model, str] | None,
         root = _Branch(cls.properties, stats)
         root.new_world(None)
     root.schedule(0, _nnf(f, False), 0)
-    result = _search(root)
-    return (None if result is None else result.model()), stats
+    return (root.model() if _search(root) else None), stats
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,15 @@ def test_contract(models, capsys):
     assert set(payload["classes"]) == {"s", "t"}
 
 
+def test_contract_keeps_a_point_named_by_the_empty_string(tmp_path, capsys):
+    path = tmp_path / "empty_point.json"
+    path.write_text('{"worlds": ["", "a"], "rel": [], "val": {}, "point": ""}')
+    code, out, _ = run(capsys, "contract", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["point"] == "[]"
+
+
 def test_prove_roundtrip(tmp_path, capsys):
     code, out, _ = run(capsys, "genproof", "4")
     assert code == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,7 +20,7 @@ from lea.decide import (
     valid,
 )
 from lea.formula import And, Box, Dia, Not, Or, Var, parse
-from lea.kripke import FrameClass, in_class
+from lea.kripke import FrameClass, in_class, model_to_obj
 from lea.semantics import satisfies
 
 
@@ -206,3 +208,39 @@ def test_depth_two_cnf_against_labelled_search(cls):
         else:
             assert verdict.answer is False
             assert labelled_search_sat(f, cls, 3) is None, f
+
+
+# sha256 of the sorted-key JSON of (answer, stats, witness) over seeds 0-39,
+# computed with the tableau that copied its whole state at every choice point.
+# Any later tableau must reproduce these answers, costs and witnesses exactly.
+WITNESS_GOLDENS = {
+    "K": "63f3d6389ba249f9d414a5dec786c6158c2bc07bf0e50d80ee2400f3b8fec99c",
+    "D": "40dd0926210b5a82505d674aa6c3a7480543468cd2b349e0e9d65af24bec0b4c",
+    "T": "e5ed417a47ef1a3b0ff9c88b12debc0a456f404dcb9ffca846d030636d4a8aa9",
+    "KB": "31d565c93541ed701a8c30d852ed29dc586775b34b194ef290e92e1876129fd0",
+    "K4": "e4e1399b0289d8e0b3fb3bdfe292005ea445597354ece8b1e0489f700c28e7df",
+    "S4": "a9e4563f1727462925a8c73673a70870366926f294e0e13f5438b6119a764bf9",
+    "S5": "d810e8136d7ec80aa6d957b7e017d87745aafac7778f80942bef151f49fb2eb2",
+}
+
+
+def test_witness_goldens():
+    digests = {}
+    for cls in TABLEAU_CLASSES:
+        rows = []
+        for seed in range(40):
+            f = rand_modal_cnf(random.Random(seed), ["a", "b", "c"], 3 + seed % 7,
+                               depth=1 + seed % 2)
+            v = satisfiable(f, cls)
+            rows.append((v.answer, v.stats, model_to_obj(*v.witness) if v.witness else None))
+        digests[cls.name] = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digests == WITNESS_GOLDENS
+
+
+def test_nested_essence_in_k():
+    """o^20 p: each o opens a choice point, so they grow like Fibonacci
+    numbers; the search restores by undoing and rewrites each subformula
+    into NNF once per polarity, so this takes seconds, not hours."""
+    verdict = satisfiable(parse("o " * 20 + "p"), FrameClass.K)
+    assert verdict.answer is True
+    assert verdict.stats == {"expansions": 39601, "choice_points": 6765, "backjumps": 0}
