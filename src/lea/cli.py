@@ -188,15 +188,11 @@ def _cmd_bisim(ns) -> tuple[int, dict, str]:
     except ValueError as e:
         raise _InputError(str(e)) from e
     flavor = "box" if ns.box else "circ"
-    if ns.box:
-        answer = box_bisimilar(a, b)
-        payload = {"answer": answer, "flavor": flavor}
-    else:
-        answer = circ_bisimilar(a, b)
-        payload = {"answer": answer, "flavor": flavor}
-        if answer:
-            union = disjoint_union(a.model, b.model)
-            payload["certificate"] = pairs_to_obj(largest_circ_bisimulation(union))
+    answer = (box_bisimilar if ns.box else circ_bisimilar)(a, b)
+    payload = {"answer": answer, "flavor": flavor}
+    if answer and not ns.box:
+        union = disjoint_union(a.model, b.model)
+        payload["certificate"] = pairs_to_obj(largest_circ_bisimulation(union))
     human = f"{'' if answer else 'not '}{flavor}-bisimilar"
     return (0 if answer else 1), payload, human
 
@@ -295,27 +291,23 @@ def _cmd_genproof(ns) -> tuple[int, dict, str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # The subcommand copies of the global flags suppress their defaults so
-    # that "lea --json sat ..." and "lea sat ... --json" both stick.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit a JSON verdict instead of text")
-    common.add_argument("--max-n", type=int, default=argparse.SUPPRESS, metavar="N",
-                        help=f"world bound for searches and scans, 1 to {MAX_N} "
-                             "(default 3)")
-
-    root_common = argparse.ArgumentParser(add_help=False)
-    root_common.add_argument("--json", action="store_true", default=False,
-                             help="emit a JSON verdict instead of text")
-    root_common.add_argument("--max-n", type=int, default=3, metavar="N",
-                             help=f"world bound for searches and scans, 1 to {MAX_N} "
-                                  "(default 3)")
-
     parser = argparse.ArgumentParser(
         prog="lea",
         description="Workbench for the modal logic of essence and accident.",
-        parents=[root_common],
     )
+    # The global flags again for every subcommand, with their defaults
+    # suppressed there so that "lea --json sat ..." and "lea sat ... --json"
+    # both stick.
+    common = argparse.ArgumentParser(add_help=False)
+    for flags, json_default, max_n_default in (
+        (parser, False, decide.DEFAULT_BOUND),
+        (common, argparse.SUPPRESS, argparse.SUPPRESS),
+    ):
+        flags.add_argument("--json", action="store_true", default=json_default,
+                           help="emit a JSON verdict instead of text")
+        flags.add_argument("--max-n", type=int, default=max_n_default, metavar="N",
+                           help=f"world bound for searches and scans, 1 to {MAX_N} "
+                                f"(default {decide.DEFAULT_BOUND})")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("check", parents=[common],

@@ -267,18 +267,19 @@ class _Branch(_Tableau):
         self.props = props
         self.boxes: list[dict] = []
         self.parent: list[int | None] = []
-        self.edges: dict[tuple[int, int], int] = {}
+        self.succ: list[dict[int, int]] = []  # edge x -> y as succ[x][y] = mask
 
     def new_world(self, parent: int | None) -> int:
         self.push(self.contents, {})
         self.push(self.boxes, {})
         self.push(self.parent, parent)
+        self.push(self.succ, {})
         return len(self.contents) - 1
 
     def add_edge(self, x: int, y: int, dep: int) -> None:
-        if (x, y) in self.edges:
+        if y in self.succ[x]:
             return
-        self.put(self.edges, (x, y), dep)
+        self.put(self.succ[x], y, dep)
         boxes = self.boxes[x]
         for body in sorted(boxes):
             self._push_box_along(y, body, boxes[body] | dep)
@@ -296,9 +297,8 @@ class _Branch(_Tableau):
         self.put(self.boxes[w], body, dep)
         if FrameProperty.REFLEXIVE in self.props:
             self.schedule(w, body, dep)
-        for (x, y), edge_dep in sorted(self.edges.items()):
-            if x == w:
-                self._push_box_along(y, body, dep | edge_dep)
+        for y, edge_dep in sorted(self.succ[w].items()):
+            self._push_box_along(y, body, dep | edge_dep)
 
     def expand_dia(self, w: int, f) -> None:
         body = f[1]
@@ -341,29 +341,31 @@ class _Branch(_Tableau):
         # Seriality: the first world with boxes and no successor gets one.
         if FrameProperty.SERIAL in self.props:
             for w in range(len(self.contents)):
-                if self.boxes[w] and not any(x == w for x, _ in self.edges):
+                if self.boxes[w] and not self.succ[w]:
                     self.add_edge(w, self.new_world(w), 0)
                     return True
         return False
 
     def model(self) -> tuple[Model, str]:
         n = len(self.contents)
-        edges = set(self.edges)
+        rows = [sum(1 << y for y in succ) for succ in self.succ]  # bit y: edge to y
         props = self.props
         if FrameProperty.TRANSITIVE in props:
-            grew = True
-            while grew:
-                grew = False
-                for x, y in list(edges):
-                    for y2, z in list(edges):
-                        if y2 == y and (x, z) not in edges:
-                            edges.add((x, z))
-                            grew = True
-        if FrameProperty.REFLEXIVE in props:
-            edges.update((i, i) for i in range(n))
-        if FrameProperty.SERIAL in props:
-            with_succ = {x for x, _ in edges}
-            edges.update((i, i) for i in range(n) if i not in with_succ)
+            # Warshall: a world that reaches k reaches all that k reaches.
+            for k in range(n):
+                if rows[k]:
+                    bit = 1 << k
+                    for x in range(n):
+                        if rows[x] & bit:
+                            rows[x] |= rows[k]
+        edges = []
+        for x, row in enumerate(rows):
+            if FrameProperty.REFLEXIVE in props or (FrameProperty.SERIAL in props and not row):
+                row |= 1 << x
+            while row:
+                low = row & -row
+                edges.append((x, low.bit_length() - 1))
+                row ^= low
         return _model_of(self.contents, edges)
 
 

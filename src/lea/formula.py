@@ -11,12 +11,15 @@ the ones here, schema matching and boolean abstraction in `hilbert`, and
 the compiler of `sweep.Prog`.  Only code that treats one connective
 specially, such as the printer's sugar or the `o` and `[]` cases of the
 translations, reads its fields by name.  `_PREFIX` maps each prefix token
-to the node it builds, and `_INFIX` gives each binary node the symbol and
-binding level that the parser and the printer both read.  Two places state
-each connective's meaning on their own instead.  `sweep._BOOLEAN` is the
-truth table of the one evaluator, `sweep.Prog`, behind truth on a model
-and every frame sweep, and `decide._nnf` rewrites each connective
-differently under each polarity.
+to the node it builds, and `_INFIX` maps each infix symbol to its node type
+and binding level; the printer reads the same table by node type.  The
+parser is one precedence loop over the two tables: the operands of a run
+of one infix operator hold only operators that bind tighter, and the run
+is folded to the right for -> and <->, to the left for & and |.  Two
+places state each connective's meaning on their own instead.
+`sweep._BOOLEAN` is the truth table of the one evaluator, `sweep.Prog`,
+behind truth on a model and every frame sweep, and `decide._nnf` rewrites
+each connective differently under each polarity.
 """
 
 from __future__ import annotations
@@ -164,11 +167,12 @@ _LEVEL_AND = 4
 _LEVEL_UNARY = 5
 _LEVEL_ATOM = 6
 
-# Infix operators: node type -> (symbol, level).  -> and <-> nest to the
+# Infix operators: symbol -> (node type, level).  -> and <-> nest to the
 # right, & and | to the left.
-_INFIX = {And: ("&", _LEVEL_AND), Or: ("|", _LEVEL_OR),
-          Implies: ("->", _LEVEL_IMP), Iff: ("<->", _LEVEL_IFF)}
-_BY_LEVEL = {level: (cls, symbol) for cls, (symbol, level) in _INFIX.items()}
+_INFIX = {"&": (And, _LEVEL_AND), "|": (Or, _LEVEL_OR),
+          "->": (Implies, _LEVEL_IMP), "<->": (Iff, _LEVEL_IFF)}
+# The printer's view of the same table: node type -> (symbol, level).
+_SYMBOL_LEVEL = {build: (symbol, level) for symbol, (build, level) in _INFIX.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +197,10 @@ _UNARY_STARTERS = ("~", "o", "A", "[]", "<>", "T", "F", "identifier", "(")
 _SYMBOLS = {c: (c,) for c in "()&|~"} | {"-": ("->",), "<": ("<->", "<>"), "[": ("[]",)}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of: ( ) & | -> <-> ~ o A [] <> T F ident eof
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) for each token, ending with ("eof", "", len(text)).
+    kind is the symbol itself, T, F, A, o or ident."""
+    tokens = []
     i = 0
     n = len(text)
     while i < n:
@@ -215,7 +214,7 @@ def _tokenize(text: str) -> list[_Token]:
                     break
             else:  # a stray "-" is shown alone, "<" and "[" with what follows
                 raise ParseError(i, _SYMBOLS[c], repr(c if c == "-" else text[i : i + 2]))
-            tokens.append(_Token(symbol, symbol, i))
+            tokens.append((symbol, symbol, i))
             i += len(symbol)
         elif c.isalpha():
             j = i
@@ -223,68 +222,16 @@ def _tokenize(text: str) -> list[_Token]:
                 j += 1
             word = text[i:j]
             if word in ("T", "F", "A", "o"):
-                tokens.append(_Token(word, word, i))
+                tokens.append((word, word, i))
             elif word[0].islower() and word[0] != "o":
-                tokens.append(_Token("ident", word, i))
+                tokens.append(("ident", word, i))
             else:
                 raise ParseError(i, ("identifier",), repr(word))
             i = j
         else:
             raise ParseError(i, _UNARY_STARTERS, repr(c))
-    tokens.append(_Token("eof", "", n))
+    tokens.append(("eof", "", n))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def binary(self, level: int) -> Formula:
-        """A formula whose infix operators bind at level or tighter.  A run
-        of one operator is read in a loop, so a long chain nests no calls."""
-        build, symbol = _BY_LEVEL[level]
-        f = self.unary() if level == _LEVEL_AND else self.binary(level + 1)
-        if self.peek().kind != symbol:
-            return f
-        parts = [f]
-        while self.peek().kind == symbol:
-            self.advance()
-            parts.append(self.unary() if level == _LEVEL_AND else self.binary(level + 1))
-        if level <= _LEVEL_IMP:  # -> and <-> nest to the right
-            return reduce(lambda right, left: build(left, right), reversed(parts))
-        return reduce(build, parts)
-
-    def unary(self) -> Formula:
-        build = _PREFIX.get(self.peek().kind)
-        if build is None:
-            return self.atom()
-        self.advance()
-        return build(self.unary())
-
-    def atom(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "ident":
-            return Var(tok.text)
-        if tok.kind == "T":
-            return Top()
-        if tok.kind == "F":
-            return Bot()
-        if tok.kind == "(":
-            f = self.binary(_LEVEL_IFF)
-            closing = self.advance()
-            if closing.kind != ")":
-                raise ParseError(closing.pos, (")",), closing.text or "end of input")
-            return f
-        raise ParseError(tok.pos, _UNARY_STARTERS, tok.text or "end of input")
 
 
 def parse(text: str) -> Formula:
@@ -293,11 +240,54 @@ def parse(text: str) -> Formula:
     Raises ParseError (carrying a byte offset and the expected tokens) on
     malformed input.
     """
-    parser = _Parser(_tokenize(text))
-    f = parser.binary(_LEVEL_IFF)
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(trailing.pos, ("end of input",), trailing.text)
+    tokens = _tokenize(text)
+    pos = 0
+
+    def infix(min_level: int) -> Formula:
+        """A formula whose infix operators bind at min_level or tighter.  A
+        run of one operator is read in a loop, so a long chain nests no
+        calls."""
+        nonlocal pos
+        f = prefix()
+        while (op := _INFIX.get(tokens[pos][0])) is not None and op[1] >= min_level:
+            build, level = op
+            symbol = tokens[pos][0]
+            parts = [f]
+            while tokens[pos][0] == symbol:
+                pos += 1
+                parts.append(infix(level + 1))
+            if level <= _LEVEL_IMP:
+                f = reduce(lambda right, left: build(left, right), reversed(parts))
+            else:
+                f = reduce(build, parts)
+        return f
+
+    def prefix() -> Formula:
+        nonlocal pos
+        kind, word, offset = tokens[pos]
+        pos += 1
+        build = _PREFIX.get(kind)
+        if build is not None:
+            return build(prefix())
+        if kind == "ident":
+            return Var(word)
+        if kind == "T":
+            return Top()
+        if kind == "F":
+            return Bot()
+        if kind == "(":
+            f = infix(_LEVEL_IFF)
+            kind, word, offset = tokens[pos]
+            pos += 1
+            if kind != ")":
+                raise ParseError(offset, (")",), word or "end of input")
+            return f
+        raise ParseError(offset, _UNARY_STARTERS, word or "end of input")
+
+    f = infix(_LEVEL_IFF)
+    kind, word, offset = tokens[pos]
+    if kind != "eof":
+        raise ParseError(offset, ("end of input",), word)
     return f
 
 
@@ -322,7 +312,7 @@ def _render(f: Formula, min_level: int, sugar: bool) -> str:
 
 
 def _render_top(f: Formula, sugar: bool) -> tuple[str, int]:
-    infix = _INFIX.get(type(f))
+    infix = _SYMBOL_LEVEL.get(type(f))
     if infix is not None:
         symbol, level = infix
         left, right = children(f)

@@ -449,13 +449,13 @@ def test_valid_frame_past_the_valuation_limit_is_unknown(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sat", "(" * 200 + "p" + ")" * 200, "--class", "K"],
+        ["sat", "(" * 1000 + "p" + ")" * 1000, "--class", "K"],
         ["check", "{model}", "s", "~" * 600 + "p"],
     ],
     ids=["parse", "render"],
 )
 def test_deep_nesting_is_a_stated_limit(tmp_path, argv):
-    # The parser recurses about six frames a parenthesis and render two a
+    # The parser recurses about two frames a parenthesis and render two a
     # connective; past the recursion limit the answer is unknown, exit 1.
     path = tmp_path / "one.json"
     path.write_text('{"worlds": ["s"], "rel": [], "val": {"p": ["s"]}}')
@@ -465,3 +465,8 @@ def test_deep_nesting_is_a_stated_limit(tmp_path, argv):
     assert (text.returncode, text.stdout, text.stderr) == (1, f"unknown: {reason}\n", "")
     assert (js.returncode, js.stderr) == (1, "")
     assert json.loads(js.stdout) == {"answer": None, "reason": reason}
+
+
+def test_sat_reads_300_nested_parentheses():
+    out = _cli(["sat", "(" * 300 + "p" + ")" * 300, "--class", "K"], 0)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "satisfiable in K\n", "")

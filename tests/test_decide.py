@@ -244,3 +244,19 @@ def test_nested_essence_in_k():
     verdict = satisfiable(parse("o " * 20 + "p"), FrameClass.K)
     assert verdict.answer is True
     assert verdict.stats == {"expansions": 39601, "choice_points": 6765, "backjumps": 0}
+
+
+def test_long_diamond_chain_in_k4():
+    """<>^200 p in K4 needs a chain of 201 worlds, and the witness relation
+    is its transitive closure: 200 * 201 / 2 edges, closed over bitmask rows
+    in well under a second."""
+    f = Var("p")
+    for _ in range(200):
+        f = Dia(f)
+    verdict = satisfiable(f, FrameClass.K4)
+    assert verdict.answer is True
+    model, point = verdict.witness
+    assert len(model.worlds) == 201
+    assert len(model.rel) == 200 * 201 // 2
+    assert in_class(model, FrameClass.K4)
+    assert satisfies(model, point, f)

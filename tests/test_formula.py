@@ -49,6 +49,13 @@ def test_parse_precedence():
     assert parse("~p & q") == And(Not(p), q)
     assert parse("o p & q") == And(Ess(p), q)
     assert parse("p & q & r") == And(And(p, q), r)
+    s, t = Var("s"), Var("t")
+    assert parse("p -> q & r -> s") == Implies(p, Implies(And(q, r), s))
+    assert parse("p & q -> r | s <-> t") == Iff(Implies(And(p, q), Or(r, s)), t)
+    assert parse("p | q | r") == Or(Or(p, q), r)
+    assert parse("p -> q <-> r -> s") == Iff(Implies(p, q), Implies(r, s))
+    assert parse("p | q & r | s") == Or(Or(p, And(q, r)), s)
+    assert parse("p <-> q | r <-> s & t") == Iff(p, Iff(Or(q, r), And(s, t)))
 
 
 def test_parse_modalities_and_sugar():
@@ -75,6 +82,13 @@ def test_parse_constants_and_parens():
         ("", 0, "found end of input"),
         ("p &", 3, "found end of input"),
         ("p & & q", 4, "found &"),
+        ("p q $", 4, "found '$'"),
+        ("p - q", 2, "expected ->, found '-'"),
+        ("p < q", 2, "expected <-> or <>, found '< '"),
+        ("p [ q", 2, "expected [], found '[ '"),
+        ("Foo", 0, "expected identifier, found 'Foo'"),
+        ("²", 0, "found '²'"),
+        ("(p))", 3, "expected end of input, found )"),
     ],
 )
 def test_parse_error_offsets(text, offset, fragment):
