@@ -122,8 +122,9 @@ def _cmd_check(ns) -> tuple[int, dict, str]:
         answer = satisfies(model, world, f)
     except ValueError as e:
         raise _InputError(str(e)) from e
-    payload = {"answer": answer, "formula": render(f), "world": world}
-    human = f"{'true' if answer else 'false'}: {render(f)} at {world}"
+    text = render(f)
+    payload = {"answer": answer, "formula": text, "world": world}
+    human = f"{'true' if answer else 'false'}: {text} at {world}"
     return (0 if answer else 1), payload, human
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,14 @@ class Model:
     worlds: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
     val: Mapping[str, frozenset[str]]
+    # False skips _check_worlds.  Only model_from_obj passes it: it builds
+    # the index at once, and a world that the build cannot place rejects
+    # the file.
+    check_worlds: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
-        _check_worlds(self.worlds, self.rel, self.val, min)
+    def __post_init__(self, check_worlds: bool) -> None:
+        if check_worlds:
+            _check_worlds(self.worlds, self.rel, self.val, min)
 
     @staticmethod
     def make(
@@ -94,26 +99,34 @@ def _check_worlds(
 
 
 class ModelIndex:
-    """Eager: n, pos, all_mask, edges (each edge as a pair of positions, in
-    the relation's iteration order), succ and val_bits, which is all that
-    evaluation reads.  Lazy, built on first use and kept: pred (read by
-    add_self_loops) and sig (read by the bisimulation engine)."""
+    """Eager: n, pos, all_mask, succ and val_bits, which is all that
+    evaluation reads.  succ is built straight from the relation, and each
+    world name of rel and val is looked up in pos once; a failed lookup
+    raises KeyError, which is how model_from_obj finds an unknown world.
+    Lazy, built on first use and kept: edges (each edge as a pair of
+    positions, in the relation's iteration order; read by pred and the
+    bisimulation engine), pred (read by add_self_loops) and sig (read by
+    the bisimulation engine)."""
 
     def __init__(self, m: Model):
         n = self.n = len(m.worlds)
         pos = self.pos = {w: i for i, w in enumerate(m.worlds)}
         self.all_mask = (1 << n) - 1
-        single = [1 << i for i in range(n)]
-        self.edges = [(pos[s], pos[t]) for s, t in m.rel]
+        self._rel = m.rel
         succ = self.succ = [0] * n
-        for i, j in self.edges:
-            succ[i] |= single[j]
+        for s, t in m.rel:
+            succ[pos[s]] |= 1 << pos[t]
         self.val_bits: dict[str, int] = {}
         for p, ws in m.val.items():
             bits = 0
             for w in ws:
-                bits |= single[pos[w]]
+                bits |= 1 << pos[w]
             self.val_bits[p] = bits
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        pos = self.pos
+        return [(pos[s], pos[t]) for s, t in self._rel]
 
     @cached_property
     def pred(self) -> list[int]:
@@ -156,11 +169,60 @@ def _all_of(items: Iterable[object], kind: type) -> bool:
     return types <= {kind} or all(issubclass(t, kind) for t in types)
 
 
+_KEYS = frozenset({"worlds", "rel", "val", "point"})
+_REQUIRED = frozenset({"worlds", "rel", "val"})
+
+
 def model_from_obj(obj: object) -> tuple[Model, str | None]:
-    """Parse the dict form, strictly.  Returns the model and its optional point."""
+    """Parse the dict form, strictly.  Returns the model and its optional point.
+
+    A valid file is read in one pass over its world names: after checks on
+    its containers (lists, dicts, pair lengths), building the model's
+    ModelIndex is the validation, since a world name that is unknown or not
+    a string fails there (its pos lookup, or hashing it).  The model keeps
+    that index and skips _check_worlds.  Only a rejected file pays for
+    _reject, which runs every check in a fixed order and names the first
+    offender in file order.
+    """
+    loaded = _load(obj)
+    if loaded is None:
+        _reject(obj)
+    return loaded
+
+
+def _load(obj: object) -> tuple[Model, str | None] | None:
+    """The model and point of a valid dict form, or None."""
+    if not (isinstance(obj, dict) and _KEYS >= obj.keys() >= _REQUIRED):
+        return None
+    worlds, rel, val, point = obj["worlds"], obj["rel"], obj["val"], obj.get("point")
+    if not (isinstance(worlds, list) and _all_of(worlds, str)
+            and isinstance(rel, list) and _all_of(rel, list) and set(map(len, rel)) <= {2}
+            and isinstance(val, dict) and _all_of(val.values(), list)
+            and (point is None or isinstance(point, str))):
+        return None
+    try:
+        m = Model(
+            tuple(worlds),
+            frozenset(map(tuple, rel)),
+            {p: frozenset(ws) for p, ws in val.items()},
+            check_worlds=False,
+        )
+        pos = m.index.pos
+    except (KeyError, TypeError):  # an unknown world, or an unhashable one
+        return None
+    if not worlds or len(pos) != len(worlds) or not (point is None or point in pos):
+        return None
+    return m, point
+
+
+def _reject(obj: object) -> NoReturn:
+    """Raise the ValueError that names the first fault of an invalid dict
+    form, checking in this order: keys, worlds, each rel entry, each
+    valuation, the point's type, the worlds that rel and val mention, and
+    the point."""
     if not isinstance(obj, dict):
         raise ValueError("model must be a JSON object")
-    unknown = set(obj) - {"worlds", "rel", "val", "point"}
+    unknown = set(obj) - _KEYS
     if unknown:
         raise ValueError(f"unknown keys in model: {sorted(unknown)}")
     for key in ("worlds", "rel", "val"):
@@ -172,33 +234,21 @@ def model_from_obj(obj: object) -> tuple[Model, str | None]:
     rel = obj["rel"]
     if not isinstance(rel, list):
         raise ValueError('"rel" must be a list of pairs')
-    if not (_all_of(rel, list) and set(map(len, rel)) <= {2}
-            and _all_of(chain.from_iterable(rel), str)):
-        entry = next(e for e in rel if not (
-            isinstance(e, list) and len(e) == 2 and _all_of(e, str)))
-        raise ValueError(f'"rel" entry is not a pair of world ids: {entry!r}')
+    for entry in rel:
+        if not (isinstance(entry, list) and len(entry) == 2 and _all_of(entry, str)):
+            raise ValueError(f'"rel" entry is not a pair of world ids: {entry!r}')
     val = obj["val"]
     if not isinstance(val, dict):
         raise ValueError('"val" must be an object')
-    if not (_all_of(val.values(), list) and _all_of(chain.from_iterable(val.values()), str)):
-        p = next(p for p, ws in val.items() if not (isinstance(ws, list) and _all_of(ws, str)))
-        raise ValueError(f'valuation of {p!r} must be a list of world ids')
+    for p, ws in val.items():
+        if not (isinstance(ws, list) and _all_of(ws, str)):
+            raise ValueError(f'valuation of {p!r} must be a list of world ids')
     point = obj.get("point")
     if point is not None and not isinstance(point, str):
         raise ValueError('"point" must be a world id')
-    try:
-        m = Model(
-            tuple(worlds),
-            frozenset(map(tuple, rel)),
-            {p: frozenset(ws) for p, ws in val.items()},
-        )
-    except ValueError:
-        # Model names the least offender; name the first in file order.
-        _check_worlds(worlds, rel, val, next)
-        raise
-    if point is not None and point not in m.worlds:
-        raise ValueError(f'point {point!r} is not in "worlds"')
-    return m, point
+    _check_worlds(worlds, rel, val, next)
+    # Every other check holds, so the point is the fault.
+    raise ValueError(f'point {point!r} is not in "worlds"')
 
 
 def model_to_json(m: Model, point: str | None = None) -> str:

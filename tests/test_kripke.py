@@ -1,13 +1,18 @@
+import copy
 import json
 import random
 
 import pytest
 
+import lea.kripke
 from helpers import enumerate_valuations, naive_has_property, rand_model, rand_sparse_model
+from lea.cli import main
+from lea.hilbert import System, soundness_scan
 from lea.kripke import (
     FrameClass,
     FrameProperty,
     Model,
+    ModelIndex,
     PointedModel,
     SelfLoopMode,
     add_self_loops,
@@ -20,6 +25,7 @@ from lea.kripke import (
     model_to_json,
     model_to_obj,
 )
+from lea.sweep import build_model
 
 
 def m2(rel, p=("s",)):
@@ -83,6 +89,15 @@ REJECTED = [
     ({"worlds": [], "rel": [], "val": {}}, "a model needs at least one world"),
     ({"worlds": ["a", "b", "a"], "rel": [], "val": {}}, "duplicate world ids"),
     ({"worlds": ["a"], "rel": [], "val": {}, "point": 0}, '"point" must be a world id'),
+    # Files with several faults: the first check in the loader's order names one.
+    ({"worlds": ["a"], "rel": [["a", 1]], "val": []},
+     '"rel" entry is not a pair of world ids: [\'a\', 1]'),
+    ({"worlds": ["a", "a"], "rel": [["a", "z"]], "val": {}}, "duplicate world ids"),
+    ({"worlds": [], "rel": [], "val": {"p": ["z"]}}, "a model needs at least one world"),
+    ({"worlds": ["a"], "rel": [["a", "z"]], "val": {"p": ["y"]}},
+     "relation mentions unknown world in ('a', 'z')"),
+    ({"worlds": ["a"], "rel": [["z", "a"], ["a", 2]], "val": {}},
+     '"rel" entry is not a pair of world ids: [\'a\', 2]'),
 ]
 
 
@@ -93,6 +108,145 @@ def test_from_obj_rejects(obj, message):
     with pytest.raises(ValueError) as info:
         model_from_obj(obj)
     assert str(info.value) == message
+
+
+def _valid_obj(obj) -> bool:
+    """The file format's rules, stated plainly, as the loader's oracle."""
+    if not (isinstance(obj, dict) and {"worlds", "rel", "val"} <= set(obj)
+            and set(obj) <= {"worlds", "rel", "val", "point"}):
+        return False
+    worlds, rel, val = obj["worlds"], obj["rel"], obj["val"]
+    if not (isinstance(worlds, list) and all(isinstance(w, str) for w in worlds)
+            and worlds and len(set(worlds)) == len(worlds)):
+        return False
+
+    def known(ws):
+        return isinstance(ws, list) and all(isinstance(w, str) and w in worlds for w in ws)
+
+    point = obj.get("point")
+    return (isinstance(rel, list) and all(known(e) and len(e) == 2 for e in rel)
+            and isinstance(val, dict) and all(known(ws) for ws in val.values())
+            and (point is None or isinstance(point, str) and point in worlds))
+
+
+_ODD_VALUES = [1, 2.5, None, True, "w0", [], ["w0"], {}, {"w0": 1}]
+
+
+def _mutate(rng: random.Random, obj: dict) -> dict:
+    """One seeded fault, or a harmless change, in a valid dict form."""
+    obj = copy.deepcopy(obj)
+    spots = [("worlds", obj["worlds"])] + [("rel", e) for e in obj["rel"]]
+    spots += [("val", ws) for ws in obj["val"].values()]
+    kind = rng.randrange(6)
+    if kind == 0:  # drop a key, or add one
+        if rng.random() < 0.8:
+            del obj[rng.choice(sorted(obj))]
+        else:
+            obj["extra"] = 1
+    elif kind == 1:  # swap the type of a top-level value
+        obj[rng.choice(("worlds", "rel", "val", "point"))] = rng.choice(_ODD_VALUES)
+    elif kind == 2:  # swap the type of a rel entry or a valuation
+        if obj["rel"] and rng.random() < 0.5:
+            obj["rel"][rng.randrange(len(obj["rel"]))] = rng.choice(_ODD_VALUES)
+        elif obj["val"]:
+            obj["val"][rng.choice(sorted(obj["val"]))] = rng.choice(_ODD_VALUES)
+    elif kind == 3:  # insert an unknown or a non-string world
+        _, target = rng.choice(spots)
+        target.insert(rng.randrange(len(target) + 1), rng.choice(["zz", ""] + _ODD_VALUES))
+    elif kind == 4:  # duplicate a world
+        worlds = obj["worlds"]
+        worlds.insert(rng.randrange(len(worlds) + 1), rng.choice(worlds))
+    else:  # an unknown point, or a rel entry of the wrong length
+        if rng.random() < 0.5:
+            obj["point"] = rng.choice(["zz", ""])
+        elif obj["rel"]:
+            entry = obj["rel"][rng.randrange(len(obj["rel"]))]
+            if rng.random() < 0.5:
+                entry.append(entry[0])
+            else:
+                entry.pop()
+    return obj
+
+
+def test_bad_files_raise_only_value_error(tmp_path, capsys):
+    rng = random.Random(14)
+    cases = 0
+    for i in range(400):
+        m = rand_model(rng, 4)
+        obj = _mutate(rng, model_to_obj(m, rng.choice((None,) + m.worlds)))
+        if _valid_obj(obj):
+            assert model_from_obj(obj)[0].worlds == tuple(obj["worlds"])
+            continue
+        cases += 1
+        with pytest.raises(ValueError) as info:
+            model_from_obj(obj)
+        assert type(info.value) is ValueError, obj
+        if i % 4 == 0:
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(obj))
+            assert main(["check", str(path), "w0", "p"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: bad model in {path}: {info.value}\n"
+    assert cases > 300
+
+
+def _index_fields(idx) -> dict:
+    names = ("n", "pos", "all_mask", "succ", "val_bits", "edges", "pred", "sig")
+    return {name: getattr(idx, name) for name in names}
+
+
+def test_loaded_model_equals_built(monkeypatch):
+    rng = random.Random(15)
+    models = [Model(("",), frozenset({("", "")}), {}),
+              Model(("", "a"), frozenset({("a", ""), ("a", "a")}), {"p": frozenset()})]
+    for _ in range(60):
+        m = rand_model(rng, 6, names=rng.choice(((), ("p",), ("p", "q", "r"))))
+        if rng.random() < 0.3:  # name one world by the empty string
+            name = dict(zip(m.worlds, ("",) + m.worlds[1:]))
+            m = Model.make(map(name.get, m.worlds), ((name[s], name[t]) for s, t in m.rel),
+                           {p: map(name.get, ws) for p, ws in m.val.items()})
+        models.append(m)
+    models += [rand_sparse_model(rng, n) for n in (70, 200)]
+    for m in models:
+        point = rng.choice((None,) + m.worlds)
+        text = model_to_json(m, point)
+        loaded, again = model_from_json(text)
+        assert (loaded, again) == (m, point)
+        assert "index" in loaded.__dict__
+        fresh = _index_fields(ModelIndex(loaded))
+        assert _index_fields(loaded.index) == fresh
+        # m.rel holds the same pairs, but may iterate them in another order.
+        built = _index_fields(m.index)
+        assert sorted(fresh.pop("edges")) == sorted(built.pop("edges"))
+        assert fresh == built
+
+    calls = {"index": 0, "check": 0}
+
+    def counting(name, orig):
+        def wrapper(*args):
+            calls[name] += 1
+            return orig(*args)
+        return wrapper
+
+    monkeypatch.setattr(lea.kripke, "ModelIndex", counting("index", ModelIndex))
+    monkeypatch.setattr(lea.kripke, "_check_worlds",
+                        counting("check", lea.kripke._check_worlds))
+    loaded, _ = model_from_json(model_to_json(models[-1]))
+    assert loaded.index.pred  # built from the index the loader kept
+    assert calls == {"index": 1, "check": 0}
+
+
+def test_library_models_stay_lazy():
+    report = soundness_scan(System.KB_CIRC, FrameClass.K, 2)
+    assert report.failures
+    frame = report.failures[0][0]
+    witness = build_model(("a", "b"), [0b10, 0b11], ("p",), 0b01)
+    for m in (frame, witness, Model(("a",), frozenset(), {})):
+        assert "index" not in m.__dict__
+        assert m.index is m.__dict__["index"]
+    assert witness.index.succ == [0b10, 0b11]
+    assert witness.index.val_bits == {"p": 0b01}
 
 
 def test_model_names_least_offender():
