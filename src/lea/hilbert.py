@@ -475,11 +475,17 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
     progs = [(name, sweep.Prog(schema)) for name, schema in system.axioms]
     failures: list[tuple[Model, str]] = []
     checked = failed = 0
-    for n, succ, size in sweep.class_frames(cls, max_n):
-        checked += size
-        for name, prog in progs:
-            if sweep.frame_hit(prog, n, succ, False) is not None:
-                frame = sweep.build_model(frame_worlds(n), succ, (), 0)
-                failures.append((frame, name))
-                failed += size
+    k = max(len(prog.names) for _, prog in progs)
+    for n, picked in sweep.class_chunks(cls, max_n, k):
+        orbits = sweep.frame_orbits(n)
+        hits = [sweep.chunk_hits(prog, n, picked, False) for _, prog in progs]
+        # Frame-major, then in axiom order.
+        for i, row in zip(picked, zip(*hits)):
+            succ, size = orbits[i]
+            checked += size
+            for (name, _), hit in zip(progs, row):
+                if hit:
+                    frame = sweep.build_model(frame_worlds(n), succ, (), 0)
+                    failures.append((frame, name))
+                    failed += size
     return ScanReport(system, cls, max_n, checked, tuple(failures), failed)

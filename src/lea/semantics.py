@@ -7,6 +7,7 @@ every successor, and o f holds at s when f-at-s forces f at every successor
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -130,13 +131,18 @@ def check_definability(
     strong as max_n, which must lie in 1..sweep.MAX_N (ValueError).
     """
     prog = sweep.Prog(f)
-    for n, succ, _ in sweep.class_frames(FrameClass.K, max_n):
-        holds = sweep.succ_has_property(n, succ, prop)
-        valid = sweep.frame_hit(prog, n, succ, False) is None
-        if holds == valid:
+    for n, picked in sweep.class_chunks(FrameClass.K, max_n, len(prog.names)):
+        has = sweep.orbit_property(n, prop)
+        holds = bytes(map(has.__getitem__, picked))
+        invalid = sweep.chunk_hits(prog, n, picked, False)
+        # A disagreement is a frame with prop where f fails somewhere, or one
+        # without it where f never fails.
+        j = bytes(map(operator.eq, holds, invalid)).find(1)
+        if j < 0:
             continue
+        succ = sweep.frame_orbits(n)[picked[j]][0]
         witness = sweep.build_model(frame_worlds(n), succ, (), 0)
-        direction = "property-but-invalid" if holds else "valid-but-no-property"
+        direction = "property-but-invalid" if holds[j] else "valid-but-no-property"
         return DefinabilityVerdict(prop, f, max_n, False, witness, direction)
     return DefinabilityVerdict(prop, f, max_n, True)
 

@@ -7,7 +7,7 @@ checking a formula against every valuation of a frame costs a handful of
 int ops per formula node.  A model is the case of one valuation: bit s is
 world s, and every register is an extension bitmap.  Valuation number v
 assigns the j-th of the formula's variables in sorted order (Prog.names)
-the world set (v >> (n*j)) & (2^n - 1).  Every frame question is one
+the world set (v >> (n*j)) & (2^n - 1).  A question about one frame is one
 frame_hit, the lowest set bit of a register: the smallest (valuation
 number, world) where the formula takes a given truth value.  Validity is
 no hit for False.
@@ -17,6 +17,11 @@ frame with the smallest mask, weighted by the size of its orbit.  Frame
 validity and every frame property are invariant under relabelling, so the
 first hit in (size, mask) order over the representatives is the first hit
 over all labelled frames, and orbit sizes keep counts in labelled frames.
+A sweep takes its class frames a chunk at a time (class_chunks), and one
+evaluation answers for the whole chunk (chunk_hits): each frame's register
+is one block of a wider register, and a carry out of each block gives one
+0/1 byte per frame.  frame_hit then finds the (valuation, world) of the
+first frame with a hit.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .formula import (
     Var,
     children,
 )
-from .kripke import FrameClass, Model, _check_property, frame_worlds
+from .kripke import FrameClass, FrameProperty, Model, _check_property, frame_worlds
 
 # Registers over every valuation of k variables on n worlds hold n * 2^(n*k)
 # bits: megabytes past n*k = MAX_VALUATION_BITS, and 2^k times more a world.
@@ -125,8 +130,8 @@ class Prog:
     def run(self, n: int, succ: Sequence[int]) -> int:
         """The root's register over every valuation of the frame."""
         full, ones, var_regs = _valuation_registers(n, len(self.names))
-        return self.evaluate(full, dict(zip(self.names, var_regs)),
-                             _frame_step(n, succ, full, ones))
+        lanes = [(n + d, ones * sources) for d, sources in _offsets(succ)]
+        return self.evaluate(full, dict(zip(self.names, var_regs)), _frame_step(n, full, lanes))
 
 
 @lru_cache(maxsize=16)
@@ -149,13 +154,9 @@ def _valuation_registers(n: int, k: int) -> tuple[int, int, tuple[int, ...]]:
     return ones * ((1 << n) - 1), ones, tuple(regs)
 
 
-def _frame_step(n: int, succ: Sequence[int], full: int, ones: int) -> Step:
-    """The modal step over every valuation of the frame at once.
-
-    An edge s -> t reads bit v*n + t for bit v*n + s.  Per offset t - s, one
-    shift of the body's failures and a mask of the edges' sources mark the
-    worlds with a failing successor at that offset, in every valuation.
-    """
+def _offsets(succ: Sequence[int]) -> list[tuple[int, int]]:
+    """(d, sources) per offset d = t - s of the frame's edges s -> t, where
+    sources is the set of worlds s with an edge at that offset."""
     sources: dict[int, int] = {}
     for s, row in enumerate(succ):
         while row:
@@ -163,10 +164,22 @@ def _frame_step(n: int, succ: Sequence[int], full: int, ones: int) -> Step:
             d = low.bit_length() - 1 - s
             sources[d] = sources.get(d, 0) | 1 << s
             row ^= low
-    # Failures are shifted left by n first, so every offset shifts right.
-    lanes = [(n + d, ones * worlds) for d, worlds in sources.items()]
+    return list(sources.items())
+
+
+def _frame_step(n: int, full: int, lanes: Sequence[tuple[int, int]]) -> Step:
+    """The modal step over every valuation of a frame at once, or of every
+    frame of a chunk, from (n + d, mask) per offset d = t - s.
+
+    An edge s -> t reads bit v*n + t for bit v*n + s.  Per offset, one shift
+    of the body's failures and a mask of the edges' sources mark the worlds
+    with a failing successor at that offset, in every valuation.  A mask
+    never selects a bit whose successor lies outside its own valuation's
+    n bits, so frames side by side in one register stay apart.
+    """
 
     def step(x: int, ess: bool) -> int:
+        # Failures are shifted left by n first, so every offset shifts right.
         miss = (full ^ x) << n
         failed = 0
         for shift, mask in lanes:
@@ -236,19 +249,65 @@ def _check_bound(n: int) -> None:
         raise ValueError(f"frame sweeps cover 1 to {MAX_N} worlds, not {n}")
 
 
-def class_frames(cls: FrameClass, max_n: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """(n, succ, orbit size) for the class frames on 1 to max_n worlds, one
-    per isomorphism class, in (size, mask) order.
+# The frames of a chunk share one register of at most CHUNK_BITS bits
+# (16 KiB); a frame whose block alone is wider has a chunk to itself.  The
+# n = 4 sweeps of acceptance criteria 4 and 10 take the same time, within
+# noise, from 2^15 to 2^19 bits, while every register an evaluation keeps
+# (one per op) costs CHUNK_BITS / 8 bytes.
+CHUNK_BITS = 1 << 17
 
-    The one sweep behind search_sat, soundness scans and definability
-    checks (the last over FrameClass.K).  Raises ValueError for max_n
-    outside 1..MAX_N before it yields anything.
+
+@lru_cache(maxsize=None)
+def orbit_offsets(n: int) -> tuple[tuple[int, bytes], ...]:
+    """(d, column) per offset d = t - s on n worlds: byte i of the column
+    is the set of worlds s with an edge s -> s + d in the i-th frame of
+    frame_orbits(n).  Five worlds fit a byte.  Built on first use, per n."""
+    orbits = frame_orbits(n)
+    columns = {d: bytearray(len(orbits)) for d in range(1 - n, n)}
+    for i, (succ, _) in enumerate(orbits):
+        for d, sources in _offsets(succ):
+            columns[d][i] = sources
+    return tuple((d, bytes(column)) for d, column in columns.items())
+
+
+@lru_cache(maxsize=None)
+def orbit_property(n: int, prop: FrameProperty) -> bytes:
+    """Byte i is 1 where the i-th frame of frame_orbits(n) has prop, else 0.
+    Built on first use, per (n, prop)."""
+    return bytes(succ_has_property(n, succ, prop) for succ, _ in frame_orbits(n))
+
+
+def class_chunks(cls: FrameClass, max_n: int, k: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, indices into frame_orbits(n)) for the class frames on 1 to max_n
+    worlds, in (size, mask) order, cut into chunks for chunk_hits with
+    formulas of up to k variables.
+
+    Every orbit goes through succ_in_class, so the class filter sees each
+    frame once.  Raises ValueError for max_n outside 1..MAX_N before it
+    yields anything.
     """
     _check_bound(max_n)
     for n in range(1, max_n + 1):
-        for succ, size in frame_orbits(n):
+        per_chunk = max(1, CHUNK_BITS // (8 * _block_bytes(n, k)))
+        picked: list[int] = []
+        for i, (succ, _) in enumerate(frame_orbits(n)):
             if succ_in_class(n, succ, cls):
-                yield n, succ, size
+                picked.append(i)
+                if len(picked) == per_chunk:
+                    yield n, picked
+                    picked = []
+        if picked:
+            yield n, picked
+
+
+def class_frames(cls: FrameClass, max_n: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """(n, succ, orbit size) for the class frames of class_chunks, one at a
+    time.  Raises ValueError for max_n outside 1..MAX_N before it yields
+    anything."""
+    for n, picked in class_chunks(cls, max_n, 0):
+        orbits = frame_orbits(n)
+        for i in picked:
+            yield (n, *orbits[i])
 
 
 def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass) -> bool:
@@ -257,6 +316,59 @@ def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass) -> bool:
 
 def succ_has_property(n: int, succ: Sequence[int], prop) -> bool:
     return _check_property(n, succ, prop)
+
+
+def _block_bytes(n: int, k: int) -> int:
+    """Bytes per frame in a chunk register for k variables on n worlds: the
+    frame's n * 2^(n*k) register bits and at least one spare bit above
+    them, rounded up to whole bytes."""
+    return (n << (n * k)) // 8 + 1
+
+
+def chunk_hits(prog: Prog, n: int, picked: Sequence[int], value: bool) -> bytes:
+    """Per picked frame of frame_orbits(n), 1 where the compiled formula
+    takes the given truth value on it under some valuation, else 0.
+
+    One evaluation covers the chunk.  Frame j's register, laid out as
+    Prog.run lays it out, is the block at byte j*w of one register, w =
+    _block_bytes(n, k), and the spare bits above each block stay zero.  The
+    all-true and variable registers repeat the one-frame ones in every
+    block.  The modal step's mask for an offset holds, in frame j's block,
+    the one-frame lane pattern (ones) times frame j's sources at that
+    offset (orbit_offsets), so no mask reaches across blocks.  Adding
+    all-ones to each block carries into its spare bits exactly where the
+    block is non-zero, and byte j*w of the carries shifted down is frame
+    j's verdict.
+    """
+    k = len(prog.names)
+    full, ones, var_regs = _valuation_registers(n, k)
+    w = _block_bytes(n, k)
+    m = len(picked)
+
+    def repeat(reg: int) -> int:
+        return int.from_bytes(reg.to_bytes(w, "little") * m, "little")
+
+    offsets = [(d, bytes(map(column.__getitem__, picked))) for d, column in orbit_offsets(n)]
+    # The lane pattern of each source set in the chunk, as one block.
+    patterns = {
+        sources: (ones * sources).to_bytes(w, "little")
+        for sources in set().union(*(column for _, column in offsets))
+    }
+    lanes = [
+        (n + d, int.from_bytes(b"".join(map(patterns.__getitem__, column)), "little"))
+        for d, column in offsets
+        if any(column)
+    ]
+    full = repeat(full)
+    bits = prog.evaluate(
+        full,
+        {name: repeat(reg) for name, reg in zip(prog.names, var_regs)},
+        _frame_step(n, full, lanes),
+    )
+    if not value:
+        bits ^= full
+    carries = (bits + full) >> (n << (n * k))
+    return (carries & repeat(1)).to_bytes(m * w, "little")[::w]
 
 
 def frame_hit(prog: Prog, n: int, succ: Sequence[int], value: bool) -> tuple[int, int] | None:
@@ -297,11 +409,11 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
     One-way evidence: None never means unsatisfiable.
     """
     prog = Prog(f)
-    for n, succ, _ in class_frames(cls, max_n):
-        hit = frame_hit(prog, n, succ, True)
-        if hit is not None:
-            v, s = hit
+    for n, picked in class_chunks(cls, max_n, len(prog.names)):
+        j = chunk_hits(prog, n, picked, True).find(1)
+        if j >= 0:
+            succ = frame_orbits(n)[picked[j]][0]
+            v, s = frame_hit(prog, n, succ, True)
             m = build_model(frame_worlds(n), succ, prog.names, v)
             return m, m.worlds[s]
     return None
-

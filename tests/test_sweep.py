@@ -74,6 +74,8 @@ def test_sweeps_reject_bounds_out_of_range():
         with pytest.raises(ValueError):
             next(frames)
         with pytest.raises(ValueError):
+            next(sweep.class_chunks(FrameClass.K, bound, 1))
+        with pytest.raises(ValueError):
             sweep.search_sat(f, FrameClass.TB, bound)
         with pytest.raises(ValueError):
             satisfiable(f, FrameClass.B5, bound)
@@ -99,10 +101,31 @@ DEFINABILITY_PAIRS = [
     (FrameProperty.SERIAL, "o p & p -> o (o p & p)"),
     (FrameProperty.SYMMETRIC, "~p -> o p"),
     (FrameProperty.WEAKLY_CONNECTED, "p -> o (o ~p -> p)"),
+    # no variable: a frame's block is narrower than a byte
+    (FrameProperty.SERIAL, "<> T"),
+    (FrameProperty.REFLEXIVE, "<> T"),
+    # three variables: a block of 1,536 bits on three worlds
+    (FrameProperty.COREFLEXIVE, "o (p & q | r)"),
+    (FrameProperty.TRANSITIVE, "o (p & q | r)"),
 ]
+
+# A chunk register of 48 bits holds six frames without variables, three
+# two-world frames with one variable and a single three-world frame with
+# one; a three-world block with two or three variables exceeds it alone.
+# Sweeps then cut each size into several chunks and end on a short one.
+SMALL_CHUNK_BITS = 48
 
 
 def test_definability_matches_labelled_sweep():
+    _definability_matches_labelled_sweep()
+
+
+def test_definability_matches_labelled_sweep_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
+    _definability_matches_labelled_sweep()
+
+
+def _definability_matches_labelled_sweep():
     refuted = 0
     for prop, src in DEFINABILITY_PAIRS:
         f = parse(src)
@@ -113,10 +136,19 @@ def test_definability_matches_labelled_sweep():
         if not confirmed:
             refuted += 1
             assert verdict.witness.rel == rel, (prop.name, src)
-    assert refuted == 6
+    assert refuted == 8
 
 
 def test_soundness_scan_matches_labelled_sweep():
+    _soundness_scan_matches_labelled_sweep()
+
+
+def test_soundness_scan_matches_labelled_sweep_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
+    _soundness_scan_matches_labelled_sweep()
+
+
+def _soundness_scan_matches_labelled_sweep():
     for system in System:
         for cls in FrameClass:
             checked, failed, first = labelled_scan(system, cls, 3)
@@ -131,11 +163,52 @@ def test_soundness_scan_matches_labelled_sweep():
             assert bool(report) == (failed == 0)
 
 
+def test_soundness_scan_lists_failures_frame_major():
+    # Every failure, not only the first: frame by frame in (size, mask)
+    # order, and within a frame in axiom order, as one frame_hit per
+    # (frame, axiom) finds them.  Under KB5 some frames fail two axioms.
+    for system in (System.K4_CIRC, System.KB5_CIRC):
+        progs = [(name, sweep.Prog(schema)) for name, schema in system.axioms]
+        expect, count = [], 0
+        for n, succ, size in sweep.class_frames(FrameClass.K, 4):
+            for name, prog in progs:
+                if sweep.frame_hit(prog, n, succ, False) is not None:
+                    expect.append((build_model(frame_worlds(n), succ, (), 0), name))
+                    count += size
+        report = soundness_scan(system, FrameClass.K, 4)
+        assert len(expect) > 1000, system.name
+        assert list(report.failures) == expect, system.name
+        assert report.failure_count == count, system.name
+    frames = [frame for frame, _ in report.failures]
+    assert any(a == b for a, b in zip(frames, frames[1:]))
+
+
+# Formulas outside rand_formula's two variables: two without a variable
+# (the second has no model on serial frames), and two with three, whose
+# first models have three and two worlds.
+SEARCH_EXTRA = [
+    "<> T & <> <> T",
+    "[] F | <> [] F",
+    "~p & <> (p & q & ~r) & <> (p & ~q & r)",
+    "o (p | q) & ~o r & r",
+]
+
+
 def test_search_sat_matches_labelled_sweep():
+    _search_sat_matches_labelled_sweep()
+
+
+def test_search_sat_matches_labelled_sweep_in_small_chunks(monkeypatch):
+    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
+    _search_sat_matches_labelled_sweep()
+
+
+def _search_sat_matches_labelled_sweep():
     rng = random.Random(4044)
+    formulas = [rand_formula(rng, 3, lang="mixed") for _ in range(40)]
+    formulas += [parse(src) for src in SEARCH_EXTRA]
     hits = misses = 0
-    for _ in range(40):
-        f = rand_formula(rng, 3, lang="mixed")
+    for f in formulas:
         for cls in FrameClass:
             expect = labelled_search_sat(f, cls, 3)
             assert sweep.search_sat(f, cls, 3) == expect, (cls.name, render(f))
@@ -144,6 +217,27 @@ def test_search_sat_matches_labelled_sweep():
             else:
                 hits += 1
     assert hits and misses
+
+
+def test_definability_evaluates_a_chunk_at_a_time(monkeypatch):
+    # A deterministic guard on the sweep's shape, without timing: a change
+    # that falls back to one evaluation per frame, or packs every frame
+    # into one register, fails here.
+    widths = []
+    evaluate = sweep.Prog.evaluate
+
+    def counting(self, full, var_regs, step):
+        widths.append(full.bit_length())
+        return evaluate(self, full, var_regs, step)
+
+    monkeypatch.setattr(sweep.Prog, "evaluate", counting)
+    f = parse("o (o p & p -> q) | o (o q & q -> p)")
+    assert check_definability(FrameProperty.WEAKLY_CONNECTED, f, 4)
+    orbits = sum(len(sweep.frame_orbits(n)) for n in range(1, 5))
+    assert orbits == 3160
+    assert len(widths) * 50 < orbits
+    block = 4 << (4 * 2)  # four worlds, two variables
+    assert max(widths) <= sweep.CHUNK_BITS + block
 
 
 def test_bit_pattern_is_definitional():
