@@ -11,9 +11,14 @@ model.  TB and B5 fall back to exhaustive search over small frames
 (sweep.search_sat); "no model up to the bound" is reported as unknown,
 never as unsatisfiable.
 
-The tableau search backtracks by undoing a trail of its writes, and jumps
-over choice points that a clash does not depend on.  It stores at most
-50,000 formulas per question; past that it raises DecideError.
+The tableaux work on interned, flattened NNF.  A disjunction opens no
+choice point when one of its disjuncts is already present, or when the
+complements of all disjuncts but one are (propagation); going back to a
+choice point adds the complement of the disjunct tried first when that has
+no modal part (semantic branching).  The search backtracks by undoing a
+trail of its writes, and jumps over choice points that a clash does not
+depend on.  It stores at most 50,000 formulas per question; past that it
+raises DecideError.
 
 Every witness produced here is replayed through the model checker before
 being returned; a witness that fails replay raises instead of lying.
@@ -68,61 +73,119 @@ class Verdict:
     witness: tuple[Model, str] | None = None
     bound: int | None = None
     # Tableau cost: formulas stored ("expansions", the budgeted count),
-    # choice points opened and choice points skipped by backjumping.
+    # choice points opened (disjunctions branched on, not those settled by
+    # a present disjunct or by propagation) and choice points skipped by
+    # backjumping.
     stats: Mapping[str, int] = field(default_factory=dict, compare=False)
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form over tuples:
+# Negation normal form, interned.  Node i is nodes[i], one of
 #   ("lit", name, negated) ("top",) ("bot",)
-#   ("and", a, b) ("or", a, b) ("box", a) ("dia", a)
+#   ("and", a, b, ...) ("or", a, b, ...) ("box", a) ("dia", a)
+# with children given by id.  Nodes come in complement pairs: node i ^ 1 is
+# the NNF of ~(node i), so a complement is one xor.  and / or are n-ary and
+# flat: no child of an or is an or, and no child of an and is an and.
 
 
-def _nnf(f: Formula, neg: bool):
-    """NNF of f, or of ~f when neg.  o and <-> rewrite a child in both
-    polarities, so each (node, polarity) is rewritten once per call; nested
-    o would otherwise take 2^depth steps.  Shared subtuples change no value."""
-    memo: dict[tuple[int, bool], tuple] = {}
+_DUAL = {"top": "bot", "bot": "top", "and": "or", "or": "and", "box": "dia", "dia": "box"}
 
-    def nnf(f: Formula, neg: bool):
-        key = (id(f), neg)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, Var):
-            out = ("lit", f.name, neg)
-        elif isinstance(f, Top):
-            out = ("bot",) if neg else ("top",)
-        elif isinstance(f, Bot):
-            out = ("top",) if neg else ("bot",)
-        elif isinstance(f, Not):
-            out = nnf(f.sub, not neg)
-        elif isinstance(f, And):
-            out = ("or" if neg else "and", nnf(f.left, neg), nnf(f.right, neg))
-        elif isinstance(f, Or):
-            out = ("and" if neg else "or", nnf(f.left, neg), nnf(f.right, neg))
-        elif isinstance(f, Implies):
-            out = ("and" if neg else "or", nnf(f.left, not neg), nnf(f.right, neg))
-        elif isinstance(f, Iff):
-            if neg:
-                out = ("or", ("and", nnf(f.left, False), nnf(f.right, True)),
-                       ("and", nnf(f.left, True), nnf(f.right, False)))
+
+class _Nnf:
+    """Hash-consed NNF nodes of the formulas given to of(), shared by every
+    formula of one question.  Ids are handed out in traversal order, so they
+    depend on the formula alone."""
+
+    def __init__(self):
+        self.nodes: list[tuple] = []
+        self.modal: list[bool] = []  # the node has a box or dia inside
+        self.ids: dict[tuple, int] = {}
+        self.memo: dict[int, int] = {}  # id(formula) -> node
+
+    def intern(self, node: tuple, modal: bool) -> int:
+        i = self.ids.get(node)
+        if i is None:
+            i = len(self.nodes)
+            if node[0] == "lit":
+                dual = ("lit", node[1], not node[2])
             else:
-                out = ("and", ("or", nnf(f.left, True), nnf(f.right, False)),
-                       ("or", nnf(f.right, True), nnf(f.left, False)))
-        elif isinstance(f, Box):
-            out = ("dia", nnf(f.sub, True)) if neg else ("box", nnf(f.sub, False))
-        elif isinstance(f, Ess):
+                dual = (_DUAL[node[0]], *[k ^ 1 for k in node[1:]])
+            self.nodes += (node, dual)
+            self.modal += (modal, modal)
+            self.ids[node] = i
+            self.ids[dual] = i + 1
+        return i
+
+    def junction(self, tag: str, parts: list[int]) -> int:
+        """The and / or of the given ids, flattened: a child with the same
+        tag gives its children instead, and repeats go."""
+        nodes = self.nodes
+        kids: list[int] = []
+        for k in parts:
+            if nodes[k][0] == tag:
+                kids += nodes[k][1:]
+            else:
+                kids.append(k)
+        kids = list(dict.fromkeys(kids))
+        if len(kids) == 1:
+            return kids[0]
+        return self.intern((tag, *kids), any(map(self.modal.__getitem__, kids)))
+
+    def of(self, f: Formula) -> int:
+        """The id of f's NNF; ~f's is that id ^ 1.  Each formula node is
+        rewritten once, however often o and <-> share it."""
+        i = self.memo.get(id(f))
+        if i is not None:
+            return i
+        kind = type(f)
+        if kind is Var:
+            i = self.intern(("lit", f.name, False), False)
+        elif kind is Not:
+            i = self.of(f.sub) ^ 1
+        elif kind is And or kind is Or or kind is Implies:
+            tag = "and" if kind is And else "or"
+            parts: list[int] = []
+            seen: set[tuple[int, bool]] = set()
+            self._operands(f.left, kind is Implies, tag, parts, seen)
+            self._operands(f.right, False, tag, parts, seen)
+            i = self.junction(tag, parts)
+        elif kind is Box:
+            i = self.intern(("box", self.of(f.sub)), True)
+        elif kind is Ess:
             # o g  is  g -> [] g  pointwise.
-            if neg:
-                out = ("and", nnf(f.sub, False), ("dia", nnf(f.sub, True)))
-            else:
-                out = ("or", nnf(f.sub, True), ("box", nnf(f.sub, False)))
+            g = self.of(f.sub)
+            i = self.junction("or", [g ^ 1, self.intern(("box", g), True)])
+        elif kind is Iff:
+            a, b = self.of(f.left), self.of(f.right)
+            i = self.junction("and", [self.junction("or", [a ^ 1, b]),
+                                      self.junction("or", [b ^ 1, a])])
+        elif kind is Top or kind is Bot:
+            i = self.intern(("top",), False) ^ (kind is Bot)
         else:
             raise TypeError(f"not a formula: {f!r}")
-        memo[key] = out
-        return out
+        self.memo[id(f)] = i
+        return i
 
-    return nnf(f, neg)
+    def _operands(self, g: Formula, neg: bool, tag: str, parts: list[int], seen: set) -> None:
+        # Collect into parts, left to right, the operands of the run of &, |
+        # and -> below g (negated when neg) that rewrite to tag.  The run is
+        # not interned node by node, so a long chain costs linear time, not
+        # one node per prefix; a part shared within the run is walked once.
+        while type(g) is Not:
+            g, neg = g.sub, not neg
+        kind = type(g)
+        if kind is And:
+            same = tag == ("or" if neg else "and")
+        elif kind is Or or kind is Implies:
+            same = tag == ("and" if neg else "or")
+        else:
+            same = False
+        if not same or id(g) in self.memo:
+            parts.append(self.of(g) ^ neg)
+        elif (id(g), neg) not in seen:
+            seen.add((id(g), neg))
+            self._operands(g.left, neg != (kind is Implies), tag, parts, seen)
+            self._operands(g.right, neg, tag, parts, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +193,7 @@ def _nnf(f: Formula, neg: bool):
 # to its dependency mask: bit k is set when the formula rests on the disjunct
 # taken at the k-th open choice point.  A clash records the union of the
 # masks of its two halves, so a choice point whose bit is missing from it
-# played no part and its second disjunct would close the same way.  A formula
+# played no part and its other disjuncts would close the same way.  A formula
 # derived again keeps the mask it first came with.  The search keeps one
 # state: put and push log each write as (container, key), key -1 for a list
 # item, and undo deletes entries newest first.  A choice point saves only the
@@ -140,13 +203,15 @@ _BUDGET = 50_000
 
 
 class _Tableau:
-    def __init__(self, stats: dict[str, int]):
+    def __init__(self, nnf: _Nnf, stats: dict[str, int]):
+        self.nnf = nnf
+        self.nodes = nnf.nodes
         self.stats = stats  # budget and counters, never undone
         self.trail: list[tuple] = []
-        self.contents: list[dict] = []
-        self.alpha: list = []
-        self.beta: list = []
-        self.pi: list = []
+        self.contents: list[dict[int, int]] = []
+        self.alpha: list[tuple[int, int]] = []
+        self.beta: list[tuple[int, int]] = []
+        self.pi: list[tuple[int, int]] = []
         self.heads = [0, 0, 0]  # next unread item of alpha, beta, pi
         self.clash: int | None = None
 
@@ -165,7 +230,7 @@ class _Tableau:
         self.heads[:] = heads
         self.clash = None
 
-    def schedule(self, w: int, f, dep: int) -> None:
+    def schedule(self, w: int, f: int, dep: int) -> None:
         content = self.contents[w]
         if f in content:
             return
@@ -173,23 +238,23 @@ class _Tableau:
         if self.stats["expansions"] > _BUDGET:
             raise DecideError("tableau expansion budget exhausted")
         self.put(content, f, dep)
-        tag = f[0]
-        if tag == "bot":
-            self.clash = dep
-        elif tag == "lit":
-            other = content.get(("lit", f[1], not f[2]))
+        tag = self.nodes[f][0]
+        if tag == "lit":
+            other = content.get(f ^ 1)
             if other is not None:
                 self.clash = dep | other
-        elif tag == "top":
-            pass
         elif tag == "or":
             self.push(self.beta, (w, f))
         elif tag == "dia":
             self.push(self.pi, (w, f))
+        elif tag == "bot":
+            self.clash = dep
+        elif tag == "top":
+            pass
         else:  # and / box
             self.push(self.alpha, (w, f))
 
-    def next_choice(self):
+    def next_choice(self) -> tuple[int, int] | None:
         """Apply the deterministic rules until the branch closes, leaves
         nothing to do (None), or reaches a disjunction, returned as (w, f)."""
         heads = self.heads
@@ -197,10 +262,11 @@ class _Tableau:
             if heads[0] < len(self.alpha):
                 w, f = self.alpha[heads[0]]
                 heads[0] += 1
-                if f[0] == "and":
+                node = self.nodes[f]
+                if node[0] == "and":
                     dep = self.contents[w][f]
-                    self.schedule(w, f[1], dep)
-                    self.schedule(w, f[2], dep)
+                    for g in node[1:]:
+                        self.schedule(w, g, dep)
                 else:
                     self.apply_box(w, f)
             elif heads[1] < len(self.beta):
@@ -221,34 +287,59 @@ def _search(state: _Tableau) -> bool:
     """Depth-first search over disjunctions with dependency-directed
     backjumping; True once state holds the first open saturated branch.
 
-    The first disjunct of choice point k runs in place with bit k added; the
+    A disjunction taken at world w is settled without a choice point when
+    it can be: skipped when a disjunct is already at w, and, when the
+    complements of all its disjuncts but one are at w, that one is added
+    with their masks (all of them: a clash).  Otherwise its first open
+    disjunct runs in place with bit k added, k the choice point's depth; the
     stack keeps the trail length from before it.  When the branch closes,
     each choice point whose bit the clash lacks is popped unexplored.  The
     first one that took part undoes the trail to that length and takes the
-    second disjunct, which depends on what the clash depended on instead of
-    on bit k.  Only closed subtrees are skipped, so the open branch found is
-    the one plain chronological backtracking finds first.
+    disjunction of its remaining open disjuncts, together with the
+    complement of the first one when that has no box or dia inside (a modal
+    complement would only spawn worlds).  Both depend on what the clash
+    depended on instead of on bit k.
     """
     stats = state.stats
-    stack: list[tuple[int, tuple[int, int, int], int, tuple, int]] = []
+    nodes, modal = state.nodes, state.nnf.modal
+    stack: list[tuple[int, tuple[int, int, int], int, list[int], int]] = []
     while True:
         choice = state.next_choice()
-        if state.clash is None:
-            if choice is None:
-                return True
+        if choice is not None:
             w, f = choice
-            dep = state.contents[w][f]
-            stack.append((len(state.trail), tuple(state.heads), w, f, dep))
-            stats["choice_points"] += 1
-            state.schedule(w, f[1], dep | 1 << (len(stack) - 1))
+            content = state.contents[w]
+            dep = content[f]
+            left = []
+            for g in nodes[f][1:]:
+                if g in content:
+                    break
+                mask = content.get(g ^ 1)
+                if mask is None:
+                    left.append(g)
+                else:
+                    dep |= mask
+            else:
+                if len(left) > 1:
+                    stack.append((len(state.trail), tuple(state.heads), w, left, dep))
+                    stats["choice_points"] += 1
+                    state.schedule(w, left[0], dep | 1 << (len(stack) - 1))
+                elif left:
+                    state.schedule(w, left[0], dep)
+                else:
+                    state.clash = dep
             continue
+        if state.clash is None:
+            return True
         clash = state.clash
         while stack:
-            length, heads, w, f, dep = stack.pop()
+            length, heads, w, left, dep = stack.pop()
             bit = 1 << len(stack)
             if clash & bit:
                 state.undo(length, heads)
-                state.schedule(w, f[2], dep | (clash & ~bit))
+                because = clash & ~bit
+                if not modal[left[0]]:
+                    state.schedule(w, left[0] ^ 1, because)
+                state.schedule(w, state.nnf.junction("or", left[1:]), dep | because)
                 break
             stats["backjumps"] += 1
         else:
@@ -257,15 +348,15 @@ def _search(state: _Tableau) -> bool:
 
 # ---------------------------------------------------------------------------
 # Labelled tableau for K, D, T, KB, K4, S4, with one rule per frame
-# property of the class.  Box bodies and edges carry dependency masks too:
-# a box pushed along an edge depends on both.
+# property of the class.  Boxes and edges carry dependency masks too: a box
+# pushed along an edge depends on both.
 
 
 class _Branch(_Tableau):
-    def __init__(self, props: tuple[FrameProperty, ...], stats: dict[str, int]):
-        super().__init__(stats)
+    def __init__(self, props: tuple[FrameProperty, ...], nnf: _Nnf, stats: dict[str, int]):
+        super().__init__(nnf, stats)
         self.props = props
-        self.boxes: list[dict] = []
+        self.boxes: list[dict[int, int]] = []  # box formulas applied at each world
         self.parent: list[int | None] = []
         self.succ: list[dict[int, int]] = []  # edge x -> y as succ[x][y] = mask
 
@@ -281,27 +372,26 @@ class _Branch(_Tableau):
             return
         self.put(self.succ[x], y, dep)
         boxes = self.boxes[x]
-        for body in sorted(boxes):
-            self._push_box_along(y, body, boxes[body] | dep)
+        for f in sorted(boxes):
+            self._push_box_along(y, f, boxes[f] | dep)
 
-    def _push_box_along(self, y: int, body, dep: int) -> None:
-        self.schedule(y, body, dep)
+    def _push_box_along(self, y: int, f: int, dep: int) -> None:
+        self.schedule(y, self.nodes[f][1], dep)
         if FrameProperty.TRANSITIVE in self.props:
-            self.schedule(y, ("box", body), dep)
+            self.schedule(y, f, dep)
 
-    def apply_box(self, w: int, f) -> None:
-        body = f[1]
-        if body in self.boxes[w]:
+    def apply_box(self, w: int, f: int) -> None:
+        if f in self.boxes[w]:
             return
         dep = self.contents[w][f]
-        self.put(self.boxes[w], body, dep)
+        self.put(self.boxes[w], f, dep)
         if FrameProperty.REFLEXIVE in self.props:
-            self.schedule(w, body, dep)
+            self.schedule(w, self.nodes[f][1], dep)
         for y, edge_dep in sorted(self.succ[w].items()):
-            self._push_box_along(y, body, dep | edge_dep)
+            self._push_box_along(y, f, dep | edge_dep)
 
-    def expand_dia(self, w: int, f) -> None:
-        body = f[1]
+    def expand_dia(self, w: int, f: int) -> None:
+        body = self.nodes[f][1]
         dep = self.contents[w][f]
         if FrameProperty.TRANSITIVE in self.props:
             blocked = self._find_blocker(w, body)
@@ -315,15 +405,15 @@ class _Branch(_Tableau):
         if FrameProperty.SYMMETRIC in self.props:
             self.add_edge(v, w, dep)
 
-    def _find_blocker(self, w: int, body) -> tuple[int, int] | None:
+    def _find_blocker(self, w: int, body: int) -> tuple[int, int] | None:
         # The fresh world would carry the dia body plus everything w's boxes
         # push along a new edge.  An ancestor already containing all of that
         # can serve as the successor instead; nothing new flows into it.
         # The edge then depends on the masks of those formulas there.
         wanted = {body}
-        for boxed in self.boxes[w]:
-            wanted.add(boxed)
-            wanted.add(("box", boxed))
+        for f in self.boxes[w]:
+            wanted.add(f)
+            wanted.add(self.nodes[f][1])
         u = self.parent[w]
         while u is not None and not wanted <= self.contents[u].keys():
             u = self.parent[u]
@@ -366,7 +456,7 @@ class _Branch(_Tableau):
                 low = row & -row
                 edges.append((x, low.bit_length() - 1))
                 row ^= low
-        return _model_of(self.contents, edges)
+        return _model_of(self.contents, self.nodes, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +465,10 @@ class _Branch(_Tableau):
 
 
 class _Clique(_Tableau):
-    def __init__(self, stats: dict[str, int]):
-        super().__init__(stats)
-        self.global_boxes: dict = {}
-        self.fired: dict = {}  # dia bodies given a witness; values unused
+    def __init__(self, nnf: _Nnf, stats: dict[str, int]):
+        super().__init__(nnf, stats)
+        self.global_boxes: dict[int, int] = {}  # box bodies, with their masks
+        self.fired: dict[int, bool] = {}  # dia bodies given a witness; values unused
 
     def new_world(self) -> int:
         self.push(self.contents, {})
@@ -387,8 +477,8 @@ class _Clique(_Tableau):
             self.schedule(w, body, dep)
         return w
 
-    def apply_box(self, w: int, f) -> None:
-        body = f[1]
+    def apply_box(self, w: int, f: int) -> None:
+        body = self.nodes[f][1]
         if body in self.global_boxes:
             return
         dep = self.contents[w][f]
@@ -396,18 +486,19 @@ class _Clique(_Tableau):
         for v in range(len(self.contents)):
             self.schedule(v, body, dep)
 
-    def expand_dia(self, w: int, f) -> None:
-        if f[1] not in self.fired:
-            self.put(self.fired, f[1], True)
+    def expand_dia(self, w: int, f: int) -> None:
+        body = self.nodes[f][1]
+        if body not in self.fired:
+            self.put(self.fired, body, True)
             dep = self.contents[w][f]
-            self.schedule(self.new_world(), f[1], dep)
+            self.schedule(self.new_world(), body, dep)
 
     def model(self) -> tuple[Model, str]:
         n = len(self.contents)
-        return _model_of(self.contents, [(a, b) for a in range(n) for b in range(n)])
+        return _model_of(self.contents, self.nodes, [(a, b) for a in range(n) for b in range(n)])
 
 
-def _model_of(contents: list[dict], edges) -> tuple[Model, str]:
+def _model_of(contents: list[dict[int, int]], nodes: list[tuple], edges) -> tuple[Model, str]:
     """Model on worlds u0.. with the given edges; a variable holds where its
     positive literal was recorded.  Pointed at u0."""
     worlds = tuple(f"u{i}" for i in range(len(contents)))
@@ -415,21 +506,23 @@ def _model_of(contents: list[dict], edges) -> tuple[Model, str]:
     val: dict[str, set[str]] = {}
     for i, content in enumerate(contents):
         for f in content:
-            if f[0] == "lit" and not f[2]:
-                val.setdefault(f[1], set()).add(worlds[i])
+            node = nodes[f]
+            if node[0] == "lit" and not node[2]:
+                val.setdefault(node[1], set()).add(worlds[i])
     model = Model(worlds, rel, {p: frozenset(ws) for p, ws in val.items()})
     return model, worlds[0]
 
 
 def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[tuple[Model, str] | None, dict]:
     stats = {"expansions": 0, "choice_points": 0, "backjumps": 0}
+    nnf = _Nnf()
     if cls is FrameClass.S5:
-        root: _Tableau = _Clique(stats)
+        root: _Tableau = _Clique(nnf, stats)
         root.new_world()
     else:
-        root = _Branch(cls.properties, stats)
+        root = _Branch(cls.properties, nnf, stats)
         root.new_world(None)
-    root.schedule(0, _nnf(f, False), 0)
+    root.schedule(0, nnf.of(f), 0)
     return (root.model() if _search(root) else None), stats
 
 

@@ -18,8 +18,8 @@ of one infix operator hold only operators that bind tighter, and the run
 is folded to the right for -> and <->, to the left for & and |.  Two
 places state each connective's meaning on their own instead.
 `sweep._BOOLEAN` is the truth table of the one evaluator, `sweep.Prog`,
-behind truth on a model and every frame sweep, and `decide._nnf` rewrites
-each connective differently under each polarity.
+behind truth on a model and every frame sweep, and `decide._Nnf` rewrites
+each connective into negation normal form.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ over all labelled frames, and orbit sizes keep counts in labelled frames.
 A sweep takes its class frames a chunk at a time (class_chunks), and one
 evaluation answers for the whole chunk (chunk_hits): each frame's register
 is one block of a wider register, and a carry out of each block gives one
-0/1 byte per frame.  frame_hit then finds the (valuation, world) of the
-first frame with a hit.
+0/1 byte per frame.  A bounded search reads its (valuation, world) off the
+lowest set bit of the chunk's register.
 """
 
 from __future__ import annotations
@@ -300,16 +300,6 @@ def class_chunks(cls: FrameClass, max_n: int, k: int) -> Iterator[tuple[int, lis
             yield n, picked
 
 
-def class_frames(cls: FrameClass, max_n: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """(n, succ, orbit size) for the class frames of class_chunks, one at a
-    time.  Raises ValueError for max_n outside 1..MAX_N before it yields
-    anything."""
-    for n, picked in class_chunks(cls, max_n, 0):
-        orbits = frame_orbits(n)
-        for i in picked:
-            yield (n, *orbits[i])
-
-
 def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass) -> bool:
     return all(_check_property(n, succ, p) for p in cls.properties)
 
@@ -329,25 +319,38 @@ def chunk_hits(prog: Prog, n: int, picked: Sequence[int], value: bool) -> bytes:
     """Per picked frame of frame_orbits(n), 1 where the compiled formula
     takes the given truth value on it under some valuation, else 0.
 
+    Adding all-ones to each block of _chunk_register carries into its spare
+    bits exactly where the block is non-zero, and byte j*w of the carries
+    shifted down is frame j's verdict.
+    """
+    k, m = len(prog.names), len(picked)
+    w = _block_bytes(n, k)
+    bits, full = _chunk_register(prog, n, picked, value)
+    carries = (bits + full) >> (n << (n * k))
+    return (carries & _repeat(1, w, m)).to_bytes(m * w, "little")[::w]
+
+
+def _repeat(reg: int, w: int, m: int) -> int:
+    """m copies of a w-byte block, side by side."""
+    return int.from_bytes(reg.to_bytes(w, "little") * m, "little")
+
+
+def _chunk_register(prog: Prog, n: int, picked: Sequence[int], value: bool) -> tuple[int, int]:
+    """(bits, full) for the picked frames of frame_orbits(n): bits is set
+    where the compiled formula takes the given truth value, full is the
+    all-true register.
+
     One evaluation covers the chunk.  Frame j's register, laid out as
     Prog.run lays it out, is the block at byte j*w of one register, w =
     _block_bytes(n, k), and the spare bits above each block stay zero.  The
     all-true and variable registers repeat the one-frame ones in every
     block.  The modal step's mask for an offset holds, in frame j's block,
     the one-frame lane pattern (ones) times frame j's sources at that
-    offset (orbit_offsets), so no mask reaches across blocks.  Adding
-    all-ones to each block carries into its spare bits exactly where the
-    block is non-zero, and byte j*w of the carries shifted down is frame
-    j's verdict.
+    offset (orbit_offsets), so no mask reaches across blocks.
     """
     k = len(prog.names)
     full, ones, var_regs = _valuation_registers(n, k)
     w = _block_bytes(n, k)
-    m = len(picked)
-
-    def repeat(reg: int) -> int:
-        return int.from_bytes(reg.to_bytes(w, "little") * m, "little")
-
     offsets = [(d, bytes(map(column.__getitem__, picked))) for d, column in orbit_offsets(n)]
     # The lane pattern of each source set in the chunk, as one block.
     patterns = {
@@ -359,16 +362,13 @@ def chunk_hits(prog: Prog, n: int, picked: Sequence[int], value: bool) -> bytes:
         for d, column in offsets
         if any(column)
     ]
-    full = repeat(full)
+    full = _repeat(full, w, len(picked))
     bits = prog.evaluate(
         full,
-        {name: repeat(reg) for name, reg in zip(prog.names, var_regs)},
+        {name: _repeat(reg, w, len(picked)) for name, reg in zip(prog.names, var_regs)},
         _frame_step(n, full, lanes),
     )
-    if not value:
-        bits ^= full
-    carries = (bits + full) >> (n << (n * k))
-    return (carries & repeat(1)).to_bytes(m * w, "little")[::w]
+    return (bits if value else bits ^ full), full
 
 
 def frame_hit(prog: Prog, n: int, succ: Sequence[int], value: bool) -> tuple[int, int] | None:
@@ -406,14 +406,18 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
 
     Returns (model, world) for the first hit in (size, frame, valuation,
     world) order, or None when no model with at most max_n worlds exists.
-    One-way evidence: None never means unsatisfiable.
+    One-way evidence: None never means unsatisfiable.  The lowest set bit
+    of a chunk's register lies in the block of its first frame with a hit,
+    at the place frame_hit would find in that frame alone.
     """
     prog = Prog(f)
-    for n, picked in class_chunks(cls, max_n, len(prog.names)):
-        j = chunk_hits(prog, n, picked, True).find(1)
-        if j >= 0:
+    k = len(prog.names)
+    for n, picked in class_chunks(cls, max_n, k):
+        bits, _ = _chunk_register(prog, n, picked, True)
+        if bits:
+            j, place = divmod((bits & -bits).bit_length() - 1, 8 * _block_bytes(n, k))
+            v, s = divmod(place, n)
             succ = frame_orbits(n)[picked[j]][0]
-            v, s = frame_hit(prog, n, succ, True)
             m = build_model(frame_worlds(n), succ, prog.names, v)
             return m, m.worlds[s]
     return None

@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
+from lea import sweep
 from lea.bisim import BisimRelation, is_circ_bisimulation
 from lea.formula import (
     And,
@@ -300,6 +301,16 @@ def brute_orbits(n: int) -> dict[int, frozenset[int]]:
         )
         orbits.setdefault(key, set()).add(mask)
     return {key: frozenset(masks) for key, masks in orbits.items()}
+
+
+def class_frames(cls: FrameClass, max_n: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """(n, succ, orbit size) for the class frames of sweep.class_chunks, one
+    at a time.  Raises ValueError for max_n outside 1..sweep.MAX_N before it
+    yields anything."""
+    for n, picked in sweep.class_chunks(cls, max_n, 0):
+        orbits = sweep.frame_orbits(n)
+        for i in picked:
+            yield (n, *orbits[i])
 
 
 def naive_in_class(m: Model, cls: FrameClass) -> bool:

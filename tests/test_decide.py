@@ -15,6 +15,7 @@ from helpers import (
 from lea.decide import (
     DEFAULT_BOUND,
     TABLEAU_CLASSES,
+    DecideError,
     crosscheck,
     satisfiable,
     valid,
@@ -193,47 +194,143 @@ def test_irrelevant_disjunctions_cost_linear(cls):
         assert verdict.stats["backjumps"] == width
 
 
+def _labelled_crosscheck(f, cls, max_n=3):
+    """The tableau verdict on f, after checking it against labelled search:
+    no unsat verdict where labelled search finds a model on at most max_n
+    worlds; every model found lies in the class and replays."""
+    verdict = satisfiable(f, cls)
+    if verdict.answer:
+        model, point = verdict.witness
+        assert naive_in_class(model, cls)
+        assert naive_satisfies(model, point, f)
+    else:
+        assert verdict.answer is False
+        assert labelled_search_sat(f, cls, max_n) is None, f
+    return verdict
+
+
 @pytest.mark.parametrize("cls", TABLEAU_CLASSES, ids=lambda c: c.name)
 def test_depth_two_cnf_against_labelled_search(cls):
-    """No unsat verdict where labelled search finds a model on at most three
-    worlds; every model found lies in the class and replays."""
     rng = random.Random(f"depth-two {cls.name}")
     for _ in range(10):
-        f = rand_modal_cnf(rng, ("p",), rng.randint(4, 14), depth=2)
-        verdict = satisfiable(f, cls)
-        if verdict.answer:
-            model, point = verdict.witness
-            assert naive_in_class(model, cls)
-            assert naive_satisfies(model, point, f)
-        else:
-            assert verdict.answer is False
-            assert labelled_search_sat(f, cls, 3) is None, f
+        _labelled_crosscheck(rand_modal_cnf(rng, ("p",), rng.randint(4, 14), depth=2), cls)
 
 
-# sha256 of the sorted-key JSON of (answer, stats, witness) over seeds 0-39,
-# computed with the tableau that copied its whole state at every choice point.
-# Any later tableau must reproduce these answers, costs and witnesses exactly.
+@pytest.mark.parametrize("cls", TABLEAU_CLASSES, ids=lambda c: c.name)
+def test_present_disjunct_opens_no_choice_point(cls):
+    for text in ("p & (q | p)", "(q | p) & p", "[] p & (<> q | [] p | r)"):
+        verdict = _labelled_crosscheck(parse(text), cls)
+        assert verdict.answer is True
+        assert verdict.stats["choice_points"] == 0, text
+
+
+@pytest.mark.parametrize("cls", TABLEAU_CLASSES, ids=lambda c: c.name)
+def test_present_complement_propagates(cls):
+    for text, answer in (("~p & (p | q)", True), ("~p & ~q & (p | q)", False),
+                         ("<> ~p & ([] p | q)", True), ("~p & (p | q | r) & ~r", True)):
+        verdict = _labelled_crosscheck(parse(text), cls)
+        assert verdict.answer is answer, text
+        assert verdict.stats["choice_points"] == 0, text
+    # x is tried first; ~x | q then propagates q, and ~q | z closes because
+    # of q and ~z.  The clash reaches the choice point only through the mask
+    # q was given, the union of its clause's and x's: without it the search
+    # would report unsatisfiable without trying y.
+    verdict = _labelled_crosscheck(parse("(x | y) & (~x | q) & (~q | z) & ~z"), cls)
+    assert verdict.answer is True
+    assert verdict.stats["choice_points"] == 1
+    model, point = verdict.witness
+    assert naive_satisfies(model, point, parse("~x & y & ~q & ~z"))
+
+
+@pytest.mark.parametrize("cls", TABLEAU_CLASSES, ids=lambda c: c.name)
+def test_second_branch_adds_only_propositional_complements(cls):
+    # [] p fails at the world <> T makes; the complement <> ~p would make
+    # another world, so the second branch takes q alone.
+    verdict = _labelled_crosscheck(parse("([] p | q) & [] ~p & <> T"), cls)
+    assert verdict.answer is True
+    assert verdict.stats["choice_points"] == 1
+    model, _ = verdict.witness
+    assert len(model.worlds) == 2
+    # p fails, so the second branch takes q and ~p.  ~p settles the second
+    # and third clauses and leaves s | t of the last: two choice points, where
+    # q alone would leave ~p | r open and need three.
+    verdict = _labelled_crosscheck(parse("(p | q) & (~p | r) & (~p | ~r) & (p | s | t)"), cls)
+    assert verdict.answer is True
+    assert verdict.stats["choice_points"] == 2
+    model, point = verdict.witness
+    assert naive_satisfies(model, point, parse("~p & q & s"))
+
+
+def test_depth_one_3cnf_decided_within_budget():
+    """Seeded depth-one 3-CNFs over three atoms with 20 to 26 clauses in K.
+    Syntactic branching without propagation ran out of budget on two of
+    these (seeds 10016 and 10042); every answer agrees with the depth-one
+    oracle."""
+    exhausted = 0
+    for seed in range(10_000, 10_070):
+        f = rand_modal_cnf(random.Random(seed), ("a", "b", "c"), 20 + seed % 7)
+        try:
+            verdict = _labelled_crosscheck(f, FrameClass.K, 2)
+        except DecideError:
+            exhausted += 1
+            continue
+        assert verdict.answer is (k_depth_one_model(f, ("a", "b", "c")) is not None), seed
+    assert exhausted == 0
+
+
+def _golden_rows(cls):
+    """(answer, stats, witness) over seeds 0-39 of the goldens below."""
+    rows = []
+    for seed in range(40):
+        f = rand_modal_cnf(random.Random(seed), ["a", "b", "c"], 3 + seed % 7,
+                           depth=1 + seed % 2)
+        v = satisfiable(f, cls)
+        rows.append((v.answer, v.stats, model_to_obj(*v.witness) if v.witness else None))
+    return rows
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the JSON list of answers over seeds 0-39, computed with the
+# tableau that copied its whole state at every choice point and unchanged
+# since.  Any later tableau must give these answers.
+ANSWER_GOLDENS = {
+    "K": "c6b8a4ec0d4244a2096d88e5fea0c4794d83ccfcd8973f1ce386c2feb6b641b3",
+    "D": "c6b8a4ec0d4244a2096d88e5fea0c4794d83ccfcd8973f1ce386c2feb6b641b3",
+    "T": "c6b8a4ec0d4244a2096d88e5fea0c4794d83ccfcd8973f1ce386c2feb6b641b3",
+    "KB": "c6b8a4ec0d4244a2096d88e5fea0c4794d83ccfcd8973f1ce386c2feb6b641b3",
+    "K4": "c6b8a4ec0d4244a2096d88e5fea0c4794d83ccfcd8973f1ce386c2feb6b641b3",
+    "S4": "c6b8a4ec0d4244a2096d88e5fea0c4794d83ccfcd8973f1ce386c2feb6b641b3",
+    "S5": "c6b8a4ec0d4244a2096d88e5fea0c4794d83ccfcd8973f1ce386c2feb6b641b3",
+}
+
+# sha256 of the sorted-key JSON of (stats, witness) over the same rows,
+# computed with the tableau that settles a disjunction by propagation where
+# it can and adds the complement of a first disjunct without box or dia on
+# going back.  The costs and witnesses of a later tableau may differ only
+# with a stated reason.
 WITNESS_GOLDENS = {
-    "K": "63f3d6389ba249f9d414a5dec786c6158c2bc07bf0e50d80ee2400f3b8fec99c",
-    "D": "40dd0926210b5a82505d674aa6c3a7480543468cd2b349e0e9d65af24bec0b4c",
-    "T": "e5ed417a47ef1a3b0ff9c88b12debc0a456f404dcb9ffca846d030636d4a8aa9",
-    "KB": "31d565c93541ed701a8c30d852ed29dc586775b34b194ef290e92e1876129fd0",
-    "K4": "e4e1399b0289d8e0b3fb3bdfe292005ea445597354ece8b1e0489f700c28e7df",
-    "S4": "a9e4563f1727462925a8c73673a70870366926f294e0e13f5438b6119a764bf9",
-    "S5": "d810e8136d7ec80aa6d957b7e017d87745aafac7778f80942bef151f49fb2eb2",
+    "K": "f0b3ff5faba46e5ddda536ff43ed2b80527851a590a48ec44ffe6f08eea2a169",
+    "D": "87c7f2f584dcea895a4ee8714d117bfc9f93f17ba1a92f56e1cbfa9ed6862127",
+    "T": "6d290c588622fe3e34ee78971ea96dcee0bc0e7ce60af211cf99ef864ba46ce5",
+    "KB": "0f1bde2f1416afd039cbfb43bef80560edc85fa4dbfb10c2fba9f4604ea84fee",
+    "K4": "70486ed9d02a19d9e2af2afb94a0846b8ca5f34975fa81ae7952e54a982ccdfb",
+    "S4": "7845be2b85d2e5ebecceb134f25c0a7e23254ed32717637a3378305374e2f04c",
+    "S5": "08be2b77a7567c74be9c84d75e4280df91457433bdce92392b2071a38d958a67",
 }
 
 
+def test_answer_goldens():
+    digests = {cls.name: _digest([row[0] for row in _golden_rows(cls)])
+               for cls in TABLEAU_CLASSES}
+    assert digests == ANSWER_GOLDENS
+
+
 def test_witness_goldens():
-    digests = {}
-    for cls in TABLEAU_CLASSES:
-        rows = []
-        for seed in range(40):
-            f = rand_modal_cnf(random.Random(seed), ["a", "b", "c"], 3 + seed % 7,
-                               depth=1 + seed % 2)
-            v = satisfiable(f, cls)
-            rows.append((v.answer, v.stats, model_to_obj(*v.witness) if v.witness else None))
-        digests[cls.name] = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    digests = {cls.name: _digest([row[1:] for row in _golden_rows(cls)])
+               for cls in TABLEAU_CLASSES}
     assert digests == WITNESS_GOLDENS
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     brute_orbits,
+    class_frames,
     labelled_definability,
     labelled_scan,
     labelled_search_sat,
@@ -64,13 +65,13 @@ def test_class_frames_filter_orbits_in_size_then_mask_order():
             for succ, size in sweep.frame_orbits(n)
             if naive_in_class(build_model(frame_worlds(n), succ, (), 0), cls)
         ]
-        assert list(sweep.class_frames(cls, 3)) == expect, cls.name
+        assert list(class_frames(cls, 3)) == expect, cls.name
 
 
 def test_sweeps_reject_bounds_out_of_range():
     f = parse("o p")
     for bound in (0, 6):
-        frames = sweep.class_frames(FrameClass.K, bound)
+        frames = class_frames(FrameClass.K, bound)
         with pytest.raises(ValueError):
             next(frames)
         with pytest.raises(ValueError):
@@ -170,7 +171,7 @@ def test_soundness_scan_lists_failures_frame_major():
     for system in (System.K4_CIRC, System.KB5_CIRC):
         progs = [(name, sweep.Prog(schema)) for name, schema in system.axioms]
         expect, count = [], 0
-        for n, succ, size in sweep.class_frames(FrameClass.K, 4):
+        for n, succ, size in class_frames(FrameClass.K, 4):
             for name, prog in progs:
                 if sweep.frame_hit(prog, n, succ, False) is not None:
                     expect.append((build_model(frame_worlds(n), succ, (), 0), name))
@@ -217,6 +218,35 @@ def _search_sat_matches_labelled_sweep():
             else:
                 hits += 1
     assert hits and misses
+
+
+def test_search_sat_evaluates_each_chunk_once(monkeypatch):
+    # The hit's (valuation, world) comes from the chunk's own register: no
+    # frame is evaluated a second time once its chunk has a hit.
+    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
+    cases = [("p", FrameClass.TB), ("o p & <> p & <> ~p", FrameClass.TB),
+             ("<> p & <> ~p & [] q", FrameClass.B5), ("p & ~p", FrameClass.TB)]
+    for text, cls in cases:
+        f = parse(text)
+        prog = sweep.Prog(f)
+        chunks = 0
+        for n, picked in sweep.class_chunks(cls, 3, len(prog.names)):
+            chunks += 1
+            if 1 in sweep.chunk_hits(prog, n, picked, True):
+                break
+        calls = []
+        evaluate = sweep.Prog.evaluate
+
+        def counting(self, full, var_regs, step):
+            calls.append(full)
+            return evaluate(self, full, var_regs, step)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep.Prog, "evaluate", counting)
+            hit = sweep.search_sat(f, cls, 3)
+        assert hit == labelled_search_sat(f, cls, 3), text
+        assert len(calls) == chunks, text
+    assert chunks > 1
 
 
 def test_definability_evaluates_a_chunk_at_a_time(monkeypatch):
