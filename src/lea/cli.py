@@ -3,7 +3,8 @@
 One operation per invocation, verdict on stdout, no state between runs.
 Exit codes: 0 for an affirmative verdict (true, valid, sat, bisimilar,
 accepted, confirmed, clean scan), 1 for a negative one or a stated limit,
-2 for unusable input, a --max-n outside 1 to sweep.MAX_N included.  A limit
+2 for unusable input (an unreadable or non-UTF-8 file, bad syntax or
+content, an unknown name, a --max-n outside 1 to sweep.MAX_N).  A limit
 prints `unknown: <reason>` (JSON "answer": null): a bounded search that
 found no model, a tautology check past its atom limit, a frame sweep past
 its valuation limit, or a formula nested too deeply for the recursion
@@ -20,6 +21,7 @@ import json
 import sys
 
 from . import decide
+# circ_bisimilar and valid_on_frame stay imported: bench/tracer.py wraps them here.
 from .bisim import (
     box_bisimilar,
     circ_bisimilar,
@@ -59,13 +61,17 @@ class _InputError(Exception):
     pass
 
 
+def _read_file(path: str, kind: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise _InputError(f"cannot read {kind} file: {e}") from e
+
+
 def _read_formula(text: str) -> Formula:
     if text.startswith("@"):
-        try:
-            with open(text[1:], encoding="utf-8") as fh:
-                text = fh.read().strip()
-        except OSError as e:
-            raise _InputError(f"cannot read formula file: {e}") from e
+        text = _read_file(text[1:], "formula").strip()
     try:
         return parse(text)
     except ParseError as e:
@@ -73,11 +79,9 @@ def _read_formula(text: str) -> Formula:
 
 
 def _read_model(path: str) -> tuple[Model, str | None]:
+    text = _read_file(path, "model")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return model_from_json(fh.read())
-    except OSError as e:
-        raise _InputError(f"cannot read model file: {e}") from e
+        return model_from_json(text)
     except (ValueError, RecursionError) as e:
         raise _InputError(f"bad model in {path}: {e}") from e
 
@@ -133,15 +137,12 @@ def _cmd_valid(ns) -> tuple[int, dict, str]:
     if ns.frame is not None:
         model, _ = _read_model(ns.frame)
         try:
-            answer = valid_on_frame(model, f)
+            witness = frame_countermodel(model, f)
         except ValuationLimitError as e:
             payload = {"answer": None, "method": "frame-sweep", "reason": str(e)}
             return 1, payload, f"unknown: {e}"
-        payload = {
-            "answer": answer,
-            "method": "frame-sweep",
-            "witness": None if answer else _witness_obj(frame_countermodel(model, f)),
-        }
+        answer = witness is None
+        payload = {"answer": answer, "method": "frame-sweep", "witness": _witness_obj(witness)}
         human = "valid on frame" if answer else "not valid on frame"
         return (0 if answer else 1), payload, human
     cls = _named("frame class", ns.frame_class)
@@ -189,11 +190,14 @@ def _cmd_bisim(ns) -> tuple[int, dict, str]:
     except ValueError as e:
         raise _InputError(str(e)) from e
     flavor = "box" if ns.box else "circ"
-    answer = (box_bisimilar if ns.box else circ_bisimilar)(a, b)
+    if ns.box:
+        answer = box_bisimilar(a, b)
+    else:
+        z = largest_circ_bisimulation(disjoint_union(a.model, b.model))
+        answer = ("L:" + a.point, "R:" + b.point) in z.pairs
     payload = {"answer": answer, "flavor": flavor}
     if answer and not ns.box:
-        union = disjoint_union(a.model, b.model)
-        payload["certificate"] = pairs_to_obj(largest_circ_bisimulation(union))
+        payload["certificate"] = pairs_to_obj(z)
     human = f"{'' if answer else 'not '}{flavor}-bisimilar"
     return (0 if answer else 1), payload, human
 
@@ -237,11 +241,7 @@ def _cmd_define(ns) -> tuple[int, dict, str]:
 
 def _cmd_prove(ns) -> tuple[int, dict, str]:
     system = _named("system", ns.system)
-    try:
-        with open(ns.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise _InputError(f"cannot read derivation file: {e}") from e
+    text = _read_file(ns.file, "derivation")
     try:
         derivation = parse_derivation(text)
     except DerivationSyntaxError as e:

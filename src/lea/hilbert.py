@@ -297,7 +297,9 @@ def _check_line(
 # ---------------------------------------------------------------------------
 # Concrete derivation text:  `3. <formula>   [mp 1 2]`
 
-_LINE_RE = re.compile(r"^\s*(\d+)\.\s*(.*?)\s*\[([^\]]*)\]\s*$")
+# A line number is ASCII digits: \d and str.isdigit also take "١" and "²".
+_NUMBER = "[0-9]+"
+_LINE_RE = re.compile(rf"^\s*({_NUMBER})\.\s*(.*?)\s*\[([^\]]*)\]\s*$")
 
 
 def render_justification(just: Justification) -> str:
@@ -368,18 +370,12 @@ def _parse_justification(text: str, lineno: int) -> Justification:
             raise DerivationSyntaxError(lineno, "axiom takes exactly one name")
         return Axiom(rest)
     if head == "mp":
-        parts = rest.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise DerivationSyntaxError(lineno, "mp takes two line numbers")
-        return MP(int(parts[0]), int(parts[1]))
+        return MP(*_line_numbers(rest, 2, lineno, "mp takes two line numbers"))
     if head == "r":
-        if not rest.isdigit():
-            raise DerivationSyntaxError(lineno, "r takes one line number")
-        return R(int(rest))
+        return R(*_line_numbers(rest, 1, lineno, "r takes one line number"))
     if head == "sub":
         num, _, assigns = rest.partition(" ")
-        if not num.isdigit():
-            raise DerivationSyntaxError(lineno, "sub takes a line number then bindings")
+        (source,) = _line_numbers(num, 1, lineno, "sub takes a line number then bindings")
         subst: dict[str, Formula] = {}
         for item in assigns.split(","):
             var, sep, body = item.partition(":=")
@@ -390,8 +386,15 @@ def _parse_justification(text: str, lineno: int) -> Justification:
                 subst[var] = parse(body.strip())
             except ParseError as e:
                 raise DerivationSyntaxError(lineno, f"bad binding formula: {e}") from e
-        return Sub(int(num), subst)
+        return Sub(source, subst)
     raise DerivationSyntaxError(lineno, f"unknown justification {text!r}")
+
+
+def _line_numbers(text: str, count: int, lineno: int, message: str) -> list[int]:
+    parts = text.split()
+    if len(parts) != count or not all(re.fullmatch(_NUMBER, p) for p in parts):
+        raise DerivationSyntaxError(lineno, message)
+    return [int(p) for p in parts]
 
 
 # ---------------------------------------------------------------------------

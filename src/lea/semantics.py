@@ -73,7 +73,7 @@ def valid_on_frame(m: Model, f: Formula) -> bool:
     Only m's worlds and relation matter; its own valuation is ignored.
     Raises sweep.ValuationLimitError past 2^sweep.MAX_VALUATION_BITS.
     """
-    return _frame_hit(m, f)[1] is None
+    return frame_countermodel(m, f) is None
 
 
 def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
@@ -82,14 +82,6 @@ def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
     The first falsifying (valuation, world) in sweep order, or None when f
     is valid on the frame.  Raises as valid_on_frame does.
     """
-    prog, hit = _frame_hit(m, f)
-    if hit is None:
-        return None
-    v, s = hit
-    return sweep.build_model(m.worlds, m.index.succ, prog.names, v), m.worlds[s]
-
-
-def _frame_hit(m: Model, f: Formula) -> tuple[sweep.Prog, tuple[int, int] | None]:
     idx = m.index
     prog = sweep.Prog(f)
     k = len(prog.names)
@@ -98,7 +90,11 @@ def _frame_hit(m: Model, f: Formula) -> tuple[sweep.Prog, tuple[int, int] | None
             f"frame sweep over 2^{idx.n * k} valuations ({idx.n} worlds, {k} variables) "
             f"exceeds the limit of 2^{sweep.MAX_VALUATION_BITS}"
         )
-    return prog, sweep.frame_hit(prog, idx.n, idx.succ, False)
+    hit = sweep.frame_hit(prog, idx.n, idx.succ, False)
+    if hit is None:
+        return None
+    v, s = hit
+    return sweep.build_model(m.worlds, idx.succ, prog.names, v), m.worlds[s]
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,9 @@ def test_unknown_world_is_input_error(models, capsys):
     assert code == 2
     code, _, err = run(capsys, "bisim", models["loop"], "zz", models["isolated"], "t")
     assert code == 2
+    code, _, err = run(capsys, "check", models["loop"], "p")
+    assert code == 2
+    assert err == "error: no world given and the model file has no point\n"
 
 
 def test_usage_error_exits_2(capsys):
@@ -368,8 +371,9 @@ def _cli(argv, seed):
         ({"worlds": ["a"], "rel": [], "val": {"p": ["x", "y", "z", "a"]}}, "unknown world 'x'"),
         ({"worlds": ["a"], "rel": [["a", "a"], ["x", "a"], ["a", "y"], ["z", "z"]], "val": {}},
          "unknown world in ('x', 'a')"),
+        ([{"worlds": ["a"], "rel": [], "val": {}}], "model must be a JSON object"),
     ],
-    ids=["val", "rel"],
+    ids=["val", "rel", "list"],
 )
 def test_loader_errors_do_not_depend_on_hash_seed(tmp_path, obj, culprit):
     path = tmp_path / "bad.json"
@@ -395,6 +399,71 @@ def test_sat_output_does_not_depend_on_hash_seed():
             assert json.loads(runs[0].stdout)["stats"]["expansions"] > 0
             assert runs[0].stdout == runs[1].stdout, (text, cls)
             assert runs[0].returncode == runs[1].returncode
+
+
+@pytest.mark.parametrize("bad", ["missing", "directory", "latin-1"])
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["check", "{bad}", "s", "p"], "model"),
+        (["contract", "{bad}"], "model"),
+        (["bisim", "{bad}", "s", "{good}", "s"], "model"),
+        (["bisim", "{good}", "s", "{bad}", "s"], "model"),
+        (["valid", "p", "--frame", "{bad}"], "model"),
+        (["sat", "@{bad}", "--class", "K"], "formula"),
+        (["prove", "K", "{bad}"], "derivation"),
+    ],
+    ids=["check", "contract", "bisim-a", "bisim-b", "valid-frame", "sat-formula", "prove"],
+)
+def test_unreadable_file_is_input_error(tmp_path, capsys, argv, kind, bad):
+    good = tmp_path / "good.json"
+    good.write_text(LOOP)
+    paths = {"missing": tmp_path / "nosuch", "directory": tmp_path, "latin-1": tmp_path / "bad"}
+    paths["latin-1"].write_bytes(b"o p \xe9\n")
+    argv = [a.format(bad=paths[bad], good=good) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {kind} file: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("just", ["mp ² 1", "r ³", "sub ² p:=q"], ids=["mp", "r", "sub"])
+def test_prove_rejects_non_ascii_line_numbers(tmp_path, capsys, just):
+    path = tmp_path / "d.txt"
+    path.write_text(f"1. p -> p   [taut]\n2. q -> q   [{just}]\n", encoding="utf-8")
+    code, out, err = run(capsys, "prove", "K", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: derivation syntax: line 2: ")
+
+
+def test_refuted_valid_frame_sweeps_once(models, capsys, monkeypatch):
+    runs = []
+    real = lea.sweep.Prog.run
+
+    def spy(self, n, succ):
+        runs.append(n)
+        return real(self, n, succ)
+
+    monkeypatch.setattr(lea.sweep.Prog, "run", spy)
+    code, out, _ = run(capsys, "valid", "[] p -> p", "--frame", models["isolated"], "--json")
+    assert code == 1
+    assert json.loads(out)["witness"]["point"] == "t"
+    assert runs == [1]
+
+
+def test_affirmative_circ_bisim_refines_once(models, capsys, monkeypatch):
+    calls = []
+    real = lea.bisim._blocks
+
+    def spy(m, exempt):
+        calls.append(exempt)
+        return real(m, exempt)
+
+    monkeypatch.setattr(lea.bisim, "_blocks", spy)
+    code, out, _ = run(capsys, "bisim", models["loop"], "s", models["isolated"], "t", "--json")
+    assert code == 0
+    assert ["L:s", "R:t"] in json.loads(out)["certificate"]["pairs"]
+    assert calls == [True]
 
 
 def test_check_on_a_5000_world_chain(tmp_path, capsys):

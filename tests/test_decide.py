@@ -12,15 +12,17 @@ from helpers import (
     rand_formula,
     rand_modal_cnf,
 )
+from lea.cli import main
 from lea.decide import (
     DEFAULT_BOUND,
     TABLEAU_CLASSES,
     DecideError,
+    _Nnf,
     crosscheck,
     satisfiable,
     valid,
 )
-from lea.formula import And, Box, Dia, Not, Or, Var, parse
+from lea.formula import And, Box, Dia, Not, Or, Var, parse, to_ml
 from lea.kripke import FrameClass, in_class, model_to_obj
 from lea.semantics import satisfies
 
@@ -357,3 +359,44 @@ def test_long_diamond_chain_in_k4():
     assert len(model.rel) == 200 * 201 // 2
     assert in_class(model, FrameClass.K4)
     assert satisfies(model, point, f)
+
+
+def _pigeonhole(pigeons, holes):
+    """Each pigeon in some hole, and no two pigeons in one hole."""
+    some = [" | ".join(f"p{i}h{j}" for j in range(holes)) for i in range(pigeons)]
+    apart = [f"~(p{i}h{j} & p{k}h{j})"
+             for j in range(holes) for i in range(pigeons) for k in range(i + 1, pigeons)]
+    return " & ".join(f"({c})" for c in some + apart)
+
+
+def test_pigeonhole_exhausts_the_expansion_budget(capsys):
+    """8 pigeons in 7 holes run past the 50,000 expansions; 7 in 6 need
+    47,773 and are decided."""
+    text = _pigeonhole(8, 7)
+    with pytest.raises(DecideError, match="budget exhausted"):
+        satisfiable(parse(text), FrameClass.K)
+    assert main(["sat", text, "--class", "K"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: tableau expansion budget exhausted\n")
+    verdict = satisfiable(parse(_pigeonhole(7, 6)), FrameClass.K)
+    assert verdict.answer is False
+    assert verdict.stats["expansions"] == 47_773
+
+
+@pytest.mark.parametrize("depth", [30, 60])
+def test_nnf_interns_shared_bodies_once(depth):
+    """to_ml of o^depth p names each body twice (g -> [] g), so the formula
+    has 2^depth paths; the memo rewrites each node once.  A walk past
+    4 * depth calls stops the test instead of running for 2^depth steps."""
+
+    class Counted(_Nnf):
+        calls = 0
+
+        def of(self, f):
+            self.calls += 1
+            assert self.calls <= 4 * depth, "a shared subformula was rewritten again"
+            return super().of(f)
+
+    nnf = Counted()
+    nnf.of(to_ml(parse("o " * depth + "p")))
+    assert len(nnf.nodes) == 4 * depth + 2

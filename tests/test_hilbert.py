@@ -215,6 +215,7 @@ def test_premise_and_rules():
     assert report.ok
     assert d.premises() == (parse("o r"),)
     assert d.conclusion == parse("o r | o p")
+    assert parse_derivation(render_derivation(d)) == d
 
 
 def test_sub_rule():
@@ -223,6 +224,7 @@ def test_sub_rule():
         Line(2, parse("~(q & q) -> o (q & q)"), Sub(1, {"p": parse("q & q")})),
     )
     assert check_derivation(Derivation(lines), System.K_CIRC).ok
+    assert parse_derivation(render_derivation(Derivation(lines))) == Derivation(lines)
 
 
 @pytest.mark.parametrize(
@@ -236,6 +238,15 @@ def test_sub_rule():
         ((Line(1, parse("p | ~p"), Taut()), Line(2, parse("o p & p -> o q"), R(1))), "not an implication"),
         ((Line(1, parse("p"), Taut()),), "not a propositional tautology"),
         ((Line(1, parse("[] p -> [] p"), Taut()),), "essence fragment"),
+        ((), "empty derivation"),
+        ((Line(1, parse("q -> q"), Sub(2, {"p": parse("q")})), Line(2, parse("p -> p"), Taut())),
+         "not strictly earlier"),
+        ((Line(1, parse("o p & p -> o p"), R(2)), Line(2, parse("p -> p"), Taut())),
+         "not strictly earlier"),
+        ((Line(1, parse("p -> p"), Taut()), Line(2, parse("q -> r"), Sub(1, {"p": parse("q")}))),
+         "not line 1 under the given substitution"),
+        ((Line(1, parse("p & q -> p"), Taut()), Line(2, parse("o (p & q) -> o p"), R(1))),
+         "not the R image of line 1"),
     ],
 )
 def test_check_rejections(lines, fragment):
@@ -253,6 +264,30 @@ def test_parse_derivation_errors():
         parse_derivation("1. o & T   [taut]\n")
     with pytest.raises(DerivationSyntaxError):
         parse_derivation("1. p   [mp one 2]\n")
+    for just, message in (
+        ("axiom KwTop KwCon", "axiom takes exactly one name"),
+        ("r", "r takes one line number"),
+        ("sub", "sub takes a line number then bindings"),
+        ("sub 1 p", "bad binding 'p'"),
+        ("sub 1 p := q &", "bad binding formula"),
+    ):
+        with pytest.raises(DerivationSyntaxError, match=f"line 2: {message}"):
+            parse_derivation(f"1. p -> p   [taut]\n2. p   [{just}]\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1. p -> p   [taut]\n2. p   [mp ² 1]\n", "line 2: mp takes two line numbers"),
+        ("1. p -> p   [taut]\n2. o p & p -> o p   [r ³]\n", "line 2: r takes one line number"),
+        ("1. p -> p   [taut]\n2. q -> q   [sub ² p:=q]\n", "line 2: sub takes a line number"),
+        ("١. p -> p   [taut]\n", "line 1: expected `N. "),
+    ],
+    ids=["mp", "r", "sub", "line"],
+)
+def test_line_numbers_are_ascii_digits(text, message):
+    with pytest.raises(DerivationSyntaxError, match=message):
+        parse_derivation(text)
 
 
 def test_parse_derivation_text_forms():
