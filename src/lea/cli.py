@@ -3,22 +3,30 @@
 One operation per invocation, verdict on stdout, no state between runs.
 Exit codes: 0 for an affirmative verdict (true, valid, sat, bisimilar,
 accepted, confirmed, clean scan), 1 for a negative one or a stated limit,
-2 for unusable input (an unreadable or non-UTF-8 file, bad syntax or
-content, an unknown name, a --max-n outside 1 to sweep.MAX_N).  A limit
-prints `unknown: <reason>` (JSON "answer": null): a bounded search that
-found no model, a tautology check past its atom limit, a frame sweep past
-its valuation limit, or a formula nested too deeply for the recursion
-limit.  The tableau's expansion budget is the exception: it still exits 2
-with an error.  --json swaps the human line for a machine-readable object.
+2 for unusable input (a malformed command line, which also prints a usage
+line; an unreadable or non-UTF-8 file, bad syntax or content, an unknown
+name, a --max-n outside 1 to sweep.MAX_N).  A limit prints `unknown:
+<reason>` (JSON "answer": null): a bounded search that found no model, a
+tautology check past its atom limit, a frame sweep past its valuation
+limit, or a formula nested too deeply for the recursion limit.  The
+tableau's expansion budget is the exception: it still exits 2 with an
+error.  --json swaps the human line for a machine-readable object.
+
+The command line is `lea COMMAND ARG...` with flags anywhere, read by the
+table `_COMMANDS`: --json and --max-n before or after the command, its own
+flags after it.  A long flag may be a unique prefix and take its value as
+`--flag value` or `--flag=value`; the last of a repeated flag wins; -3 is
+a value; after `--` every token is an ARG.
 
 Formulas are given inline or as @path; models are always files.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import decide
 # circ_bisimilar and valid_on_frame stay imported: bench/tracer.py wraps them here.
@@ -289,108 +297,160 @@ def _cmd_genproof(ns) -> tuple[int, dict, str]:
 
 
 # ---------------------------------------------------------------------------
+# The command line: one table, read in one pass.
+
+# Flags: dest, metavar (None for a switch) and help.
+_FLAGS = {
+    "-h": ("help", None, ""),
+    "--help": ("help", None, "show this help and exit"),
+    "--json": ("json", None, "emit a JSON verdict instead of text"),
+    "--max-n": ("max_n", "N", f"world bound for searches and scans, 1 to {MAX_N} "
+                              f"(default {decide.DEFAULT_BOUND})"),
+    "--class": ("frame_class", "CLS", "frame class"),
+    "--frame": ("frame", "MODELFILE", "one frame, read from a model file"),
+    "--circ": ("circ", None, "essence bisimilarity (default)"),
+    "--box": ("box", None, "ordinary box bisimilarity"),
+}
+_GLOBAL = ("-h", "--help", "--json", "--max-n")
+# Commands: handler, positionals ("[world]" may be left out), own flags and
+# help.  Own flags exclude each other; one of them is required unless they
+# are in brackets.
+_COMMANDS = {
+    "check": (_cmd_check, "model [world] formula", "", "evaluate a formula at a world of a model"),
+    "valid": (_cmd_valid, "formula", "--class --frame",
+              "validity over a frame class or on one frame"),
+    "sat": (_cmd_sat, "formula", "--class", "satisfiability over a frame class"),
+    "bisim": (_cmd_bisim, "model_a point_a model_b point_b", "[--circ --box]",
+              "compare two pointed models"),
+    "contract": (_cmd_contract, "model", "", "quotient a model by its largest bisimulation"),
+    "translate": (_cmd_translate, "direction formula", "",
+                  "translate between the essence and box languages"),
+    "define": (_cmd_define, "property formula", "",
+               "test whether a formula defines a frame property"),
+    "prove": (_cmd_prove, "system file", "", "check a derivation file against a system"),
+    "scan": (_cmd_scan, "system", "--class", "search small frames for axiom failures"),
+    "genproof": (_cmd_genproof, "n", "", "emit a derivation of the n-ary essence conjunction"),
+}
+# Values that are not free text: ints, and the choices of a direction.
+_TYPES = {"max_n": int, "n": int, "direction": ("to-ml", "to-lea")}
+_ARG_HELP = {"[world]": "world name (defaults to the model's point)",
+             "direction": " or ".join(_TYPES["direction"])}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lea",
-        description="Workbench for the modal logic of essence and accident.",
-    )
-    # The global flags again for every subcommand, with their defaults
-    # suppressed there so that "lea --json sat ..." and "lea sat ... --json"
-    # both stick.
-    common = argparse.ArgumentParser(add_help=False)
-    for flags, json_default, max_n_default in (
-        (parser, False, decide.DEFAULT_BOUND),
-        (common, argparse.SUPPRESS, argparse.SUPPRESS),
-    ):
-        flags.add_argument("--json", action="store_true", default=json_default,
-                           help="emit a JSON verdict instead of text")
-        flags.add_argument("--max-n", type=int, default=max_n_default, metavar="N",
-                           help=f"world bound for searches and scans, 1 to {MAX_N} "
-                                f"(default {decide.DEFAULT_BOUND})")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="evaluate a formula at a world of a model")
-    p.add_argument("model")
-    p.add_argument("world", nargs="?", default=None,
-                   help="world name (defaults to the model's point)")
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("valid", parents=[common],
-                       help="validity over a frame class or on one frame")
-    p.add_argument("formula")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--class", dest="frame_class", metavar="CLS")
-    group.add_argument("--frame", metavar="MODELFILE")
-    p.set_defaults(func=_cmd_valid)
-
-    p = sub.add_parser("sat", parents=[common],
-                       help="satisfiability over a frame class")
-    p.add_argument("formula")
-    p.add_argument("--class", dest="frame_class", required=True, metavar="CLS")
-    p.set_defaults(func=_cmd_sat)
-
-    p = sub.add_parser("bisim", parents=[common],
-                       help="compare two pointed models")
-    p.add_argument("model_a")
-    p.add_argument("point_a")
-    p.add_argument("model_b")
-    p.add_argument("point_b")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--circ", action="store_true",
-                       help="essence bisimilarity (default)")
-    group.add_argument("--box", action="store_true",
-                       help="ordinary box bisimilarity")
-    p.set_defaults(func=_cmd_bisim)
-
-    p = sub.add_parser("contract", parents=[common],
-                       help="quotient a model by its largest bisimulation")
-    p.add_argument("model")
-    p.set_defaults(func=_cmd_contract)
-
-    p = sub.add_parser("translate", parents=[common],
-                       help="translate between the essence and box languages")
-    p.add_argument("direction", choices=("to-ml", "to-lea"))
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_translate)
-
-    p = sub.add_parser("define", parents=[common],
-                       help="test whether a formula defines a frame property")
-    p.add_argument("property")
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_define)
-
-    p = sub.add_parser("prove", parents=[common],
-                       help="check a derivation file against a system")
-    p.add_argument("system")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_prove)
-
-    p = sub.add_parser("scan", parents=[common],
-                       help="search small frames for axiom failures")
-    p.add_argument("system")
-    p.add_argument("--class", dest="frame_class", required=True, metavar="CLS")
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("genproof", parents=[common],
-                       help="emit a derivation of the n-ary essence conjunction")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_genproof)
-
-    return parser
+def _flag(token: str, flags: tuple[str, ...]):
+    """None for a positional, else (the flags the token may name, its value
+    after "=" or "-h").  As in argparse, a long flag may be a unique prefix,
+    and a negative number or a token with a space is a positional."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    value = value if eq else None
+    if head in flags:
+        return [head], value
+    if token[:2] == "-h":  # argparse reads the rest as the value of -h
+        return ["-h"], token[2:]
+    found = [f for f in flags if f.startswith(head)] if token[1] == "-" else []
+    if not found and (_NEGATIVE.match(token) or " " in token):
+        return None
+    return found, value
 
 
-_parser: argparse.ArgumentParser | None = None
+def _exit(command: str | None, error: str | None = None):
+    """Print the usage line and the error and exit 2, or the help and exit 0."""
+    _, positionals, own, text = _COMMANDS.get(command, (
+        None, "COMMAND ...", "", "Workbench for the modal logic of essence and accident."))
+    flags = " | ".join(f"{f} {_FLAGS[f][1] or ''}".strip() for f in own.strip("[]").split())
+    flags = f"[{flags}]" if own[:1] == "[" else f"({flags})" if "|" in flags else flags
+    usage = " ".join(filter(None, ("usage: lea", command, "[-h] [--json] [--max-n N]", flags,
+                                   positionals.upper())))
+    if error is not None:
+        print(usage, f"lea: error: {error}", sep="\n", file=sys.stderr)
+        raise SystemExit(2)
+    rows = [(p.upper(), _ARG_HELP.get(p, "")) for p in positionals.split()] if command else [
+        (name, row[3]) for name, row in _COMMANDS.items()]
+    rows.append(("-h, --help", _FLAGS["--help"][2]))
+    for flag in ("--json", "--max-n", *own.strip("[]").split()):
+        rows.append((f"{flag} {_FLAGS[flag][1] or ''}", _FLAGS[flag][2]))
+    print(usage, "", text, "", *(f"  {a:18} {b}".rstrip() for a, b in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _read_argv(argv) -> SimpleNamespace:
+    """The command line, read by the table above.  Help (exit 0) and a
+    malformed line (exit 2) end in _exit."""
+    command, flags, own, words, seen = None, _GLOBAL, (), [], set()
+    values = {"json": False, "max_n": decide.DEFAULT_BOUND}
+    tail, tokens = 0, iter(argv)  # positionals since the last flag
+
+    def convert(name: str, dest: str, text: str):
+        kind = _TYPES.get(dest)
+        if kind is int:
+            try:
+                return int(text)
+            except ValueError:
+                _exit(command, f"argument {name}: invalid int value {text!r}")
+        if kind and text not in kind:
+            _exit(command, f"argument {name}: {text!r} is not one of {', '.join(kind)}")
+        return text
+
+    for token in tokens:
+        if token == "--":  # the rest are positionals
+            if command is None:
+                _exit(command, "-- before the command")
+            rest = list(tokens)
+            if not tail + len(rest):  # argparse leaves such a "--" over
+                _exit(command, "nothing to read after --")
+            words += rest
+            break
+        read = _flag(token, flags)
+        if read is None and command is None:
+            if token not in _COMMANDS:
+                _exit(command, f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
+            command = token
+            func, positionals, own, _ = _COMMANDS[command]
+            required, own = own.startswith("--"), tuple(own.strip("[]").split())
+            flags = _GLOBAL + own
+        elif read is None:
+            words.append(token)
+            tail += 1
+        elif len(read[0]) != 1:
+            _exit(command, f"{'ambiguous' if read[0] else 'unrecognized'} option {token}")
+        else:
+            (name,), value = read
+            dest, metavar, _ = _FLAGS[name]
+            if metavar is None and value is not None:
+                _exit(command, f"argument {name}: ignored explicit argument {value!r}")
+            if dest == "help":
+                _exit(command)
+            if metavar is not None and value is None:
+                value = next(tokens, None)
+                if value is None or _flag(value, flags) is not None:  # "--" too
+                    _exit(command, f"argument {name}: expected one argument")
+            others = set(own) - {name} if name in own else set()
+            if not seen.isdisjoint(others):
+                _exit(command, f"argument {name}: not allowed with {' or '.join(others)}")
+            values[dest] = True if metavar is None else convert(name, dest, value)
+            seen.add(name)
+            tail = 0
+    if command is None:
+        _exit(command, "missing COMMAND")
+    positionals = positionals.split()
+    names = [p for p in positionals if p[0] != "[" or len(words) >= len(positionals)]
+    if len(words) != len(names):
+        _exit(command, f"unrecognized arguments: {' '.join(words[len(names):])}"
+              if len(words) > len(names) else f"missing {' '.join(names[len(words):])}")
+    for name in positionals:
+        dest = name.strip("[]")
+        values[dest] = convert(name, dest, words.pop(0)) if name in names else None
+    if required and seen.isdisjoint(own):
+        _exit(command, f"{' or '.join(own)} is required")
+    values.update({_FLAGS[f][0]: None if _FLAGS[f][1] else False for f in own if f not in seen})
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    ns = _parser.parse_args(argv)
+    ns = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
         if not 1 <= ns.max_n <= MAX_N:
             raise _InputError(f"--max-n must be between 1 and {MAX_N}, not {ns.max_n}")

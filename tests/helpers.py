@@ -7,12 +7,25 @@ relations outright or delete violating pairs one at a time.  Agreement
 between these and the fast paths is the point of most tests.
 """
 
+import argparse
 import random
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from lea import sweep
+from lea import decide, sweep
+from lea.cli import (
+    _cmd_bisim,
+    _cmd_check,
+    _cmd_contract,
+    _cmd_define,
+    _cmd_genproof,
+    _cmd_prove,
+    _cmd_sat,
+    _cmd_scan,
+    _cmd_translate,
+    _cmd_valid,
+)
 from lea.bisim import BisimRelation, is_circ_bisimulation
 from lea.formula import (
     And,
@@ -30,6 +43,7 @@ from lea.formula import (
 )
 from lea.hilbert import Derivation, Line, System
 from lea.kripke import FrameClass, FrameProperty, Model, PointedModel, enumerate_frames
+from lea.sweep import MAX_N
 
 
 def rand_model(
@@ -527,3 +541,97 @@ def mutate_derivation(rng: random.Random, d: Derivation) -> Derivation:
     lines = list(d.lines)
     lines[target] = Line(lines[target].index, new, lines[target].just)
     return Derivation(tuple(lines))
+
+
+def reference_cli_parser() -> argparse.ArgumentParser:
+    """The argparse parser `lea.cli` used before its table-driven reader,
+    kept verbatim as the oracle of the table-driven reader."""
+    parser = argparse.ArgumentParser(
+        prog="lea",
+        description="Workbench for the modal logic of essence and accident.",
+    )
+    # The global flags again for every subcommand, with their defaults
+    # suppressed there so that "lea --json sat ..." and "lea sat ... --json"
+    # both stick.
+    common = argparse.ArgumentParser(add_help=False)
+    for flags, json_default, max_n_default in (
+        (parser, False, decide.DEFAULT_BOUND),
+        (common, argparse.SUPPRESS, argparse.SUPPRESS),
+    ):
+        flags.add_argument("--json", action="store_true", default=json_default,
+                           help="emit a JSON verdict instead of text")
+        flags.add_argument("--max-n", type=int, default=max_n_default, metavar="N",
+                           help=f"world bound for searches and scans, 1 to {MAX_N} "
+                                f"(default {decide.DEFAULT_BOUND})")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    p = sub.add_parser("check", parents=[common],
+                       help="evaluate a formula at a world of a model")
+    p.add_argument("model")
+    p.add_argument("world", nargs="?", default=None,
+                   help="world name (defaults to the model's point)")
+    p.add_argument("formula")
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("valid", parents=[common],
+                       help="validity over a frame class or on one frame")
+    p.add_argument("formula")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--class", dest="frame_class", metavar="CLS")
+    group.add_argument("--frame", metavar="MODELFILE")
+    p.set_defaults(func=_cmd_valid)
+
+    p = sub.add_parser("sat", parents=[common],
+                       help="satisfiability over a frame class")
+    p.add_argument("formula")
+    p.add_argument("--class", dest="frame_class", required=True, metavar="CLS")
+    p.set_defaults(func=_cmd_sat)
+
+    p = sub.add_parser("bisim", parents=[common],
+                       help="compare two pointed models")
+    p.add_argument("model_a")
+    p.add_argument("point_a")
+    p.add_argument("model_b")
+    p.add_argument("point_b")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--circ", action="store_true",
+                       help="essence bisimilarity (default)")
+    group.add_argument("--box", action="store_true",
+                       help="ordinary box bisimilarity")
+    p.set_defaults(func=_cmd_bisim)
+
+    p = sub.add_parser("contract", parents=[common],
+                       help="quotient a model by its largest bisimulation")
+    p.add_argument("model")
+    p.set_defaults(func=_cmd_contract)
+
+    p = sub.add_parser("translate", parents=[common],
+                       help="translate between the essence and box languages")
+    p.add_argument("direction", choices=("to-ml", "to-lea"))
+    p.add_argument("formula")
+    p.set_defaults(func=_cmd_translate)
+
+    p = sub.add_parser("define", parents=[common],
+                       help="test whether a formula defines a frame property")
+    p.add_argument("property")
+    p.add_argument("formula")
+    p.set_defaults(func=_cmd_define)
+
+    p = sub.add_parser("prove", parents=[common],
+                       help="check a derivation file against a system")
+    p.add_argument("system")
+    p.add_argument("file")
+    p.set_defaults(func=_cmd_prove)
+
+    p = sub.add_parser("scan", parents=[common],
+                       help="search small frames for axiom failures")
+    p.add_argument("system")
+    p.add_argument("--class", dest="frame_class", required=True, metavar="CLS")
+    p.set_defaults(func=_cmd_scan)
+
+    p = sub.add_parser("genproof", parents=[common],
+                       help="emit a derivation of the n-ary essence conjunction")
+    p.add_argument("n", type=int)
+    p.set_defaults(func=_cmd_genproof)
+
+    return parser

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import lea
-from helpers import naive_satisfies
-from lea.cli import main
+from helpers import naive_satisfies, reference_cli_parser
+from lea.cli import _read_argv, main
 from lea.formula import And, Or, Var, parse, render
 from lea.kripke import Model, model_from_obj, model_to_json
 
@@ -297,6 +300,16 @@ def test_global_flag_positions(models, capsys):
     assert early_code == late_code == 0
     assert early_out == late_out
     assert json.loads(early_out)["answer"] is True
+    # Between check's positionals too: they are assigned by count.
+    for argv in (
+        ("check", models["loop"], "--json", "s", "p"),
+        ("check", models["loop"], "s", "--json", "p"),
+        ("check", models["loop"], "s", "--max-n", "2", "p", "--json"),
+        ("check", models["loop"], "--js", "--max-n=2", "s", "p"),
+    ):
+        assert run(capsys, *argv) == (0, early_out, ""), argv
+    code, out, _ = run(capsys, "check", models["serial_a"], "--json", "p")
+    assert code == 0 and json.loads(out)["world"] == "s"
 
 
 def test_json_deterministic(models, capsys):
@@ -317,8 +330,10 @@ def test_commands_without_frame_sweeps_build_no_orbits():
     # A fresh interpreter, so that neither importing lea nor a command that
     # sweeps no frames pays for the orbit tables.
     code = (
+        "import sys\n"
         "from lea import sweep\n"
         "from lea.cli import main\n"
+        "assert 'argparse' not in sys.modules\n"
         "main(['translate', 'to-ml', 'o o p'])\n"
         "print(sweep.frame_orbits.cache_info().currsize)\n"
     )
@@ -331,13 +346,43 @@ def test_commands_without_frame_sweeps_build_no_orbits():
     assert out[-1] == "0"
 
 
-def test_parser_reused_without_leaking_flags(models, capsys):
-    # main builds its parser once; no flag of one call may reach the next.
+def test_one_process_per_command():
+    """The console script's path: a fresh interpreter per command line."""
+    setup = _cli(["translate", "to-ml", "o o p"], 0)
+    assert (setup.returncode, setup.stdout, setup.stderr) == (
+        0, "(p -> [] p) -> [] (p -> [] p)\n", "")
+    bare = _cli([], 0)
+    assert (bare.returncode, bare.stdout) == (2, "")
+    assert bare.stderr.startswith("usage: lea") and "lea: error: " in bare.stderr
+    top = _cli(["--help"], 0)
+    assert top.returncode == 0 and top.stderr == ""
+    arguments = {
+        "check": ("MODEL", "WORLD", "FORMULA"), "valid": ("FORMULA", "--class", "--frame"),
+        "sat": ("FORMULA", "--class"), "bisim": ("MODEL_A", "POINT_A", "MODEL_B", "POINT_B",
+                                               "--circ", "--box"),
+        "contract": ("MODEL",), "translate": ("to-ml", "to-lea", "FORMULA"),
+        "define": ("PROPERTY", "FORMULA"), "prove": ("SYSTEM", "FILE"),
+        "scan": ("SYSTEM", "--class"), "genproof": ("N",),
+    }
+    for command, names in arguments.items():
+        assert f"  {command} " in top.stdout
+        done = _cli([command, "--help"], 0)
+        assert done.returncode == 0 and done.stderr == "", command
+        for name in names + ("--json", "--max-n", "--help"):
+            assert name in done.stdout, (command, name)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["lea", "translate", "to-ml", "o p"])
+    assert main() == 0
+    assert capsys.readouterr().out == "p -> [] p\n"
+
+
+def test_no_flag_leaks_between_calls(models, capsys):
+    # No flag of one call to main may reach the next.
     formula = "p -> o (o ~p -> p)"
     code, out, _ = run(capsys, "--json", "check", models["loop"], "s", "p")
     assert code == 0 and json.loads(out)["answer"] is True
-    parser = lea.cli._parser
-    assert parser is not None
     code, out, _ = run(capsys, "check", models["loop"], "s", "p")
     assert code == 0 and out.strip() == "true: p at s"
     code, out, _ = run(capsys, "check", models["loop"], "s", "p", "--json")
@@ -352,7 +397,6 @@ def test_parser_reused_without_leaking_flags(models, capsys):
     assert code == 0 and json.loads(out)["max_n"] == 3
     code, out, _ = run(capsys, "check", models["loop"], "s", "p")
     assert code == 0 and out.strip() == "true: p at s"
-    assert lea.cli._parser is parser
 
 
 def _cli(argv, seed):
@@ -556,3 +600,174 @@ def test_deep_nesting_is_a_stated_limit(tmp_path, argv):
 def test_sat_reads_300_nested_parentheses():
     out = _cli(["sat", "(" * 300 + "p" + ")" * 300, "--class", "K"], 0)
     assert (out.returncode, out.stdout, out.stderr) == (0, "satisfiable in K\n", "")
+
+
+# ---------------------------------------------------------------------------
+# The argv reader against the argparse parser it replaced.
+
+# Each command's own flags, beside the global --json and --max-n.
+ARGV_FLAGS = {"valid": ("--class", "--frame"), "sat": ("--class",), "scan": ("--class",),
+              "bisim": ("--circ", "--box")}
+ARGV_VALUES = {  # values each flag reads, and values --max-n cannot read as an int
+    "--max-n": (("2", "3", "5", "0", "-3", " 4", "1_0"), ("x", "3.0", "")),
+    "--class": (("K", "S4", "t", "-1", "x y", ""), ()),
+    "--frame": (("m.json", "-2", "f g"), ()),
+}
+ARGV_WORDS = ("p", "o p & ~q", "m.json", "s", "K")
+ARGV_ODD_WORDS = ("-3", "-1.5", "-", "", "x y", "-p q", "@f.lea", "a=b", "--x y", "-h y")
+ARGV_ARITY = {"check": 3, "valid": 1, "sat": 1, "bisim": 4, "contract": 1, "translate": 2,
+              "define": 2, "prove": 2, "scan": 1, "genproof": 1}
+ARGV_BAD = ("--frob", "-x", "-3.", "--=x", "--json=1", "-hx", "--circ", "--class")
+
+
+def _spell(rng, flag, context, value=None):
+    """One flag as tokens: exact or a unique prefix, its value apart or after "="."""
+    shortest = next(k for k in range(3, len(flag) + 1)
+                    if [f for f in context if f.startswith(flag[:k])] == [flag])
+    name = flag[:rng.randint(shortest, len(flag))]
+    if value is None:
+        return [name]
+    return [f"{name}={value}"] if rng.random() < 0.3 else [name, value]
+
+
+def _words(rng, command):
+    out = [rng.choice(ARGV_ODD_WORDS if rng.random() < 0.2 else ARGV_WORDS)
+           for _ in range(ARGV_ARITY[command])]
+    if command == "translate":
+        out[0] = rng.choice(("to-ml", "to-lea", "to-ml", "to-x"))
+    if command == "genproof":
+        out[0] = rng.choice(("4", "-3", " 5", "1_0", "x", "2.0"))
+    if command == "check" and rng.random() < 0.4:
+        out.pop(1)  # no world
+    return out
+
+
+def random_command_line(rng):
+    """(tokens before the command, command, items after it); an item is
+    ("pos", word), ("flag", tokens) or ("sep",) for "--"."""
+    command = rng.choice(list(ARGV_ARITY))
+    context = ("--help", "--json", "--max-n") + ARGV_FLAGS.get(command, ())
+    flags = []
+    for flag in ARGV_FLAGS.get(command, ()):
+        if rng.random() < 0.7:
+            flags.append(flag)
+    if command == "valid" and len(flags) == 2 and rng.random() < 0.8:
+        flags.remove(rng.choice(flags))  # both, now and then
+    if command in ("sat", "scan") and not flags and rng.random() < 0.8:
+        flags.append("--class")
+    flags += [f for f in ("--json", "--max-n") if rng.random() < 0.5]
+    flags += rng.sample(flags, min(len(flags), rng.randint(0, 1)))  # a repeat
+    before, items = [], []
+    for flag in flags:
+        value = None
+        if flag in ARGV_VALUES:
+            good, bad = ARGV_VALUES[flag]
+            value = rng.choice(bad if bad and rng.random() < 0.15 else good)
+        if flag in ("--json", "--max-n") and rng.random() < 0.4:
+            before += _spell(rng, flag, ("--help", "--json", "--max-n"), value)
+        else:
+            items.append(("flag", _spell(rng, flag, context, value)))
+    rng.shuffle(items)
+    words = _words(rng, command)
+    if rng.random() < 0.1:
+        words.append("extra")
+    elif rng.random() < 0.1:
+        words.pop()
+    for word in words:  # interleaved with the flags, in order
+        slots = [i for i, item in enumerate(items) if item[0] == "pos"]
+        items.insert(rng.randint(slots[-1] + 1 if slots else 0, len(items)), ("pos", word))
+    if rng.random() < 0.3:  # mostly before a positional after the last flag
+        last = max((i + 1 for i, item in enumerate(items) if item[0] == "flag"), default=0)
+        spots = [i for i in range(last, len(items))] if rng.random() < 0.7 else []
+        items.insert(rng.choice(spots) if spots else rng.randint(0, len(items)), ("sep",))
+        if rng.random() < 0.2:
+            items.append(("pos", "--"))
+    if rng.random() < 0.1:
+        items.insert(rng.randint(0, len(items)), ("flag", [rng.choice(ARGV_BAD)]))
+    if rng.random() < 0.04:
+        items.append(("flag", [rng.choice(("--max-n", "--class"))]))  # no value
+    if rng.random() < 0.03:
+        before.append(rng.choice(("--", "--class", "-x")))
+    if rng.random() < 0.03:
+        command = rng.choice(("", "frob", "-3", "chec"))
+    return before, command, items
+
+
+def _flatten(before, command, items):
+    argv = list(before) + ([command] if command is not None else [])
+    for item in items:
+        argv += item[1] if item[0] == "flag" else [item[1]] if item[0] == "pos" else ["--"]
+    return argv
+
+
+def _check_canonical(items):
+    """check's items with the flags between its positionals moved before
+    the first: argparse binds the optional world too early otherwise.
+    Moving them to the front, not the end, keeps them ahead of a "--"."""
+    sep = next((i for i, item in enumerate(items) if item[0] == "sep"), len(items))
+    words = [i for i, item in enumerate(items) if item[0] == "pos" or i > sep]
+    if not words:
+        return items
+    inner = [i for i in range(words[0], words[-1]) if items[i][0] == "flag" and i < sep]
+    return ([items[i] for i in range(words[0])] + [items[i] for i in inner]
+            + [items[i] for i in range(words[0], len(items)) if i not in inner])
+
+
+def _outcome(read, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(read(argv)), out.getvalue(), err.getvalue()
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue()
+
+
+def _reference_outcome(reference, before, command, items):
+    """The reference's outcome, with a "--" after the first one read as a
+    plain word: argparse 3.11 drops it from the value it is given to (a
+    positional gets [] or its default), so it is passed under another name
+    and named back."""
+    sep = next((i for i, item in enumerate(items) if item[0] == "sep"), len(items))
+    items = [("pos", "<dashdash>") if i > sep and item == ("pos", "--") else item
+             for i, item in enumerate(items)]
+    code, out, err = _outcome(reference, _flatten(before, command, items))
+    if isinstance(code, dict):
+        code = {k: "--" if v == "<dashdash>" else v for k, v in code.items()}
+    return code, out, err
+
+
+def test_reader_matches_reference_parser():
+    """3,000 seeded command lines over all ten commands: the reader accepts
+    what argparse accepts, with the same values, and exits 2 where it
+    exits 2.  Exceptions: check with flags between its positionals is
+    compared with those flags moved (argparse rejects some such lines), a
+    "--" after the first is a plain word, and -h is added only to lines
+    the reference accepts."""
+    reference = reference_cli_parser().parse_args
+    rng = random.Random(1806)
+    seen = {"accepted": set(), "rejected": 0, "help": 0}
+    for _ in range(3000):
+        before, command, items = random_command_line(rng)
+        argv = _flatten(before, command, items)
+        if command == "check":
+            items = _check_canonical(items)
+        want = _reference_outcome(reference, before, command, items)
+        if isinstance(want[0], dict) and rng.random() < 0.15:
+            spot = rng.randint(0, next((i for i, it in enumerate(items) if it[0] == "sep"),
+                                       len(items)))
+            items.insert(spot, ("flag", [rng.choice(("-h", "--help", "--he"))]))
+            argv = _flatten(before, command, items)
+            want = _reference_outcome(reference, before, command, items)
+        got = _outcome(_read_argv, argv)
+        assert got[0] == want[0], argv
+        if got[0] == 0:
+            seen["help"] += 1
+            assert got[1].startswith("usage: lea"), argv
+        elif got[0] == 2:
+            seen["rejected"] += 1
+            usage, error = got[2].splitlines()
+            assert usage.startswith("usage: lea") and error.startswith("lea: error: "), argv
+        else:
+            seen["accepted"].add(command)
+    assert seen["accepted"] == set(ARGV_ARITY)
+    assert seen["rejected"] > 500 and seen["help"] > 100
