@@ -109,23 +109,15 @@ def _pair_violation(idx, zrow, zcol, i: int, j: int) -> tuple[str, int | None] |
     if idx.sig[i] != idx.sig[j]:
         return ("inv", None)
     # forth: each successor t of i with (i, t) outside Z needs a partner
-    # among j's successors.
-    pending = idx.succ[i] & ~zrow[i]
-    t = 0
-    while pending:
-        if pending & 1 and not zrow[t] & idx.succ[j]:
-            return ("forth", t)
-        pending >>= 1
-        t += 1
-    # back: each successor t2 of j with (j, t2) outside Z needs a partner
-    # among i's successors.
-    pending = idx.succ[j] & ~zrow[j]
-    t2 = 0
-    while pending:
-        if pending & 1 and not zcol[t2] & idx.succ[i]:
-            return ("back", t2)
-        pending >>= 1
-        t2 += 1
+    # among j's successors; back: the same from j, with partners among i's.
+    for condition, s, partners, s2 in (("forth", i, zrow, j), ("back", j, zcol, i)):
+        pending = idx.succ[s] & ~zrow[s]
+        t = 0
+        while pending:
+            if pending & 1 and not partners[t] & idx.succ[s2]:
+                return (condition, t)
+            pending >>= 1
+            t += 1
     return None
 
 

@@ -71,7 +71,7 @@ class _InputError(Exception):
 
 def _read_file(path: str, kind: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise _InputError(f"cannot read {kind} file: {e}") from e

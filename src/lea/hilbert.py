@@ -242,17 +242,14 @@ def _check_line(
     just = line.just
     if not is_lea(f):
         return "formula leaves the essence fragment (contains [])"
-
-    def fetch(i: int) -> Formula | None:
-        return earlier.get(i)
-
-    if isinstance(just, Premise):
-        return None
-    if isinstance(just, Taut):
-        if not is_tautology(f):
-            return "not a propositional tautology under boolean abstraction"
-        return None
-    if isinstance(just, Axiom):
+    if type(just) not in _KINDS:
+        return f"unknown justification {just!r}"
+    cited = [earlier.get(getattr(just, field)) for field in _KINDS[type(just)][1]]
+    if any(g is None for g in cited):
+        return "reference to a line that is not strictly earlier"
+    if isinstance(just, Taut) and not is_tautology(f):
+        return "not a propositional tautology under boolean abstraction"
+    elif isinstance(just, Axiom):
         try:
             schema = system.schema(just.name)
         except KeyError:
@@ -260,42 +257,36 @@ def _check_line(
         if just.subst is not None:
             if substitute(schema, just.subst) != f:
                 return f"formula is not {just.name} under the given substitution"
-            return None
-        if match_schema(schema, f) is None:
+        elif match_schema(schema, f) is None:
             return f"formula does not instantiate {just.name}"
-        return None
-    if isinstance(just, MP):
-        antecedent = fetch(just.antecedent)
-        implication = fetch(just.implication)
-        if antecedent is None or implication is None:
-            return "reference to a line that is not strictly earlier"
-        if implication != Implies(antecedent, f):
-            return (
-                f"line {just.implication} is not (line {just.antecedent}) -> (this line)"
-            )
-        return None
-    if isinstance(just, Sub):
-        source = fetch(just.source)
-        if source is None:
-            return "reference to a line that is not strictly earlier"
-        if substitute(source, just.subst) != f:
-            return f"formula is not line {just.source} under the given substitution"
-        return None
-    if isinstance(just, R):
-        source = fetch(just.source)
-        if source is None:
-            return "reference to a line that is not strictly earlier"
+    elif isinstance(just, MP) and cited[1] != Implies(cited[0], f):
+        return f"line {just.implication} is not (line {just.antecedent}) -> (this line)"
+    elif isinstance(just, Sub) and substitute(cited[0], just.subst) != f:
+        return f"formula is not line {just.source} under the given substitution"
+    elif isinstance(just, R):
+        (source,) = cited
         if not isinstance(source, Implies):
             return f"line {just.source} is not an implication"
-        expected = Implies(And(Ess(source.left), source.left), Ess(source.right))
-        if f != expected:
+        if f != Implies(And(Ess(source.left), source.left), Ess(source.right)):
             return f"formula is not the R image of line {just.source}"
-        return None
-    return f"unknown justification {just!r}"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Concrete derivation text:  `3. <formula>   [mp 1 2]`
+
+# Each justification kind once, read by the parser, the printer and the checker:
+# its head word and the fields citing earlier lines.  axiom adds a name, sub bindings.
+_KINDS: dict[type, tuple[str, tuple[str, ...]]] = {
+    Taut: ("taut", ()),
+    Premise: ("premise", ()),
+    Axiom: ("axiom", ()),
+    MP: ("mp", ("antecedent", "implication")),
+    Sub: ("sub", ("source",)),
+    R: ("r", ("source",)),
+}
+_BY_HEAD = {head: (kind, fields) for kind, (head, fields) in _KINDS.items()}
+_COUNTS = ("no line numbers", "one line number", "two line numbers")
 
 # A line number is ASCII digits: \d and str.isdigit also take "١" and "²".
 _NUMBER = "[0-9]+"
@@ -303,22 +294,15 @@ _LINE_RE = re.compile(rf"^\s*({_NUMBER})\.\s*(.*?)\s*\[([^\]]*)\]\s*$")
 
 
 def render_justification(just: Justification) -> str:
-    if isinstance(just, Taut):
-        return "taut"
-    if isinstance(just, Premise):
-        return "premise"
+    if type(just) not in _KINDS:
+        raise TypeError(f"unknown justification {just!r}")
+    head, fields = _KINDS[type(just)]
+    words = [head, *(str(getattr(just, field)) for field in fields)]
     if isinstance(just, Axiom):
-        return f"axiom {just.name}"
-    if isinstance(just, MP):
-        return f"mp {just.antecedent} {just.implication}"
-    if isinstance(just, Sub):
-        parts = ", ".join(
-            f"{v}:={render(g)}" for v, g in sorted(just.subst.items())
-        )
-        return f"sub {just.source} {parts}"
-    if isinstance(just, R):
-        return f"r {just.source}"
-    raise TypeError(f"unknown justification {just!r}")
+        words.append(just.name)
+    elif isinstance(just, Sub):
+        words.append(", ".join(f"{v}:={render(g)}" for v, g in sorted(just.subst.items())))
+    return " ".join(words)
 
 
 def render_derivation(d: Derivation) -> str:
@@ -361,19 +345,12 @@ def parse_derivation(text: str) -> Derivation:
 def _parse_justification(text: str, lineno: int) -> Justification:
     head, _, rest = text.partition(" ")
     rest = rest.strip()
-    if head == "taut" and not rest:
-        return Taut()
-    if head == "premise" and not rest:
-        return Premise()
-    if head == "axiom":
+    kind, fields = _BY_HEAD.get(head, (None, ()))
+    if kind is Axiom:
         if not rest or " " in rest:
             raise DerivationSyntaxError(lineno, "axiom takes exactly one name")
         return Axiom(rest)
-    if head == "mp":
-        return MP(*_line_numbers(rest, 2, lineno, "mp takes two line numbers"))
-    if head == "r":
-        return R(*_line_numbers(rest, 1, lineno, "r takes one line number"))
-    if head == "sub":
+    if kind is Sub:
         num, _, assigns = rest.partition(" ")
         (source,) = _line_numbers(num, 1, lineno, "sub takes a line number then bindings")
         subst: dict[str, Formula] = {}
@@ -387,7 +364,10 @@ def _parse_justification(text: str, lineno: int) -> Justification:
             except ParseError as e:
                 raise DerivationSyntaxError(lineno, f"bad binding formula: {e}") from e
         return Sub(source, subst)
-    raise DerivationSyntaxError(lineno, f"unknown justification {text!r}")
+    if kind is None or (rest and not fields):
+        raise DerivationSyntaxError(lineno, f"unknown justification {text!r}")
+    message = f"{head} takes {_COUNTS[len(fields)]}"
+    return kind(*_line_numbers(rest, len(fields), lineno, message))
 
 
 def _line_numbers(text: str, count: int, lineno: int, message: str) -> list[int]:

@@ -9,6 +9,7 @@ between these and the fast paths is the point of most tests.
 
 import argparse
 import random
+import re
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
@@ -37,11 +38,31 @@ from lea.formula import (
     Implies,
     Not,
     Or,
+    ParseError,
     Top,
     Var,
+    is_lea,
+    parse,
+    render,
+    substitute,
     variables,
 )
-from lea.hilbert import Derivation, Line, System
+from lea.hilbert import (
+    MP,
+    R,
+    Axiom,
+    CheckReport,
+    Derivation,
+    DerivationSyntaxError,
+    Justification,
+    Line,
+    Premise,
+    Sub,
+    System,
+    Taut,
+    is_tautology,
+    match_schema,
+)
 from lea.kripke import FrameClass, FrameProperty, Model, PointedModel, enumerate_frames
 from lea.sweep import MAX_N
 
@@ -541,6 +562,179 @@ def mutate_derivation(rng: random.Random, d: Derivation) -> Derivation:
     lines = list(d.lines)
     lines[target] = Line(lines[target].index, new, lines[target].just)
     return Derivation(tuple(lines))
+
+
+# ---------------------------------------------------------------------------
+# Derivation format oracle: one ladder per job.  _parse_justification,
+# render_justification and _check_line test each justification kind in turn,
+# as lea.hilbert did before one table of kinds drove all three; they share
+# no code with that table.  The two loops around them are hilbert's own.
+
+_NUMBER = "[0-9]+"
+_LINE_RE = re.compile(rf"^\s*({_NUMBER})\.\s*(.*?)\s*\[([^\]]*)\]\s*$")
+
+
+def oracle_parse_derivation(text: str) -> Derivation:
+    lines: list[Line] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        m = _LINE_RE.match(raw)
+        if m is None:
+            raise DerivationSyntaxError(
+                lineno, "expected `N. <formula>   [<justification>]`"
+            )
+        index = int(m.group(1))
+        try:
+            f = parse(m.group(2))
+        except ParseError as e:
+            raise DerivationSyntaxError(lineno, f"bad formula: {e}") from e
+        just = _parse_justification(m.group(3).strip(), lineno)
+        lines.append(Line(index, f, just))
+    return Derivation(tuple(lines))
+
+
+def oracle_render_derivation(d: Derivation) -> str:
+    return "\n".join(
+        f"{l.index}. {render(l.formula)}   [{render_justification(l.just)}]"
+        for l in d.lines
+    )
+
+
+def oracle_check_derivation(d: Derivation, system: System) -> CheckReport:
+    if not d.lines:
+        return CheckReport(False, (0, "empty derivation"))
+    by_index: dict[int, Formula] = {}
+    for offset, line in enumerate(d.lines):
+        if line.index != offset + 1:
+            return CheckReport(
+                False, (line.index, f"line numbered {line.index}, expected {offset + 1}")
+            )
+        try:
+            reason = _check_line(line, by_index, system)
+        except sweep.ValuationLimitError as e:
+            return CheckReport(None, (line.index, str(e)))
+        if reason is not None:
+            return CheckReport(False, (line.index, reason))
+        by_index[line.index] = line.formula
+    return CheckReport(True)
+
+
+def _check_line(
+    line: Line, earlier: dict[int, Formula], system: System
+) -> str | None:
+    f = line.formula
+    just = line.just
+    if not is_lea(f):
+        return "formula leaves the essence fragment (contains [])"
+
+    def fetch(i: int) -> Formula | None:
+        return earlier.get(i)
+
+    if isinstance(just, Premise):
+        return None
+    if isinstance(just, Taut):
+        if not is_tautology(f):
+            return "not a propositional tautology under boolean abstraction"
+        return None
+    if isinstance(just, Axiom):
+        try:
+            schema = system.schema(just.name)
+        except KeyError:
+            return f"{system.name} has no axiom {just.name!r}"
+        if just.subst is not None:
+            if substitute(schema, just.subst) != f:
+                return f"formula is not {just.name} under the given substitution"
+            return None
+        if match_schema(schema, f) is None:
+            return f"formula does not instantiate {just.name}"
+        return None
+    if isinstance(just, MP):
+        antecedent = fetch(just.antecedent)
+        implication = fetch(just.implication)
+        if antecedent is None or implication is None:
+            return "reference to a line that is not strictly earlier"
+        if implication != Implies(antecedent, f):
+            return (
+                f"line {just.implication} is not (line {just.antecedent}) -> (this line)"
+            )
+        return None
+    if isinstance(just, Sub):
+        source = fetch(just.source)
+        if source is None:
+            return "reference to a line that is not strictly earlier"
+        if substitute(source, just.subst) != f:
+            return f"formula is not line {just.source} under the given substitution"
+        return None
+    if isinstance(just, R):
+        source = fetch(just.source)
+        if source is None:
+            return "reference to a line that is not strictly earlier"
+        if not isinstance(source, Implies):
+            return f"line {just.source} is not an implication"
+        expected = Implies(And(Ess(source.left), source.left), Ess(source.right))
+        if f != expected:
+            return f"formula is not the R image of line {just.source}"
+        return None
+    return f"unknown justification {just!r}"
+
+
+def render_justification(just: Justification) -> str:
+    if isinstance(just, Taut):
+        return "taut"
+    if isinstance(just, Premise):
+        return "premise"
+    if isinstance(just, Axiom):
+        return f"axiom {just.name}"
+    if isinstance(just, MP):
+        return f"mp {just.antecedent} {just.implication}"
+    if isinstance(just, Sub):
+        parts = ", ".join(
+            f"{v}:={render(g)}" for v, g in sorted(just.subst.items())
+        )
+        return f"sub {just.source} {parts}"
+    if isinstance(just, R):
+        return f"r {just.source}"
+    raise TypeError(f"unknown justification {just!r}")
+
+
+def _parse_justification(text: str, lineno: int) -> Justification:
+    head, _, rest = text.partition(" ")
+    rest = rest.strip()
+    if head == "taut" and not rest:
+        return Taut()
+    if head == "premise" and not rest:
+        return Premise()
+    if head == "axiom":
+        if not rest or " " in rest:
+            raise DerivationSyntaxError(lineno, "axiom takes exactly one name")
+        return Axiom(rest)
+    if head == "mp":
+        return MP(*_line_numbers(rest, 2, lineno, "mp takes two line numbers"))
+    if head == "r":
+        return R(*_line_numbers(rest, 1, lineno, "r takes one line number"))
+    if head == "sub":
+        num, _, assigns = rest.partition(" ")
+        (source,) = _line_numbers(num, 1, lineno, "sub takes a line number then bindings")
+        subst: dict[str, Formula] = {}
+        for item in assigns.split(","):
+            var, sep, body = item.partition(":=")
+            var = var.strip()
+            if not sep or not var:
+                raise DerivationSyntaxError(lineno, f"bad binding {item.strip()!r}")
+            try:
+                subst[var] = parse(body.strip())
+            except ParseError as e:
+                raise DerivationSyntaxError(lineno, f"bad binding formula: {e}") from e
+        return Sub(source, subst)
+    raise DerivationSyntaxError(lineno, f"unknown justification {text!r}")
+
+
+def _line_numbers(text: str, count: int, lineno: int, message: str) -> list[int]:
+    parts = text.split()
+    if len(parts) != count or not all(re.fullmatch(_NUMBER, p) for p in parts):
+        raise DerivationSyntaxError(lineno, message)
+    return [int(p) for p in parts]
 
 
 def reference_cli_parser() -> argparse.ArgumentParser:

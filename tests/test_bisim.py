@@ -57,6 +57,17 @@ def test_certificate_needs_supporting_pair():
     assert both is True
 
 
+def test_back_violation_when_forth_holds():
+    # The isolated point has no successors, so forth holds; the looping
+    # point's successor (itself, outside Z) has no partner on the left.
+    u = disjoint_union(LOOP.model, ISOLATED.model)
+    out = is_circ_bisimulation(BisimRelation(u, frozenset({("R:t", "L:s")})))
+    assert isinstance(out, BisimViolation)
+    assert out.condition == "back"
+    assert out.pair == ("R:t", "L:s")
+    assert out.world == "L:s"
+
+
 def test_empty_relation_rejected():
     out = is_circ_bisimulation(BisimRelation(LOOP.model, frozenset()))
     assert isinstance(out, BisimViolation)

@@ -471,6 +471,24 @@ def test_unreadable_file_is_input_error(tmp_path, capsys, argv, kind, bad):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sat", "@{file}", "--class", "K"], "o p & ~p"),
+        (["check", "{file}", "s", "o p"], LOOP),
+        (["prove", "K", "{file}"], "1. p -> p   [taut]\n2. o T   [axiom KwTop]\n"),
+    ],
+    ids=["formula", "model", "derivation"],
+)
+def test_utf8_byte_order_mark_is_skipped(tmp_path, capsys, argv, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    outcomes = [run(capsys, *[a.format(file=path) for a in argv]) for path in (plain, marked)]
+    assert outcomes[0][0] == 0
+    assert outcomes[1] == outcomes[0]
+
+
 @pytest.mark.parametrize("just", ["mp ² 1", "r ³", "sub ² p:=q"], ids=["mp", "r", "sub"])
 def test_prove_rejects_non_ascii_line_numbers(tmp_path, capsys, just):
     path = tmp_path / "d.txt"

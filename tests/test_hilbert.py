@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from helpers import mutate_derivation, rand_formula
-from lea.formula import And, Box, Ess, Iff, Implies, Not, Or, Var, parse
+from helpers import (
+    mutate_derivation,
+    oracle_check_derivation,
+    oracle_parse_derivation,
+    oracle_render_derivation,
+    rand_formula,
+)
+from helpers import render_justification as oracle_render_justification
+from lea.formula import And, Box, Ess, Iff, Implies, Not, Or, Var, parse, render, substitute
 from lea.hilbert import (
     EQUI_KW,
     KW_B,
@@ -30,6 +37,7 @@ from lea.hilbert import (
     match_schema,
     parse_derivation,
     render_derivation,
+    render_justification,
     soundness_scan,
 )
 from lea.kripke import FrameClass
@@ -315,3 +323,123 @@ def test_soundness_scan_catches_unsound_pairing():
     model, name = report.failures[0]
     assert name == "KwTr"
     assert not valid_on_frame(model, KW_TR)
+
+
+# ---------------------------------------------------------------------------
+# The table-driven derivation format against the ladder oracle of helpers.
+
+_DIFF_FORMULAS = [
+    parse(t)
+    for t in (
+        "p", "q", "o r", "p -> q", "q -> o q", "p -> p", "p & q -> p",
+        "o p -> o p", "(p -> q) -> ~q -> ~p", "o T", "~p -> o p",
+        "o p & o q -> o (p & q)", "o p & p -> o o p", "[] p -> p",
+        " | ".join(f"x{i}" for i in range(21)) + " | ~x0",
+    )
+]
+_DIFF_BINDINGS = [
+    "p:=q", "p := o r, q:=p & q", "q:=~p", "p", "p:=", ":=q", "p:=q &", "",
+    "p:=q,,", "p:=o (q",
+]
+_AXIOM_NAMES = ["KwTop", "EquiKw", "KwCon", "KwTr", "KwB", "KwEuc", "Foo", "KwTop KwCon", ""]
+_ODD_NUMBERS = ["0", "²", "١", "01", "x", "-1", "1.5", "９"]
+
+
+def _diff_number(rng: random.Random, k: int) -> str:
+    # Mostly an earlier line; sometimes this line, a later one or no number.
+    roll = rng.random()
+    if roll < 0.8 and k > 1:
+        return str(rng.randrange(1, k))
+    if roll < 0.9:
+        return str(rng.choice([k, k + 1, k + 3]))
+    return rng.choice(_ODD_NUMBERS)
+
+
+def _diff_just(rng: random.Random, k: int, formulas: list) -> tuple[str, object]:
+    """A justification text for line k and a formula it would justify."""
+    heads = ["taut", "premise", "axiom", "mp", "sub", "r"]
+    head = rng.choice(heads if rng.random() < 0.9 else ["zap", "MP", "taut x", "premise 1"])
+    guess = rng.choice(_DIFF_FORMULAS)
+    if head == "axiom":
+        name = rng.choice(_AXIOM_NAMES)
+        schema = dict(System.KB5_CIRC.axioms + System.K4_CIRC.axioms).get(name)
+        if schema is not None and rng.random() < 0.6:
+            guess = substitute(schema, {"p": rng.choice(_DIFF_FORMULAS[:4])})
+        return f"axiom {name}", guess
+    if head in ("mp", "r"):
+        count = (1, 2)[head == "mp"]
+        if rng.random() < 0.1:
+            count += rng.choice([-1, 1])
+        nums = [_diff_number(rng, k) for _ in range(count)]
+        cited = [formulas[int(n) - 1] for n in nums if n.isascii() and n.isdigit()
+                 and 0 < int(n) < k]
+        fit = rng.random() < 0.7
+        if fit and head == "mp" and len(cited) == 2 and isinstance(cited[1], Implies):
+            guess = cited[1].right
+        elif fit and head == "r" and cited and isinstance(cited[0], Implies):
+            src = cited[0]
+            guess = Implies(And(Ess(src.left), src.left), Ess(src.right))
+        return " ".join([head, *nums]), guess
+    if head == "sub":
+        num = _diff_number(rng, k)
+        bindings = rng.choice(_DIFF_BINDINGS)
+        if num.isascii() and num.isdigit() and 0 < int(num) < k and rng.random() < 0.6:
+            guess = substitute(formulas[int(num) - 1], {"p": parse("q & r")})
+            bindings = "p:=q & r"
+        return f"sub {num} {bindings}".rstrip(), guess
+    return head, guess
+
+
+def _diff_text(rng: random.Random) -> str:
+    formulas: list = []
+    rows = []
+    for k in range(1, rng.randint(1, 5) + 1):
+        just, f = _diff_just(rng, k, formulas)
+        formulas.append(f)
+        number = str(k) if rng.random() < 0.95 else rng.choice(["0", str(k + 1), "²"])
+        body = render(f) if rng.random() < 0.97 else "o & T"
+        sep = rng.choice(["   ", " ", "\t"])
+        rows.append(f"{number}. {body}{sep}[{just}]" if rng.random() < 0.98 else f"{k} {body}")
+        if rng.random() < 0.05:
+            rows.append(rng.choice(["", "   "]))
+    return "\n".join(rows)
+
+
+def _same_outcome(text: str) -> int:
+    """Compare parser, printer and checker with the oracle on one text;
+    1 when it parsed, 0 when both rejected it with the same message."""
+    try:
+        want = oracle_parse_derivation(text)
+    except DerivationSyntaxError as e:
+        with pytest.raises(DerivationSyntaxError) as got:
+            parse_derivation(text)
+        assert str(got.value) == str(e), text
+        return 0
+    got = parse_derivation(text)
+    assert got == want, text
+    _same_checks(got)
+    return 1
+
+
+def _same_checks(d: Derivation) -> None:
+    assert render_derivation(d) == oracle_render_derivation(d)
+    for system in System:
+        got, want = check_derivation(d, system), oracle_check_derivation(d, system)
+        assert (got.ok, got.first_error) == (want.ok, want.first_error), (system, d)
+
+
+def test_derivation_format_matches_ladder_oracle():
+    rng = random.Random(20261019)
+    parsed = sum(_same_outcome(_diff_text(rng)) for _ in range(20_000))
+    assert 5_000 < parsed < 15_000, parsed
+    for n in range(2, 13):
+        d = gen_conj_derivation(n)
+        for case in (d, mutate_derivation(rng, d)):
+            _same_checks(case)
+            assert _same_outcome(render_derivation(case)) == 1
+    odd = Derivation((Line(1, parse("p"), "premise"),))
+    _same_checks(Derivation(()))
+    assert check_derivation(odd, System.K_CIRC) == oracle_check_derivation(odd, System.K_CIRC)
+    for render_one in (render_justification, oracle_render_justification):
+        with pytest.raises(TypeError, match="unknown justification 'premise'"):
+            render_one("premise")

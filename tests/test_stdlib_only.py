@@ -1,0 +1,38 @@
+"""The library runs on the standard library alone.
+
+pyproject.toml declares no dependencies; this holds every module under
+src/lea to that.
+"""
+
+import ast
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "lea").rglob("*.py"))
+
+
+def _absolute_imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_library_imports_only_the_standard_library():
+    assert MODULES
+    outside = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in MODULES
+        for lineno, name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not outside, outside
+
+
+def test_project_declares_no_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
