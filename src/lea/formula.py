@@ -1,31 +1,31 @@
 """Formula ASTs for the language of essence and accident, plus the box language.
 
-The essence operator is written `o` in concrete syntax.  `A` (accident) and
-`<>` (diamond) are surface sugar and are desugared at parse time: `A f`
-becomes `~o f` and `<> f` becomes `~[] ~f`.  Structural equality on the AST
-is therefore equality up to that desugaring.
+Concrete syntax is stated once, in three tables: `_CONSTANT` (`T`, `F`),
+`_PREFIX` (`~`, `o` for essence, `[]`, and the sugar `A` and `<>`) and
+`_INFIX` (`&`, `|`, `->`, `<->` with their binding levels).  The tokenizer
+with its keywords and identifier rule, the parser, the printer and the node
+sets behind `children` and `rebuild` read them, so a new prefix operator is
+one `_PREFIX` row.  A sugar row is a function: `A f` is parsed as `~o f` and
+`<> f` as `~[] ~f`, so structural equality on the AST is equality up to
+that desugaring, and with sugar on the printer writes back what it builds.
 
-Each connective's shape is stated once, in this module.  `children` and
-`rebuild` are the arity map, which every generic traversal goes through:
-the ones here, schema matching and boolean abstraction in `hilbert`, and
-the compiler of `sweep.Prog`.  Only code that treats one connective
-specially, such as the printer's sugar or the `o` and `[]` cases of the
-translations, reads its fields by name.  `_PREFIX` maps each prefix token
-to the node it builds, and `_INFIX` maps each infix symbol to its node type
-and binding level; the printer reads the same table by node type.  The
-parser is one precedence loop over the two tables: the operands of a run
-of one infix operator hold only operators that bind tighter, and the run
-is folded to the right for -> and <->, to the left for & and |.  Two
-places state each connective's meaning on their own instead.
-`sweep._BOOLEAN` is the truth table of the one evaluator, `sweep.Prog`,
-behind truth on a model and every frame sweep, and `decide._Nnf` rewrites
-each connective into negation normal form.
+`children` and `rebuild` are the arity map, which every generic traversal
+goes through: the ones here, schema matching and boolean abstraction in
+`hilbert`, and the compiler of `sweep.Prog`.  The parser is one precedence
+loop over the tables: the operands of a run of one infix operator hold only
+operators that bind tighter, and the run is folded to the right for -> and
+<->, to the left for & and |.  Each connective's meaning is stated in two
+places of its own: `sweep._BOOLEAN`, the truth table of the one evaluator
+behind truth on a model and every frame sweep, and `decide._Nnf`, which
+rewrites each connective into negation normal form.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Callable, Iterator, Mapping
 
 
@@ -102,11 +102,35 @@ def Dia(f: Formula) -> Formula:
     return Not(Box(Not(f)))
 
 
+# ---------------------------------------------------------------------------
+# Concrete syntax: each token is spelled once, in one of these three tables.
+
+# Constants: token -> node type.
+_CONSTANT = {"T": Top, "F": Bot}
+
+# Prefix operators: token -> node builder.  A node type is a connective of
+# its own; a function is sugar, desugared at parse time (`A` and `<>`).
+_PREFIX = {"~": Not, "o": Ess, "A": Acc, "[]": Box, "<>": Dia}
+
+# Binding strength; higher binds tighter.  <-> sits below -> on a level of
+# its own, | below &, and the prefix operators bind tightest of all.
+_LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY, _LEVEL_ATOM = range(1, 7)
+
+# Infix operators: symbol -> (node type, level).  -> and <-> nest to the
+# right, & and | to the left.
+_INFIX = {"&": (And, _LEVEL_AND), "|": (Or, _LEVEL_OR),
+          "->": (Implies, _LEVEL_IMP), "<->": (Iff, _LEVEL_IFF)}
+
+# The node types with one subformula and with two.
+_UNARY = tuple(build for build in _PREFIX.values() if isinstance(build, type))
+_BINARY = tuple(build for build, _ in _INFIX.values())
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
     """The direct subformulas of f, left to right; () for a leaf."""
-    if isinstance(f, (Not, Ess, Box)):
+    if isinstance(f, _UNARY):
         return (f.sub,)
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if isinstance(f, _BINARY):
         return (f.left, f.right)
     return ()
 
@@ -114,9 +138,9 @@ def children(f: Formula) -> tuple[Formula, ...]:
 def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """f with fn applied to each direct subformula, left to right; a leaf
     comes back unchanged."""
-    if isinstance(f, (Not, Ess, Box)):
+    if isinstance(f, _UNARY):
         return type(f)(fn(f.sub))
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if isinstance(f, _BINARY):
         return type(f)(fn(f.left), fn(f.right))
     return f
 
@@ -152,92 +176,59 @@ def is_ml(f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Operator tables, shared by the parser and the printer
-
-# Prefix operators: token -> node builder.  Acc and Dia desugar `A` and `<>`.
-_PREFIX = {"~": Not, "o": Ess, "A": Acc, "[]": Box, "<>": Dia}
-
-# Binding strength; higher binds tighter.  <-> sits below -> (the grammar
-# treats them as separate levels), | below &, and the prefix operators
-# tightest of all.
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_UNARY = 5
-_LEVEL_ATOM = 6
-
-# Infix operators: symbol -> (node type, level).  -> and <-> nest to the
-# right, & and | to the left.
-_INFIX = {"&": (And, _LEVEL_AND), "|": (Or, _LEVEL_OR),
-          "->": (Implies, _LEVEL_IMP), "<->": (Iff, _LEVEL_IFF)}
-# The printer's view of the same table: node type -> (symbol, level).
-_SYMBOL_LEVEL = {build: (symbol, level) for symbol, (build, level) in _INFIX.items()}
-
-
-# ---------------------------------------------------------------------------
 # Parsing
 
 
 class ParseError(Exception):
-    """Syntax error with the byte offset and the tokens that were expected."""
+    """Syntax error with the character offset and the tokens that were expected."""
 
     def __init__(self, offset: int, expected: tuple[str, ...], found: str):
         self.offset = offset
         self.expected = expected
         self.found = found
-        super().__init__(
-            f"at offset {offset}: expected {' or '.join(expected)}, found {found}"
-        )
+        super().__init__(f"at offset {offset}: expected {' or '.join(expected)}, found {found}")
 
 
-_UNARY_STARTERS = ("~", "o", "A", "[]", "<>", "T", "F", "identifier", "(")
+_UNARY_STARTERS = (*_PREFIX, *_CONSTANT, "identifier", "(")
 
-# Symbol tokens by first character, longest first.
-_SYMBOLS = {c: (c,) for c in "()&|~"} | {"-": ("->",), "<": ("<->", "<>"), "[": ("[]",)}
+# Every token in table order, and the symbols among them longest first (<-> before <>).
+_TOKENS = dict.fromkeys((*_PREFIX, *_CONSTANT, *_INFIX, "(", ")"))
+_SYMBOLS = sorted((t for t in _TOKENS if not t.isalnum()), key=len, reverse=True)
+# Whitespace (\s is str.isspace), then a symbol, else a run of str.isalnum
+# characters (\w less "_"), else any other character.
+_TOKEN = re.compile("(\\s*)(%s|[^\\W_]+|\\S)" % "|".join(map(re.escape, _SYMBOLS)))
+# A longer symbol's first character without the rest: the symbols it starts,
+# and how much text the error shows (- alone, < and [ with the next character).
+_BROKEN = {s[0]: (tuple(t for t in _SYMBOLS if t[0] == s[0]), 1 if s[0] == "-" else 2)
+           for s in _SYMBOLS if len(s) > 1}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) for each token, ending with ("eof", "", len(text)).
-    kind is the symbol itself, T, F, A, o or ident."""
+    """(kind, text, offset) per token, then ("eof", "", len(text)); kind is ident or the token."""
     tokens = []
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            for symbol in _SYMBOLS[c]:
-                if text.startswith(symbol, i):
-                    break
-            else:  # a stray "-" is shown alone, "<" and "[" with what follows
-                raise ParseError(i, _SYMBOLS[c], repr(c if c == "-" else text[i : i + 2]))
-            tokens.append((symbol, symbol, i))
-            i += len(symbol)
-        elif c.isalpha():
-            j = i
-            while j < n and text[j].isalnum():
-                j += 1
-            word = text[i:j]
-            if word in ("T", "F", "A", "o"):
-                tokens.append((word, word, i))
-            elif word[0].islower() and word[0] != "o":
-                tokens.append(("ident", word, i))
-            else:
-                raise ParseError(i, ("identifier",), repr(word))
-            i = j
+    for space, token in _TOKEN.findall(text):
+        i += len(space)
+        if token in _TOKENS:
+            tokens.append((token, token, i))
+        elif token[0].isalpha():  # an identifier: lower-case, and no one-letter keyword first
+            if not token[0].islower() or token[0] in _TOKENS:
+                raise ParseError(i, ("identifier",), repr(token))
+            tokens.append(("ident", token, i))
+        elif token in _BROKEN:
+            expected, shown = _BROKEN[token]
+            raise ParseError(i, expected, repr(text[i : i + shown]))
         else:
-            raise ParseError(i, _UNARY_STARTERS, repr(c))
-    tokens.append(("eof", "", n))
+            raise ParseError(i, _UNARY_STARTERS, repr(token[0]))
+        i += len(token)
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a formula.
 
-    Raises ParseError (carrying a byte offset and the expected tokens) on
+    Raises ParseError (carrying a character offset and the expected tokens) on
     malformed input.
     """
     tokens = _tokenize(text)
@@ -269,12 +260,10 @@ def parse(text: str) -> Formula:
         build = _PREFIX.get(kind)
         if build is not None:
             return build(prefix())
+        if kind in _CONSTANT:
+            return _CONSTANT[kind]()
         if kind == "ident":
             return Var(word)
-        if kind == "T":
-            return Top()
-        if kind == "F":
-            return Bot()
         if kind == "(":
             f = infix(_LEVEL_IFF)
             kind, word, offset = tokens[pos]
@@ -294,6 +283,15 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Rendering
 
+# Infix node type -> (symbol, level); prefix or constant builder -> text, with
+# ~ alone glued to its operand; sugar -> the operand's place in what it builds.
+_SYMBOL_LEVEL = {build: (symbol, level) for symbol, (build, level) in _INFIX.items()}
+_TEXT = {build: token if token == "~" else token + " " for token, build in _PREFIX.items()}
+_TEXT |= {build: token for token, build in _CONSTANT.items()}
+_HOLE = Formula()
+_SUGAR = {build: list(subformulas(build(_HOLE))).index(_HOLE)
+          for build in _PREFIX.values() if build not in _UNARY}
+
 
 def render(f: Formula, sugar: bool = False) -> str:
     """Concrete syntax for f with minimal parentheses.
@@ -306,12 +304,15 @@ def render(f: Formula, sugar: bool = False) -> str:
 
 def _render(f: Formula, min_level: int, sugar: bool) -> str:
     text, level = _render_top(f, sugar)
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+    return "(" + text + ")" if level < min_level else text
 
 
 def _render_top(f: Formula, sugar: bool) -> tuple[str, int]:
+    for build, place in _SUGAR.items() if sugar else ():
+        # f is build(g) for some g only if g is at that place in f, parents first.
+        g = next(islice(subformulas(f), place, None), None)
+        if g is not None and build(g) == f:
+            return _TEXT[build] + _render(g, _LEVEL_UNARY, sugar), _LEVEL_UNARY
     infix = _SYMBOL_LEVEL.get(type(f))
     if infix is not None:
         symbol, level = infix
@@ -320,23 +321,12 @@ def _render_top(f: Formula, sugar: bool) -> tuple[str, int]:
         left_min, right_min = (level + 1, level) if level <= _LEVEL_IMP else (level, level + 1)
         left_text, right_text = _render(left, left_min, sugar), _render(right, right_min, sugar)
         return f"{left_text} {symbol} {right_text}", level
-    if isinstance(f, Var):
-        return f.name, _LEVEL_ATOM
-    if isinstance(f, Top):
-        return "T", _LEVEL_ATOM
-    if isinstance(f, Bot):
-        return "F", _LEVEL_ATOM
-    if isinstance(f, Not):
-        if sugar and isinstance(f.sub, Ess):
-            return "A " + _render(f.sub.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
-        if sugar and isinstance(f.sub, Box) and isinstance(f.sub.sub, Not):
-            return "<> " + _render(f.sub.sub.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
-        return "~" + _render(f.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
-    if isinstance(f, Ess):
-        return "o " + _render(f.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
-    if isinstance(f, Box):
-        return "[] " + _render(f.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, _UNARY):
+        return _TEXT[type(f)] + _render(f.sub, _LEVEL_UNARY, sugar), _LEVEL_UNARY
+    text = f.name if isinstance(f, Var) else _TEXT.get(type(f))
+    if text is None:
+        raise TypeError(f"not a formula: {f!r}")
+    return text, _LEVEL_ATOM
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,8 @@ _COUNTS = ("no line numbers", "one line number", "two line numbers")
 # A line number is ASCII digits: \d and str.isdigit also take "١" and "²".
 _NUMBER = "[0-9]+"
 _LINE_RE = re.compile(rf"^\s*({_NUMBER})\.\s*(.*?)\s*\[([^\]]*)\]\s*$")
+# The first word of a stripped text and the rest, split at any whitespace.
+_WORD = re.compile(r"(\S*)\s*(.*)", re.S)
 
 
 def render_justification(just: Justification) -> str:
@@ -343,18 +345,17 @@ def parse_derivation(text: str) -> Derivation:
 
 
 def _parse_justification(text: str, lineno: int) -> Justification:
-    head, _, rest = text.partition(" ")
-    rest = rest.strip()
+    head, rest = _WORD.match(text).groups()
     kind, fields = _BY_HEAD.get(head, (None, ()))
     if kind is Axiom:
-        if not rest or " " in rest:
+        if len(rest.split()) != 1:
             raise DerivationSyntaxError(lineno, "axiom takes exactly one name")
         return Axiom(rest)
     if kind is Sub:
-        num, _, assigns = rest.partition(" ")
+        num, assigns = _WORD.match(rest).groups()
         (source,) = _line_numbers(num, 1, lineno, "sub takes a line number then bindings")
         subst: dict[str, Formula] = {}
-        for item in assigns.split(","):
+        for item in assigns.split(",") if assigns else ():
             var, sep, body = item.partition(":=")
             var = var.strip()
             if not sep or not var:

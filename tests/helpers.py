@@ -717,7 +717,7 @@ def _parse_justification(text: str, lineno: int) -> Justification:
         num, _, assigns = rest.partition(" ")
         (source,) = _line_numbers(num, 1, lineno, "sub takes a line number then bindings")
         subst: dict[str, Formula] = {}
-        for item in assigns.split(","):
+        for item in assigns.split(",") if assigns else ():
             var, sep, body = item.partition(":=")
             var = var.strip()
             if not sep or not var:
@@ -829,3 +829,100 @@ def reference_cli_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_genproof)
 
     return parser
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax oracle: the tokenizer and the printer as lea.formula wrote
+# them before three tables drove both, each token spelled where it is used.
+# They share no code with those tables; the printer reads the two operands
+# by field name in place of `children`.
+
+_ORACLE_UNARY_STARTERS = ("~", "o", "A", "[]", "<>", "T", "F", "identifier", "(")
+
+# Symbol tokens by first character, longest first.
+_ORACLE_SYMBOLS = {c: (c,) for c in "()&|~"} | {"-": ("->",), "<": ("<->", "<>"), "[": ("[]",)}
+
+_ORACLE_LEVEL_IMP = 2
+_ORACLE_LEVEL_UNARY = 5
+_ORACLE_LEVEL_ATOM = 6
+_ORACLE_SYMBOL_LEVEL = {And: ("&", 4), Or: ("|", 3), Implies: ("->", 2), Iff: ("<->", 1)}
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _ORACLE_SYMBOLS:
+            for symbol in _ORACLE_SYMBOLS[c]:
+                if text.startswith(symbol, i):
+                    break
+            else:  # a stray "-" is shown alone, "<" and "[" with what follows
+                raise ParseError(i, _ORACLE_SYMBOLS[c], repr(c if c == "-" else text[i : i + 2]))
+            tokens.append((symbol, symbol, i))
+            i += len(symbol)
+        elif c.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            word = text[i:j]
+            if word in ("T", "F", "A", "o"):
+                tokens.append((word, word, i))
+            elif word[0].islower() and word[0] != "o":
+                tokens.append(("ident", word, i))
+            else:
+                raise ParseError(i, ("identifier",), repr(word))
+            i = j
+        else:
+            raise ParseError(i, _ORACLE_UNARY_STARTERS, repr(c))
+    tokens.append(("eof", "", n))
+    return tokens
+
+
+def oracle_render(f: Formula, sugar: bool = False) -> str:
+    return _oracle_render(f, 0, sugar)
+
+
+def _oracle_render(f: Formula, min_level: int, sugar: bool) -> str:
+    text, level = _oracle_render_top(f, sugar)
+    if level < min_level:
+        return "(" + text + ")"
+    return text
+
+
+def _oracle_render_top(f: Formula, sugar: bool) -> tuple[str, int]:
+    infix = _ORACLE_SYMBOL_LEVEL.get(type(f))
+    if infix is not None:
+        symbol, level = infix
+        left, right = f.left, f.right
+        # Only the side an operator nests on may hold its level unbracketed.
+        left_min, right_min = (
+            (level + 1, level) if level <= _ORACLE_LEVEL_IMP else (level, level + 1)
+        )
+        left_text = _oracle_render(left, left_min, sugar)
+        right_text = _oracle_render(right, right_min, sugar)
+        return f"{left_text} {symbol} {right_text}", level
+    if isinstance(f, Var):
+        return f.name, _ORACLE_LEVEL_ATOM
+    if isinstance(f, Top):
+        return "T", _ORACLE_LEVEL_ATOM
+    if isinstance(f, Bot):
+        return "F", _ORACLE_LEVEL_ATOM
+    if isinstance(f, Not):
+        if sugar and isinstance(f.sub, Ess):
+            return "A " + _oracle_render(f.sub.sub, _ORACLE_LEVEL_UNARY, sugar), _ORACLE_LEVEL_UNARY
+        if sugar and isinstance(f.sub, Box) and isinstance(f.sub.sub, Not):
+            return (
+                "<> " + _oracle_render(f.sub.sub.sub, _ORACLE_LEVEL_UNARY, sugar),
+                _ORACLE_LEVEL_UNARY,
+            )
+        return "~" + _oracle_render(f.sub, _ORACLE_LEVEL_UNARY, sugar), _ORACLE_LEVEL_UNARY
+    if isinstance(f, Ess):
+        return "o " + _oracle_render(f.sub, _ORACLE_LEVEL_UNARY, sugar), _ORACLE_LEVEL_UNARY
+    if isinstance(f, Box):
+        return "[] " + _oracle_render(f.sub, _ORACLE_LEVEL_UNARY, sugar), _ORACLE_LEVEL_UNARY
+    raise TypeError(f"not a formula: {f!r}")

@@ -1,9 +1,10 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
-from helpers import rand_formula
+from helpers import oracle_render, oracle_tokenize, rand_formula
 from lea import formula as formula_module
 from lea.formula import (
     Acc,
@@ -20,6 +21,7 @@ from lea.formula import (
     ParseError,
     Top,
     Var,
+    _tokenize,
     children,
     is_lea,
     is_ml,
@@ -234,3 +236,71 @@ def test_connective_tables_cover_every_node_type():
             render(bad)
         with pytest.raises(TypeError):
             Prog(bad)
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer and the printer read three token tables; the oracles in
+# helpers spell each token where it is used, as lea.formula once did.
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return ("error", e.offset, e.expected, e.found, str(e))
+
+
+def _same_tokens(text: str) -> bool:
+    """True when text tokenizes; an error must match the oracle's in full."""
+    got = _tokens_or_error(_tokenize, text)
+    assert got == _tokens_or_error(oracle_tokenize, text), ascii(text)
+    return got[0] != "error"
+
+
+# Every token, its broken-off first characters, letters that are not all
+# identifier starts, digits that are not ASCII, combining marks (U+0345 is
+# islower() but not isalpha()), whitespace that is not ASCII, "_" and the
+# Greek omicron.
+_ALPHABET = [
+    "~", "o", "A", "[]", "<>", "T", "F", "&", "|", "->", "<->", "(", ")",
+    "-", "<", "[", "]", ">", "p", "q2", "x", "oa", "To", "\u03bf", "\u00e9", "\u00b2",
+    "\u00bd", "\u0301", "\u0345", "\u00a0", "\u001c", "_", " ", "\t", "\n",
+]
+
+
+def test_tokenizer_matches_oracle_on_random_strings():
+    rng = random.Random(20261020)
+    ok = sum(_same_tokens("".join(rng.choices(_ALPHABET, k=rng.randint(0, 8))))
+             for _ in range(200_000))
+    assert 10_000 < ok < 190_000, ok
+
+
+def test_tokenizer_matches_oracle_on_every_code_point():
+    predicates = (str.isspace, str.isalpha, str.isalnum, str.islower, str.isupper,
+                  str.isdecimal, str.isdigit, str.isnumeric)
+    classes = {}
+    for c in map(chr, range(sys.maxunicode + 1)):
+        _same_tokens(f"a{c}b")
+        classes.setdefault(tuple(pred(c) for pred in predicates), c)
+    assert len(classes) >= 13, classes
+    for c in classes.values():
+        for text in (c, c + "p", "p" + c, c + c):
+            _same_tokens(text)
+
+
+def _sugared_formula(rng: random.Random, depth: int) -> Formula:
+    """A random formula over every node type, with both sugars' shapes common."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([p, q, Top(), Bot()])
+    build = rng.choice([Not, Ess, Box, Acc, Dia, And, Or, Implies, Iff])
+    if build in (And, Or, Implies, Iff):
+        return build(_sugared_formula(rng, depth - 1), _sugared_formula(rng, depth - 1))
+    return build(_sugared_formula(rng, depth - 1))
+
+
+def test_printer_matches_oracle():
+    rng = random.Random(20261021)
+    for _ in range(20_000):
+        f = _sugared_formula(rng, 5)
+        for sugar in (False, True):
+            assert render(f, sugar=sugar) == oracle_render(f, sugar), (f, sugar)

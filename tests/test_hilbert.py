@@ -274,13 +274,33 @@ def test_parse_derivation_errors():
         parse_derivation("1. p   [mp one 2]\n")
     for just, message in (
         ("axiom KwTop KwCon", "axiom takes exactly one name"),
+        ("axiom KwTop\tKwCon", "axiom takes exactly one name"),
         ("r", "r takes one line number"),
         ("sub", "sub takes a line number then bindings"),
         ("sub 1 p", "bad binding 'p'"),
+        ("sub 1 p:=q,", "bad binding ''"),
         ("sub 1 p := q &", "bad binding formula"),
     ):
         with pytest.raises(DerivationSyntaxError, match=f"line 2: {message}"):
             parse_derivation(f"1. p -> p   [taut]\n2. p   [{just}]\n")
+
+
+@pytest.mark.parametrize("just", ["mp\t1 3", "sub\t1 p:=q", "sub 1\tp:=q", "axiom\tKwTop"],
+                         ids=["mp-head", "sub-head", "sub-number", "axiom-head"])
+def test_justification_words_split_on_any_whitespace(just):
+    def parsed(text: str):
+        return parse_derivation(f"1. p   [{text}]").lines[0].just
+
+    assert parsed(just) == parsed(just.replace("\t", " "))
+
+
+def test_sub_without_bindings_round_trips():
+    p = Var("p")
+    d = Derivation((Line(1, Implies(p, p), Taut()), Line(2, Implies(p, p), Sub(1, {}))))
+    text = render_derivation(d)
+    assert text.endswith("[sub 1 ]")
+    assert parse_derivation(text) == d
+    assert check_derivation(d, System.K_CIRC).ok
 
 
 @pytest.mark.parametrize(
