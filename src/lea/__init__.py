@@ -3,8 +3,8 @@
 The concrete syntax writes the essence operator as `o`, accident as `A`,
 box as `[]` and diamond as `<>`.  See formula for parsing, kripke for
 models, semantics for truth and definability, bisim for the matching notion
-of bisimulation, hilbert for proof checking, and decide for satisfiability
-and validity procedures.
+of bisimulation and bounded equivalence, hilbert for proof checking, and
+decide for satisfiability and validity procedures.
 """
 
 from .formula import (
@@ -49,10 +49,8 @@ from .kripke import (
 )
 from .semantics import (
     DefinabilityVerdict,
-    bounded_equivalent,
     check_definability,
     extension,
-    layered_formulas,
     satisfies,
     valid_on_frame,
 )
@@ -60,6 +58,7 @@ from .bisim import (
     BisimRelation,
     BisimViolation,
     Contraction,
+    bounded_equivalent,
     box_bisimilar,
     circ_bisimilar,
     contract,

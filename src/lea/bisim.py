@@ -1,4 +1,4 @@
-"""Bisimulations matched to the essence operator, and model contraction.
+"""Essence-style bisimulations, model contraction and bounded equivalence.
 
 The forth/back conditions here are weaker than the usual box ones: a
 successor t of s only needs a matching successor of s' when the pair (s, t)
@@ -6,17 +6,29 @@ is NOT itself in the relation.  Box-bisimilar worlds are always bisimilar
 in this sense; the converse fails (a reflexive p-world and an isolated
 p-world are related by {(s, t)} even though [] F tells them apart).
 
-One partition-refinement engine, _blocks, serves both flavours.  For the
-essence flavour it exempts each world's own block, as the "(s, t) not in Z"
-clause does; its partition is then the largest bisimulation (proof at
-largest_circ_bisimulation), from which contract reads its classes.
+One partition-refinement engine, _rounds, serves every question here.  The
+essence flavour exempts each world's own block, as the "(s, t) not in Z"
+clause does; its final partition is the largest bisimulation (proof at
+largest_circ_bisimulation).
+
+Round r is depth r: worlds share a block after r rounds exactly when they
+agree on every essence formula of modal depth <= r over the model's
+variables (box formulas without the exemption).  By induction, g of depth
+r - 1 holds on a union of round-(r - 1) blocks, so o g at x depends only on
+x's block and the blocks of x's successors outside it: x's round-r block.
+Conversely, each round-r block X has a formula chi_X true exactly on X:
+its literals at round 0; then chi of its round-(r - 1) block, ~o ~chi_C
+("has a successor in C") for each C in its key and o ~chi_C for the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cache
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
+from .formula import And, Ess, Formula, Not, Var
 from .kripke import Model, PointedModel, disjoint_union
 
 
@@ -121,14 +133,11 @@ def _pair_violation(idx, zrow, zcol, i: int, j: int) -> tuple[str, int | None] |
     return None
 
 
-def _blocks(m: Model, exempt: bool) -> list[int]:
-    """Block of each world in the coarsest partition that refines the
-    valuation signatures and gives the worlds of a block one key: the set
-    of their successors' blocks, less their own block when exempt.
-
-    Each round re-keys every world until the number of blocks stops
-    growing.  Blocks are numbered in the order of their first world.
-    """
+def _rounds(m: Model, exempt: bool) -> Iterator[list[int]]:
+    """Block of each world after each round: the valuation signatures at
+    round 0, then each round keys a world by its block and its successors'
+    blocks, less its own when exempt, until the number of blocks stops
+    growing.  Blocks are numbered in the order of their first world."""
     idx = m.index
     succs: list[list[int]] = [[] for _ in range(idx.n)]
     for i, j in idx.edges:
@@ -136,6 +145,7 @@ def _blocks(m: Model, exempt: bool) -> list[int]:
     ids: dict[object, int] = {}
     block = [ids.setdefault(sig, len(ids)) for sig in idx.sig]
     while True:
+        yield block
         count, ids = len(ids), {}
         keyed = []
         for b, out in zip(block, succs):
@@ -144,8 +154,15 @@ def _blocks(m: Model, exempt: bool) -> list[int]:
                 seen.discard(b)
             keyed.append(ids.setdefault((b, frozenset(seen)), len(ids)))
         if len(ids) == count:
-            return keyed
+            return
         block = keyed
+
+
+def _blocks(m: Model, exempt: bool) -> list[int]:
+    """The last partition of _rounds."""
+    for block in _rounds(m, exempt):
+        pass
+    return block
 
 
 def _classes(m: Model) -> list[list[str]]:
@@ -193,6 +210,54 @@ def box_bisimilar(a: PointedModel, b: PointedModel) -> bool:
     """Ordinary modal bisimilarity of the two points: the same refinement
     without the exemption."""
     return _same_block(a, b, exempt=False)
+
+
+def bounded_equivalent(
+    a: PointedModel, b: PointedModel, names: Sequence[str], depth: int
+) -> bool | Formula:
+    """Do a and b agree on every essence formula over names up to depth?
+
+    True when they share a block after depth rounds of the essence
+    refinement of their union, its valuation cut down to names.  Otherwise a
+    separator over names, true at a, false at b and as deep as the first
+    round that splits them, so none is shallower (Cleaveland, CAV 1990): a
+    literal at round 0, and at round r, ~o ~g where x has a successor t in a
+    round-(r - 1) block that no successor of y reaches and g conjoins the
+    separators of t from x and from each successor of y.
+    """
+    union = disjoint_union(a.model, b.model)
+    union = Model(union.worlds, union.rel, {p: union.val[p] for p in names if p in union.val})
+    idx = union.index
+    rounds = list(islice(_rounds(union, exempt=True), depth + 1))
+    x, y = idx.pos["L:" + a.point], idx.pos["R:" + b.point]
+    if rounds[-1][x] == rounds[-1][y]:
+        return True
+    succs: list[list[int]] = [[] for _ in range(idx.n)]
+    for i, j in idx.edges:
+        succs[i].append(j)
+
+    @cache
+    def separator(x: int, y: int) -> Formula:
+        r = next(r for r, block in enumerate(rounds) if block[x] != block[y])
+        if r == 0:
+            p = next(p for p, bits in idx.val_bits.items() if (bits >> x ^ bits >> y) & 1)
+            return Var(p) if idx.val_bits[p] >> x & 1 else Not(Var(p))
+        block = rounds[r - 1]
+        reached = {block[t] for t in succs[y]}
+        t = next((t for t in succs[x] if block[t] != block[x] and block[t] not in reached), None)
+        if t is None:
+            return _negate(separator(y, x))
+        # One w per round-(r - 1) block: a block agrees on shallower formulas.
+        g = [separator(t, w) for w in {block[w]: w for w in (x, *succs[y])}.values()]
+        while len(g) > 1:  # balanced: g nests log2 len(g) deep
+            g = [And(*g[i : i + 2]) if i + 1 < len(g) else g[i] for i in range(0, len(g), 2)]
+        return Not(Ess(_negate(g[0])))
+
+    return separator(x, y)
+
+
+def _negate(f: Formula) -> Formula:
+    return f.sub if isinstance(f, Not) else Not(f)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ name, a --max-n outside 1 to sweep.MAX_N).  A limit prints `unknown:
 tautology check past its atom limit, a frame sweep past its valuation
 limit, or a formula nested too deeply for the recursion limit.  The
 tableau's expansion budget is the exception: it still exits 2 with an
-error.  --json swaps the human line for a machine-readable object.
+error.  Exit 3, with `internal error: <reason>` and no verdict, is an
+answer that failed its own check.  --json swaps the human line for JSON.
 
 The command line is `lea COMMAND ARG...` with flags anywhere, read by the
 table `_COMMANDS`: --json and --max-n before or after the command, its own
@@ -458,6 +459,9 @@ def main(argv=None) -> int:
     except (_InputError, decide.DecideError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except decide.SelfCheckError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except RecursionError:
         reason = "formula nests too deeply for the recursion limit"
         code, payload, human = 1, {"answer": None, "reason": reason}, f"unknown: {reason}"

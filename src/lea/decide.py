@@ -20,8 +20,8 @@ trail of its writes, and jumps over choice points that a clash does not
 depend on.  It stores at most 50,000 formulas per question; past that it
 raises DecideError.
 
-Every witness produced here is replayed through the model checker before
-being returned; a witness that fails replay raises instead of lying.
+Every witness is replayed through the model checker before being
+returned; one that fails replay raises SelfCheckError instead of lying.
 """
 
 from __future__ import annotations
@@ -60,7 +60,11 @@ DEFAULT_BOUND = 3
 
 
 class DecideError(Exception):
-    """Internal failure: budget exhausted or a witness failed replay."""
+    """The tableau's expansion budget is exhausted."""
+
+
+class SelfCheckError(Exception):
+    """Internal fault: a witness is outside its class or failed replay."""
 
 
 @dataclass(frozen=True)
@@ -561,9 +565,9 @@ def valid(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verdict:
 def _replay(hit: tuple[Model, str], f: Formula, cls: FrameClass) -> None:
     model, world = hit
     if not in_class(model, cls):
-        raise DecideError(f"witness frame is not in {cls.name}")
+        raise SelfCheckError(f"witness frame is not in {cls.name}")
     if not satisfies(model, world, f):
-        raise DecideError("witness failed replay")
+        raise SelfCheckError("witness failed replay")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Truth at worlds, frame validity, definability checks, bounded equivalence.
+"""Truth at worlds, frame validity and definability checks.
 
 Both modal operators are interpreted here: [] f holds at s when f holds at
 every successor, and o f holds at s when f-at-s forces f at every successor
@@ -13,16 +13,8 @@ from functools import partial
 from typing import Sequence
 
 from . import sweep
-from .formula import And, Box, Ess, Formula, Not, Top, Var
-from .kripke import (
-    FrameClass,
-    FrameProperty,
-    Model,
-    ModelIndex,
-    PointedModel,
-    disjoint_union,
-    frame_worlds,
-)
+from .formula import Formula
+from .kripke import FrameClass, FrameProperty, Model, ModelIndex, frame_worlds
 
 
 def _modal_bits(n: int, succ: Sequence[int], sub: int, ess: bool) -> int:
@@ -52,10 +44,7 @@ def _bits(idx: ModelIndex, f: Formula) -> int:
 
 def extension(m: Model, f: Formula) -> frozenset[str]:
     """The set of worlds of m where f holds."""
-    return _world_set(m, _bits(m.index, f))
-
-
-def _world_set(m: Model, bits: int) -> frozenset[str]:
+    bits = _bits(m.index, f)
     return frozenset(w for i, w in enumerate(m.worlds) if (bits >> i) & 1)
 
 
@@ -141,104 +130,3 @@ def check_definability(
         direction = "property-but-invalid" if holds[j] else "valid-but-no-property"
         return DefinabilityVerdict(prop, f, max_n, False, witness, direction)
     return DefinabilityVerdict(prop, f, max_n, True)
-
-
-# ---------------------------------------------------------------------------
-# Layered formula enumeration and bounded equivalence
-
-
-def _boolean_close(reps: dict[int, Formula], full: int, closed: int = 0) -> None:
-    """Grow reps to the closure of its bitmaps under complement and meet.
-
-    The first `closed` entries are closed already: their complements and
-    pairwise meets are in reps.  Each round checks only the pairs with a
-    newer member, which adds exactly what checking every pair would add,
-    in the same order.
-    """
-    while True:
-        grew = False
-        for bm, f in list(reps.items())[closed:]:
-            nb = full ^ bm
-            if nb not in reps:
-                reps[nb] = Not(f)
-                grew = True
-        items = list(reps.items())
-        fresh = items[closed:]
-        for i, (b1, f1) in enumerate(items):
-            for b2, f2 in fresh if i < closed else items[i + 1 :]:
-                meet = b1 & b2
-                if meet not in reps:
-                    reps[meet] = And(f1, f2)
-                    grew = True
-        if not grew:
-            return
-        closed = len(items)
-
-
-_MODAL_OPS = {"ess": (True, Ess), "box": (False, Box)}
-
-
-def _layered_reps(
-    n: int,
-    succ: Sequence[int],
-    var_bits: list[tuple[str, int]],
-    depth: int,
-    modal: str = "ess",
-) -> dict[int, Formula]:
-    """Representatives of every formula over the given variables up to the
-    given modal depth, deduplicated by extension bitmap on this model."""
-    ess, wrap = _MODAL_OPS[modal]
-    full = (1 << n) - 1
-    reps: dict[int, Formula] = {full: Top()}
-    for name, bits in var_bits:
-        reps.setdefault(bits, Var(name))
-    _boolean_close(reps, full)
-    # Entries before `stepped` took their modal step in an earlier layer.
-    stepped = 0
-    for _ in range(depth):
-        items = list(reps.items())
-        for bm, f in items[stepped:]:
-            eb = _modal_bits(n, succ, bm, ess)
-            if eb not in reps:
-                reps[eb] = wrap(f)
-        stepped = len(items)
-        _boolean_close(reps, full, stepped)
-    return reps
-
-
-def layered_formulas(
-    m: Model, names: Sequence[str], depth: int, modal: str = "ess"
-) -> list[tuple[Formula, frozenset[str]]]:
-    """One formula per distinct extension on m, up to the given modal depth,
-    each paired with its extension.
-
-    Every formula over names with modal depth <= depth in the chosen
-    language ("ess" or "box") has the same extension on m as exactly one
-    formula in the result.
-    """
-    idx = m.index
-    var_bits = [(name, idx.val_bits.get(name, 0)) for name in names]
-    reps = _layered_reps(idx.n, idx.succ, var_bits, depth, modal)
-    return [(f, _world_set(m, bits)) for bits, f in reps.items()]
-
-
-def bounded_equivalent(
-    a: PointedModel, b: PointedModel, names: Sequence[str], depth: int
-) -> bool | Formula:
-    """Do a and b agree on every essence formula over names up to depth?
-
-    Returns True on agreement, otherwise a distinguishing formula that is
-    true at a's point and false at b's.
-    """
-    union = disjoint_union(a.model, b.model)
-    idx = union.index
-    pa = idx.pos["L:" + a.point]
-    pb = idx.pos["R:" + b.point]
-    var_bits = [(name, idx.val_bits.get(name, 0)) for name in names]
-    reps = _layered_reps(idx.n, idx.succ, var_bits, depth)
-    for bm, f in reps.items():
-        at_a = (bm >> pa) & 1
-        at_b = (bm >> pb) & 1
-        if at_a != at_b:
-            return f if at_a else Not(f)
-    return True

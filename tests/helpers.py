@@ -63,7 +63,15 @@ from lea.hilbert import (
     is_tautology,
     match_schema,
 )
-from lea.kripke import FrameClass, FrameProperty, Model, PointedModel, enumerate_frames
+from lea.kripke import (
+    FrameClass,
+    FrameProperty,
+    Model,
+    PointedModel,
+    disjoint_union,
+    enumerate_frames,
+)
+from lea.semantics import _modal_bits
 from lea.sweep import MAX_N
 
 
@@ -539,6 +547,103 @@ def bitparallel_union_oracle(m: Model) -> frozenset:
         if passing & member[pair]:
             union.add(pair)
     return frozenset(union)
+
+
+# ---------------------------------------------------------------------------
+# Layered formula enumeration: every formula up to a modal depth, closed
+# under the Boolean connectives and deduplicated by extension.  It is the
+# depth-bounded oracle for the refinement rounds of lea.bisim.  Its modal
+# step is the library's _modal_bits, which test_satisfies_matches_recursion
+# checks against plain recursion.
+
+
+def _boolean_close(reps: dict[int, Formula], full: int, closed: int = 0) -> None:
+    """Grow reps to the closure of its bitmaps under complement and meet.
+
+    The first `closed` entries are closed already: their complements and
+    pairwise meets are in reps.  Each round checks only the pairs with a
+    newer member, which adds exactly what checking every pair would add,
+    in the same order.
+    """
+    while True:
+        grew = False
+        for bm, f in list(reps.items())[closed:]:
+            nb = full ^ bm
+            if nb not in reps:
+                reps[nb] = Not(f)
+                grew = True
+        items = list(reps.items())
+        fresh = items[closed:]
+        for i, (b1, f1) in enumerate(items):
+            for b2, f2 in fresh if i < closed else items[i + 1 :]:
+                meet = b1 & b2
+                if meet not in reps:
+                    reps[meet] = And(f1, f2)
+                    grew = True
+        if not grew:
+            return
+        closed = len(items)
+
+
+_MODAL_OPS = {"ess": (True, Ess), "box": (False, Box)}
+
+
+def _layered_reps(
+    n: int,
+    succ: Sequence[int],
+    var_bits: list[tuple[str, int]],
+    depth: int,
+    modal: str = "ess",
+) -> dict[int, Formula]:
+    """Representatives of every formula over the given variables up to the
+    given modal depth, deduplicated by extension bitmap on this model."""
+    ess, wrap = _MODAL_OPS[modal]
+    full = (1 << n) - 1
+    reps: dict[int, Formula] = {full: Top()}
+    for name, bits in var_bits:
+        reps.setdefault(bits, Var(name))
+    _boolean_close(reps, full)
+    # Entries before `stepped` took their modal step in an earlier layer.
+    stepped = 0
+    for _ in range(depth):
+        items = list(reps.items())
+        for bm, f in items[stepped:]:
+            eb = _modal_bits(n, succ, bm, ess)
+            if eb not in reps:
+                reps[eb] = wrap(f)
+        stepped = len(items)
+        _boolean_close(reps, full, stepped)
+    return reps
+
+
+def layered_formulas(
+    m: Model, names: Sequence[str], depth: int, modal: str = "ess"
+) -> list[tuple[Formula, frozenset[str]]]:
+    """One formula per distinct extension on m, up to the given modal depth,
+    each paired with its extension.
+
+    Every formula over names with modal depth <= depth in the chosen
+    language ("ess" or "box") has the same extension on m as exactly one
+    formula in the result.
+    """
+    idx = m.index
+    var_bits = [(name, idx.val_bits.get(name, 0)) for name in names]
+    reps = _layered_reps(idx.n, idx.succ, var_bits, depth, modal)
+    return [(f, frozenset(w for i, w in enumerate(m.worlds) if (bits >> i) & 1))
+            for bits, f in reps.items()]
+
+
+def layered_bounded_equivalent(
+    a: PointedModel, b: PointedModel, names: Sequence[str], depth: int
+) -> bool | Formula:
+    """bounded_equivalent by enumeration: True, or the first enumerated
+    formula that separates the points, oriented to hold at a's point."""
+    union = disjoint_union(a.model, b.model)
+    la, rb = "L:" + a.point, "R:" + b.point
+    for f, ext in layered_formulas(union, names, depth):
+        if (la in ext) != (rb in ext):
+            return f if la in ext else Not(f)
+    return True
 
 
 # ---------------------------------------------------------------------------

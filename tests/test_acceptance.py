@@ -13,6 +13,7 @@ from helpers import (
     bitparallel_union_oracle,
     enumerate_valuations,
     inv_pairs,
+    layered_formulas,
     mutate_derivation,
     naive_satisfies,
     rand_formula,
@@ -21,6 +22,7 @@ from helpers import (
 )
 from lea import sweep
 from lea.bisim import (
+    bounded_equivalent,
     box_bisimilar,
     circ_bisimilar,
     contract,
@@ -48,13 +50,7 @@ from lea.kripke import (
     has_property,
     in_class,
 )
-from lea.semantics import (
-    bounded_equivalent,
-    check_definability,
-    extension,
-    layered_formulas,
-    satisfies,
-)
+from lea.semantics import check_definability, extension, satisfies
 
 SEED = 20260825
 

@@ -5,6 +5,8 @@ import pytest
 from helpers import (
     bitparallel_union_oracle,
     enumerate_valuations,
+    layered_bounded_equivalent,
+    layered_formulas,
     naive_satisfies,
     pair_fixpoint_oracle,
     rand_formula,
@@ -16,6 +18,8 @@ from helpers import (
 from lea.bisim import (
     BisimRelation,
     BisimViolation,
+    _rounds,
+    bounded_equivalent,
     box_bisimilar,
     circ_bisimilar,
     contract,
@@ -24,7 +28,7 @@ from lea.bisim import (
     pairs_from_obj,
     pairs_to_obj,
 )
-from lea.formula import parse
+from lea.formula import modal_depth, parse, render, variables
 from lea.kripke import (
     FrameClass,
     Model,
@@ -331,3 +335,63 @@ def test_pairs_json_roundtrip():
         pairs_from_obj({"pairs": [], "extra": 1})
     with pytest.raises(ValueError):
         pairs_from_obj({"pairs": [["s", "zz", "q"]]})
+
+
+def _same_partition(xs, ys) -> bool:
+    return len(set(zip(xs, ys))) == len(set(xs)) == len(set(ys))
+
+
+def test_round_r_is_depth_r():
+    # Worlds share a block after d rounds exactly when they agree on every
+    # formula over p of modal depth <= d: essence formulas with the
+    # exemption, box formulas without it.
+    rng = random.Random(5)
+    for _ in range(1000):
+        m = rand_model(rng, 7, names=("p",))
+        for exempt, modal in ((True, "ess"), (False, "box")):
+            rounds = list(_rounds(m, exempt))
+            for d in range(6):
+                exts = [ext for _, ext in layered_formulas(m, ("p",), d, modal)]
+                agree = [tuple(w in ext for ext in exts) for w in m.worlds]
+                assert _same_partition(rounds[min(d, len(rounds) - 1)], agree), (m, modal, d)
+
+
+def test_bounded_equivalent_matches_layered_oracle():
+    # The separator holds at a and fails at b, is over the given names
+    # only, and has the least depth: one round less answers True.
+    rng = random.Random(6)
+    for _ in range(3000):
+        a, b = rand_pointed(rng, 4), rand_pointed(rng, 4)
+        for d in range(5):
+            sep = bounded_equivalent(a, b, ("p",), d)
+            assert (sep is True) == (layered_bounded_equivalent(a, b, ("p",), d) is True), (a, b, d)
+            if sep is True:
+                continue
+            assert naive_satisfies(a.model, a.point, sep), (a, b, sep)
+            assert not naive_satisfies(b.model, b.point, sep), (a, b, sep)
+            assert variables(sep) <= {"p"} and "~~" not in render(sep)
+            k = modal_depth(sep)
+            assert k <= d and (k == 0 or bounded_equivalent(a, b, ("p",), k - 1) is True)
+
+
+def test_bounded_equivalent_ignores_other_variables():
+    a = PointedModel(Model.make(("s",), [], {"p": ["s"], "q": ["s"]}), "s")
+    b = PointedModel(Model.make(("s",), [], {"p": ["s"]}), "s")
+    assert bounded_equivalent(a, b, ("p",), 3) is True
+    assert bounded_equivalent(a, b, ("p", "q"), 0) == parse("q")
+
+
+def test_bounded_equivalent_separates_long_chains():
+    # c0 and d0 first split at round 50.  The separator shares its parts,
+    # keeps its conjunctions balanced and never stacks ~~, so it stays small
+    # and shallow enough for satisfies.
+    def chain(prefix, n):
+        ws = [f"{prefix}{i}" for i in range(n)]
+        return Model.make(ws, zip(ws, ws[1:]), {"p": ws[::2]})
+
+    c, d = chain("c", 50), chain("d", 52)
+    sep = bounded_equivalent(PointedModel(c, "c0"), PointedModel(d, "d0"), ("p",), 60)
+    assert modal_depth(sep) == 50
+    assert satisfies(c, "c0", sep) and not satisfies(d, "d0", sep)
+    assert "~~" not in render(sep)
+    assert bounded_equivalent(PointedModel(c, "c0"), PointedModel(d, "d2"), ("p",), 60) is True

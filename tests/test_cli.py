@@ -513,6 +513,15 @@ def test_refuted_valid_frame_sweeps_once(models, capsys, monkeypatch):
     assert runs == [1]
 
 
+def test_failed_replay_is_an_internal_error(capsys, monkeypatch):
+    # A witness that fails its own replay is a fault of lea, not of the
+    # input: exit 3, no verdict.
+    monkeypatch.setattr(lea.decide, "satisfies", lambda m, w, f: False)
+    code, out, err = run(capsys, "sat", "p", "--class", "K")
+    assert (code, out) == (3, "")
+    assert err == "internal error: witness failed replay\n"
+
+
 def test_affirmative_circ_bisim_refines_once(models, capsys, monkeypatch):
     calls = []
     real = lea.bisim._blocks

@@ -4,12 +4,14 @@ import pytest
 
 from helpers import (
     enumerate_valuations,
+    layered_formulas,
     naive_satisfies,
     rand_formula,
     rand_model,
     rand_pointed,
     rand_sparse_model,
 )
+from lea.bisim import bounded_equivalent
 from lea.formula import Formula, Not, Var, modal_depth, parse, variables
 from lea.kripke import (
     FrameProperty,
@@ -18,11 +20,9 @@ from lea.kripke import (
     has_property,
 )
 from lea.semantics import (
-    bounded_equivalent,
     check_definability,
     extension,
     frame_countermodel,
-    layered_formulas,
     satisfies,
     valid_on_frame,
 )
