@@ -223,8 +223,11 @@ def bounded_equivalent(
     round that splits them, so none is shallower (Cleaveland, CAV 1990): a
     literal at round 0, and at round r, ~o ~g where x has a successor t in a
     round-(r - 1) block that no successor of y reaches and g conjoins the
-    separators of t from x and from each successor of y.
+    separators of t from x and from each successor of y.  depth must be at
+    least 0 (ValueError).
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, not {depth}")
     union = disjoint_union(a.model, b.model)
     union = Model(union.worlds, union.rel, {p: union.val[p] for p in names if p in union.val})
     idx = union.index

@@ -1,17 +1,19 @@
 """Command line front end.
 
 One operation per invocation, verdict on stdout, no state between runs.
-Exit codes: 0 for an affirmative verdict (true, valid, sat, bisimilar,
-accepted, confirmed, clean scan), 1 for a negative one or a stated limit,
-2 for unusable input (a malformed command line, which also prints a usage
-line; an unreadable or non-UTF-8 file, bad syntax or content, an unknown
-name, a --max-n outside 1 to sweep.MAX_N).  A limit prints `unknown:
-<reason>` (JSON "answer": null): a bounded search that found no model, a
-tautology check past its atom limit, a frame sweep past its valuation
-limit, or a formula nested too deeply for the recursion limit.  The
-tableau's expansion budget is the exception: it still exits 2 with an
-error.  Exit 3, with `internal error: <reason>` and no verdict, is an
-answer that failed its own check.  --json swaps the human line for JSON.
+Each command returns its JSON object and its text line; --json prints the
+object instead of the line.  One rule reads the exit code off the object's
+"answer": 0 when it is true (valid, sat, bisimilar, accepted, confirmed,
+clean scan) or absent (contract, translate, genproof), 1 when it is false
+or null.  A null answer is a stated limit, and its line is `unknown:
+<reason>`: a bounded search that found no model, a tautology check past its
+atom limit, a frame sweep past its valuation limit, or a formula nested too
+deeply for the recursion limit.  Exit 2 is unusable input (a malformed
+command line, which also prints a usage line; an unreadable or non-UTF-8
+file, bad syntax or content, an unknown name, a --max-n outside 1 to
+sweep.MAX_N); the tableau's expansion budget also exits 2, with an error.
+Exit 3, with `internal error: <reason>` and no verdict, is an answer that
+failed its own check.
 
 The command line is `lea COMMAND ARG...` with flags anywhere, read by the
 table `_COMMANDS`: --json and --max-n before or after the command, its own
@@ -99,8 +101,7 @@ def _read_model(path: str) -> tuple[Model, str | None]:
 _NAMED = {
     "frame class": (str.upper, {c.name: c for c in FrameClass}),
     "property": (str.lower, {p.value: p for p in FrameProperty}),
-    "system": (str.upper, {"K": System.K_CIRC, "K4": System.K4_CIRC,
-                           "KB": System.KB_CIRC, "KB5": System.KB5_CIRC}),
+    "system": (str.upper, {s.name.removesuffix("_CIRC"): s for s in System}),
 }
 
 
@@ -122,10 +123,11 @@ def _witness_obj(witness: tuple[Model, str] | None):
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each returns (exit code, json payload, human text).
+# Commands.  Each returns (json payload, text line); main reads the exit code
+# off the payload's "answer" and puts `unknown: ` before the line of a null one.
 
 
-def _cmd_check(ns) -> tuple[int, dict, str]:
+def _cmd_check(ns) -> tuple[dict, str]:
     model, file_point = _read_model(ns.model)
     world = ns.world if ns.world is not None else file_point
     if world is None:
@@ -137,43 +139,40 @@ def _cmd_check(ns) -> tuple[int, dict, str]:
         raise _InputError(str(e)) from e
     text = render(f)
     payload = {"answer": answer, "formula": text, "world": world}
-    human = f"{'true' if answer else 'false'}: {text} at {world}"
-    return (0 if answer else 1), payload, human
+    return payload, f"{'true' if answer else 'false'}: {text} at {world}"
 
 
-def _cmd_valid(ns) -> tuple[int, dict, str]:
+def _cmd_valid(ns) -> tuple[dict, str]:
     f = _read_formula(ns.formula)
     if ns.frame is not None:
         model, _ = _read_model(ns.frame)
         try:
             witness = frame_countermodel(model, f)
         except ValuationLimitError as e:
-            payload = {"answer": None, "method": "frame-sweep", "reason": str(e)}
-            return 1, payload, f"unknown: {e}"
+            return {"answer": None, "method": "frame-sweep", "reason": str(e)}, str(e)
         answer = witness is None
         payload = {"answer": answer, "method": "frame-sweep", "witness": _witness_obj(witness)}
-        human = "valid on frame" if answer else "not valid on frame"
-        return (0 if answer else 1), payload, human
+        return payload, "valid on frame" if answer else "not valid on frame"
     cls = _named("frame class", ns.frame_class)
     return _verdict_reply(decide.valid(f, cls, ns.max_n))
 
 
-def _cmd_sat(ns) -> tuple[int, dict, str]:
+def _cmd_sat(ns) -> tuple[dict, str]:
     f = _read_formula(ns.formula)
     cls = _named("frame class", ns.frame_class)
     return _verdict_reply(decide.satisfiable(f, cls, ns.max_n))
 
 
-# Human lines per question: (unknown, affirmative, negative).
+# Text lines per question: (unknown, affirmative, negative).
 _VERDICT_LINES = {
-    "sat": ("unknown: no model with up to {} worlds",
+    "sat": ("no model with up to {} worlds",
             "satisfiable in {}", "unsatisfiable in {}"),
-    "valid": ("unknown: no countermodel with up to {} worlds",
+    "valid": ("no countermodel with up to {} worlds",
               "valid in {}", "not valid in {} (countermodel found)"),
 }
 
 
-def _verdict_reply(verdict: decide.Verdict) -> tuple[int, dict, str]:
+def _verdict_reply(verdict: decide.Verdict) -> tuple[dict, str]:
     payload = {
         "answer": verdict.answer,
         "method": verdict.method,
@@ -184,13 +183,11 @@ def _verdict_reply(verdict: decide.Verdict) -> tuple[int, dict, str]:
         payload["bound"] = verdict.bound
     unknown, yes, no = _VERDICT_LINES[verdict.question]
     if verdict.answer is None:
-        human = unknown.format(verdict.bound)
-    else:
-        human = (yes if verdict.answer else no).format(verdict.frame_class.name)
-    return (0 if verdict.answer else 1), payload, human
+        return payload, unknown.format(verdict.bound)
+    return payload, (yes if verdict.answer else no).format(verdict.frame_class.name)
 
 
-def _cmd_bisim(ns) -> tuple[int, dict, str]:
+def _cmd_bisim(ns) -> tuple[dict, str]:
     model_a, _ = _read_model(ns.model_a)
     model_b, _ = _read_model(ns.model_b)
     try:
@@ -207,31 +204,28 @@ def _cmd_bisim(ns) -> tuple[int, dict, str]:
     payload = {"answer": answer, "flavor": flavor}
     if answer and not ns.box:
         payload["certificate"] = pairs_to_obj(z)
-    human = f"{'' if answer else 'not '}{flavor}-bisimilar"
-    return (0 if answer else 1), payload, human
+    return payload, f"{'' if answer else 'not '}{flavor}-bisimilar"
 
 
-def _cmd_contract(ns) -> tuple[int, dict, str]:
+def _cmd_contract(ns) -> tuple[dict, str]:
     model, point = _read_model(ns.model)
     result = contract(model)
     obj = model_to_obj(result.model, result.class_of[point] if point is not None else None)
     obj["classes"] = {w: result.class_of[w] for w in model.worlds}
-    human = json.dumps(obj, sort_keys=True)
-    return 0, obj, human
+    return obj, json.dumps(obj, sort_keys=True)
 
 
-def _cmd_translate(ns) -> tuple[int, dict, str]:
+def _cmd_translate(ns) -> tuple[dict, str]:
     f = _read_formula(ns.formula)
     fn = to_ml if ns.direction == "to-ml" else to_lea
     try:
         out = fn(f)
     except ValueError as e:
         raise _InputError(str(e)) from e
-    payload = {"input": render(f), "output": render(out)}
-    return 0, payload, render(out)
+    return {"input": render(f), "output": render(out)}, render(out)
 
 
-def _cmd_define(ns) -> tuple[int, dict, str]:
+def _cmd_define(ns) -> tuple[dict, str]:
     prop = _named("property", ns.property)
     f = _read_formula(ns.formula)
     verdict = check_definability(prop, f, ns.max_n)
@@ -242,13 +236,11 @@ def _cmd_define(ns) -> tuple[int, dict, str]:
         "witness": model_to_obj(verdict.witness) if verdict.witness else None,
     }
     if verdict.confirmed:
-        human = f"Confirmed up to n={verdict.max_n}"
-    else:
-        human = f"Refuted: {verdict.direction} (see witness)"
-    return (0 if verdict.confirmed else 1), payload, human
+        return payload, f"Confirmed up to n={verdict.max_n}"
+    return payload, f"Refuted: {verdict.direction} (see witness)"
 
 
-def _cmd_prove(ns) -> tuple[int, dict, str]:
+def _cmd_prove(ns) -> tuple[dict, str]:
     system = _named("system", ns.system)
     text = _read_file(ns.file, "derivation")
     try:
@@ -257,16 +249,15 @@ def _cmd_prove(ns) -> tuple[int, dict, str]:
         raise _InputError(f"derivation syntax: {e}") from e
     report = check_derivation(derivation, system)
     if report.ok:
-        payload = {"answer": True, "lines": len(derivation.lines)}
-        return 0, payload, f"accepted ({len(derivation.lines)} lines)"
+        n = len(derivation.lines)
+        return {"answer": True, "lines": n}, f"accepted ({n} lines)"
     index, message = report.first_error
+    where = f"line {index}: {message}"
     payload = {"answer": report.ok, "line": index, "reason": message}
-    if report.ok is None:
-        return 1, payload, f"unknown: line {index}: {message}"
-    return 1, payload, f"rejected at line {index}: {message}"
+    return payload, where if report.ok is None else f"rejected at {where}"
 
 
-def _cmd_scan(ns) -> tuple[int, dict, str]:
+def _cmd_scan(ns) -> tuple[dict, str]:
     system = _named("system", ns.system)
     cls = _named("frame class", ns.frame_class)
     report = soundness_scan(system, cls, ns.max_n)
@@ -280,21 +271,17 @@ def _cmd_scan(ns) -> tuple[int, dict, str]:
         "failures": failures,
     }
     if report.failures:
-        human = (
-            f"{report.failure_count} failures over {report.frames_checked} frames; "
-            f"first: {report.failures[0][1]}"
-        )
-        return 1, payload, human
-    return 0, payload, f"no failures ({report.frames_checked} frames)"
+        return payload, (f"{report.failure_count} failures over {report.frames_checked} "
+                         f"frames; first: {report.failures[0][1]}")
+    return payload, f"no failures ({report.frames_checked} frames)"
 
 
-def _cmd_genproof(ns) -> tuple[int, dict, str]:
+def _cmd_genproof(ns) -> tuple[dict, str]:
     if ns.n < 2:
         raise _InputError("n must be at least 2")
     derivation = gen_conj_derivation(ns.n)
     text = render_derivation(derivation)
-    payload = {"lines": text.splitlines()}
-    return 0, payload, text
+    return {"lines": text.splitlines()}, text
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +442,7 @@ def main(argv=None) -> int:
     try:
         if not 1 <= ns.max_n <= MAX_N:
             raise _InputError(f"--max-n must be between 1 and {MAX_N}, not {ns.max_n}")
-        code, payload, human = ns.func(ns)
+        payload, line = ns.func(ns)
     except (_InputError, decide.DecideError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -463,13 +450,14 @@ def main(argv=None) -> int:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     except RecursionError:
-        reason = "formula nests too deeply for the recursion limit"
-        code, payload, human = 1, {"answer": None, "reason": reason}, f"unknown: {reason}"
+        line = "formula nests too deeply for the recursion limit"
+        payload = {"answer": None, "reason": line}
+    answer = payload.get("answer", True)
     if ns.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(human)
-    return code
+        print(line if answer is not None else f"unknown: {line}")
+    return 0 if answer else 1
 
 
 if __name__ == "__main__":

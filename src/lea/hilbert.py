@@ -158,8 +158,9 @@ class Premise:
 
 @dataclass(frozen=True)
 class Axiom:
+    """An axiom line names its axiom and nothing else; the checker matches the schema."""
+
     name: str
-    subst: Substitution | None = None  # None: infer by matching
 
 
 @dataclass(frozen=True)
@@ -254,10 +255,7 @@ def _check_line(
             schema = system.schema(just.name)
         except KeyError:
             return f"{system.name} has no axiom {just.name!r}"
-        if just.subst is not None:
-            if substitute(schema, just.subst) != f:
-                return f"formula is not {just.name} under the given substitution"
-        elif match_schema(schema, f) is None:
+        if match_schema(schema, f) is None:
             return f"formula does not instantiate {just.name}"
     elif isinstance(just, MP) and cited[1] != Implies(cited[0], f):
         return f"line {just.implication} is not (line {just.antecedent}) -> (this line)"
@@ -321,10 +319,7 @@ class DerivationSyntaxError(ValueError):
 
 
 def parse_derivation(text: str) -> Derivation:
-    """Parse the numbered text format; blank lines are skipped.
-
-    Axiom lines carry no substitution in this format; the checker infers it.
-    """
+    """Parse the numbered text format; blank lines are skipped."""
     lines: list[Line] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -406,7 +401,7 @@ def gen_conj_derivation(n: int) -> Derivation:
 
     goal_idx = emit(
         Implies(And(Ess(p[0]), Ess(p[1])), Ess(And(p[0], p[1]))),
-        Axiom("KwCon", {"p": p[0], "q": p[1]}),
+        Axiom("KwCon"),
     )
     for k in range(2, n):
         body = conj(list(p[:k]))
@@ -414,7 +409,7 @@ def gen_conj_derivation(n: int) -> Derivation:
         grown_body = And(body, p[k])
         grown_antecedent = And(antecedent, Ess(p[k]))
         step = Implies(And(Ess(body), Ess(p[k])), Ess(grown_body))
-        step_idx = emit(step, Axiom("KwCon", {"p": body, "q": p[k]}))
+        step_idx = emit(step, Axiom("KwCon"))
         ih = Implies(antecedent, Ess(body))
         goal = Implies(grown_antecedent, Ess(grown_body))
         chain = Implies(ih, Implies(step, goal))

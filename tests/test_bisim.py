@@ -374,6 +374,14 @@ def test_bounded_equivalent_matches_layered_oracle():
             assert k <= d and (k == 0 or bounded_equivalent(a, b, ("p",), k - 1) is True)
 
 
+def test_bounded_equivalent_rejects_a_negative_depth(monkeypatch):
+    # Refused before any refinement: there is no round -1 to read.
+    monkeypatch.setattr("lea.bisim._rounds", None)
+    a = PointedModel(Model.make(("s",), [], {"p": ["s"]}), "s")
+    with pytest.raises(ValueError, match="depth must be at least 0, not -1"):
+        bounded_equivalent(a, a, ("p",), -1)
+
+
 def test_bounded_equivalent_ignores_other_variables():
     a = PointedModel(Model.make(("s",), [], {"p": ["s"], "q": ["s"]}), "s")
     b = PointedModel(Model.make(("s",), [], {"p": ["s"]}), "s")

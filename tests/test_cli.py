@@ -12,6 +12,7 @@ import lea
 from helpers import naive_satisfies, reference_cli_parser
 from lea.cli import _read_argv, main
 from lea.formula import And, Or, Var, parse, render
+from lea.hilbert import gen_conj_derivation, render_derivation
 from lea.kripke import Model, model_from_obj, model_to_json
 
 LOOP = '{"worlds": ["s"], "rel": [["s", "s"]], "val": {"p": ["s"]}}'
@@ -242,6 +243,66 @@ def test_scan(capsys):
     payload = json.loads(out)
     assert payload["answer"] is False
     assert payload["failures"][0]["axiom"] == "KwTr"
+
+
+# One query per kind of reply: the JSON "answer" it must give (ABSENT for
+# the commands that only compute) and its argv, where {name} is a file of
+# the reply_files fixture.
+ABSENT = "absent"
+REPLIES = {
+    "check-true": (True, ["check", "{loop}", "s", "o p"]),
+    "check-false": (False, ["check", "{serial_a}", "s", "o p"]),
+    "valid-true": (True, ["valid", "[] p -> p", "--class", "T"]),
+    "valid-false": (False, ["valid", "[] p -> p", "--class", "K"]),
+    "valid-frame-true": (True, ["valid", "[] p -> p", "--frame", "{loop}"]),
+    "valid-frame-false": (False, ["valid", "[] p -> p", "--frame", "{isolated}"]),
+    "sat-true": (True, ["sat", "o p & ~p", "--class", "K"]),
+    "sat-false": (False, ["sat", "p & ~p", "--class", "K"]),
+    "bisim-true": (True, ["bisim", "{loop}", "s", "{isolated}", "t"]),
+    "bisim-false": (False, ["bisim", "{loop}", "s", "{isolated}", "t", "--box"]),
+    "define-true": (True, ["define", "symmetric", "p -> o (o ~p -> p)", "--max-n", "3"]),
+    "define-false": (False, ["define", "reflexive", "o p"]),
+    "prove-true": (True, ["prove", "K", "{conj4}"]),
+    "prove-false": (False, ["prove", "K", "{broken}"]),
+    "scan-true": (True, ["scan", "K", "--class", "K", "--max-n", "2"]),
+    "scan-false": (False, ["scan", "K4", "--class", "K", "--max-n", "3"]),
+    "unknown-bounded-search": (None, ["sat", "p & ~p", "--class", "TB"]),
+    "unknown-valuation-limit": (None, ["valid", "o p & o q -> o (p & q)", "--frame", "{cycle11}"]),
+    "unknown-atom-limit": (None, ["prove", "K", "{conj19}"]),
+    "unknown-recursion-limit": (None, ["sat", "(" * 5000 + "p" + ")" * 5000, "--class", "K"]),
+    "contract": (ABSENT, ["contract", "{serial_a}"]),
+    "translate": (ABSENT, ["translate", "to-ml", "o o p"]),
+    "genproof": (ABSENT, ["genproof", "3"]),
+}
+
+
+@pytest.fixture
+def reply_files(models, tmp_path):
+    ws = [f"c{i}" for i in range(11)]
+    texts = {
+        "conj4": render_derivation(gen_conj_derivation(4)),
+        "conj19": render_derivation(gen_conj_derivation(19)),
+        "broken": "1. o p   [axiom KwTop]\n",
+        "cycle11": model_to_json(Model.make(ws, zip(ws, ws[1:] + ws[:1]))),
+    }
+    files = dict(models)
+    for name, text in texts.items():
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    return files
+
+
+@pytest.mark.parametrize("want, argv", REPLIES.values(), ids=REPLIES)
+def test_reply_rule(reply_files, capsys, want, argv):
+    # Exit 0 exactly when the answer is true or absent, and `unknown: `
+    # exactly before the text line of a null answer.
+    argv = [a.format(**reply_files) if a.startswith("{") else a for a in argv]
+    code, line, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--json")
+    answer = json.loads(out).get("answer", ABSENT)
+    assert answer is want
+    assert code == json_code == (0 if answer in (True, ABSENT) else 1)
+    assert line.startswith("unknown: ") == (answer is None)
 
 
 @pytest.mark.parametrize(

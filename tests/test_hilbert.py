@@ -194,9 +194,10 @@ def test_gen_conj_accepted():
 
 
 def test_gen_conj_text_roundtrip():
-    for n in (2, 4):
+    for n in range(2, 7):
         d = gen_conj_derivation(n)
         again = parse_derivation(render_derivation(d))
+        assert again == d
         report = check_derivation(again, System.K_CIRC)
         assert report.ok
         assert again.conclusion == d.conclusion
@@ -228,7 +229,7 @@ def test_premise_and_rules():
 
 def test_sub_rule():
     lines = (
-        Line(1, parse("~p -> o p"), Axiom("EquiKw", None)),
+        Line(1, parse("~p -> o p"), Axiom("EquiKw")),
         Line(2, parse("~(q & q) -> o (q & q)"), Sub(1, {"p": parse("q & q")})),
     )
     assert check_derivation(Derivation(lines), System.K_CIRC).ok
@@ -238,9 +239,9 @@ def test_sub_rule():
 @pytest.mark.parametrize(
     "lines,fragment",
     [
-        ((Line(2, parse("o T"), Axiom("KwTop", None)),), "numbered"),
-        ((Line(1, parse("o p"), Axiom("KwTop", None)),), "instantiate"),
-        ((Line(1, parse("o T"), Axiom("Zap", None)),), "no axiom 'Zap'"),
+        ((Line(2, parse("o T"), Axiom("KwTop")),), "numbered"),
+        ((Line(1, parse("o p"), Axiom("KwTop")),), "instantiate"),
+        ((Line(1, parse("o T"), Axiom("Zap")),), "no axiom 'Zap'"),
         ((Line(1, parse("p -> p"), Taut()), Line(2, parse("q"), MP(1, 1))), "not (line 1) -> (this line)"),
         ((Line(1, parse("p -> p"), Taut()), Line(2, parse("p"), MP(1, 5))), "not strictly earlier"),
         ((Line(1, parse("p | ~p"), Taut()), Line(2, parse("o p & p -> o q"), R(1))), "not an implication"),
