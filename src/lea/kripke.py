@@ -6,9 +6,11 @@ return fresh models.
 
 Frame conditions are stated once, here: one table of bitmask tests over
 successor rows (_check_property), and FrameClass names the properties each
-class imposes.  has_property, the class filter of every frame sweep
-(sweep.succ_in_class) and the tableau's rules (decide reads
-cls.properties) all go through these two.
+class imposes.  The tests take rows that hold frames side by side in
+lanes, so one pass answers for every lane.  has_property (one frame, one
+lane), the class filter of every frame sweep (sweep.succ_in_class, once
+per size with every orbit of that size in a lane) and the tableau's rules
+(decide reads cls.properties) all go through these two.
 """
 
 from __future__ import annotations
@@ -279,51 +281,51 @@ class FrameProperty(Enum):
 
 def has_property(m: Model, prop: FrameProperty) -> bool:
     """Evaluate the first-order frame condition on m's relation."""
-    idx = m.index
-    return _check_property(idx.n, idx.succ, prop)
+    return bool(_check_property(len(m.worlds), m.index.succ, prop))
 
 
-def _weakly_connected(succ: Sequence[int], x: int, y: int) -> int:
-    lacking = succ[x] & ~succ[y] & ~(1 << y)
-    return sum(
-        1 << z for z in range(len(succ)) if lacking >> z & 1 and not succ[z] >> y & 1
-    )
-
-
-def _weakly_transitive(succ: Sequence[int], x: int, y: int) -> int:
-    return succ[y] & ~succ[x] & ~(1 << x)
-
-
-def _weak_weak_euclidean(succ: Sequence[int], x: int, y: int) -> int:
-    return succ[x] & ~succ[y] & ~(1 << x | 1 << y)
+def _weakly_connected(succ: Sequence[int], x: int, y: int, one: int) -> int:
+    pred_y = sum((succ[z] >> y & one) << z for z in range(len(succ)))
+    return succ[x] & ~succ[y] & ~(one << y) & ~pred_y
 
 
 _POINTWISE = {
-    FrameProperty.REFLEXIVE: lambda row, x: row >> x & 1,
-    FrameProperty.SERIAL: lambda row, x: row,
-    FrameProperty.COREFLEXIVE: lambda row, x: not row & ~(1 << x),
+    FrameProperty.REFLEXIVE: lambda row, x, one: row & one << x,
+    FrameProperty.SERIAL: lambda row, x, one: row,
 }
 _EDGE_RULES = {
-    FrameProperty.TRANSITIVE: lambda succ, x, y: succ[y] & ~succ[x],
-    FrameProperty.SYMMETRIC: lambda succ, x, y: 1 << x & ~succ[y],
-    FrameProperty.EUCLIDEAN: lambda succ, x, y: succ[x] & ~succ[y],
+    FrameProperty.TRANSITIVE: lambda succ, x, y, one: succ[y] & ~succ[x],
+    FrameProperty.SYMMETRIC: lambda succ, x, y, one: one << x & ~succ[y],
+    FrameProperty.EUCLIDEAN: lambda succ, x, y, one: succ[x] & ~succ[y],
+    FrameProperty.COREFLEXIVE: lambda succ, x, y, one: one << y & ~(one << x),
     FrameProperty.WEAKLY_CONNECTED: _weakly_connected,
-    FrameProperty.WEAKLY_TRANSITIVE: _weakly_transitive,
-    FrameProperty.STRICT_TRANSITIVE3: _weakly_transitive,
-    FrameProperty.WEAK_WEAK_EUCLIDEAN: _weak_weak_euclidean,
-    FrameProperty.STRICT_EUCLIDEAN3: _weak_weak_euclidean,
+    FrameProperty.WEAKLY_TRANSITIVE: lambda succ, x, y, one: succ[y] & ~succ[x] & ~(one << x),
+    FrameProperty.WEAK_WEAK_EUCLIDEAN:
+        lambda succ, x, y, one: succ[x] & ~succ[y] & ~(one << x | one << y),
 }
+_EDGE_RULES[FrameProperty.STRICT_TRANSITIVE3] = _EDGE_RULES[FrameProperty.WEAKLY_TRANSITIVE]
+_EDGE_RULES[FrameProperty.STRICT_EUCLIDEAN3] = _EDGE_RULES[FrameProperty.WEAK_WEAK_EUCLIDEAN]
 
 
-def _check_property(n: int, succ: Sequence[int], prop: FrameProperty) -> bool:
-    """Does the frame with these successor rows have the property?
+def _check_property(n: int, succ: Sequence[int], prop: FrameProperty, one: int = 1) -> int:
+    """The lanes of the frames with the property, as a mask of lane units.
 
-    Reflexive, serial and coreflexive test each world's row.  Every other
+    The rows hold frames side by side in lanes of at least n + 1 bits:
+    bit t of lane j of succ[s] is the edge s -> t of frame j, and one has
+    bit 0 of every lane.  A single frame is one lane, with one = 1.  A
+    mask's lane is non-empty exactly when adding 2^n - 1 to it carries
+    into bit n of the lane.
+
+    Reflexive and serial test each world x's row: the part of it that
+    must be non-empty (x itself, resp. the whole row).  Every other
     property is an edge rule: for each edge x -> y it returns the worlds z
     that the condition needs the frame to link (xRz for the transitive
     forms, yRz for the Euclidean forms, yRz with z = x for symmetry, yRz
-    or zRy for weak connectedness) and that it leaves unlinked, as a mask;
-    the frame has the property when every mask is empty.
+    or zRy for weak connectedness) and that it leaves unlinked, or for
+    coreflexivity y itself unless y = x, as a mask within the n world bits
+    of each lane; a frame has the property when every mask of its edges
+    is empty.  The edge loop visits a pair only where a lane still in the
+    running has that edge, and stops when none is left.
 
     strict-transitive3 shares the rule of weakly-transitive (xRy, yRz,
     x != z => xRz), and strict-euclidean3 that of weak-weak-euclidean (xRy,
@@ -331,15 +333,24 @@ def _check_property(n: int, succ: Sequence[int], prop: FrameProperty) -> bool:
     and y = z, resp. x = y, and in those cases a premise (yRz or xRy, resp.
     xRz) is the conclusion itself, so they hold on every frame anyway.
     """
+    full, lanes = one * ((1 << n) - 1), one
     test = _POINTWISE.get(prop)
     if test is not None:
-        return all(test(succ[x], x) for x in range(n))
+        for x, row in enumerate(succ):
+            lanes &= (test(row, x, one) + full) >> n
+        return lanes
     rule = _EDGE_RULES.get(prop)
     if rule is None:
         raise ValueError(f"unknown property {prop!r}")
-    return not any(
-        rule(succ, x, y) for x in range(n) for y in range(n) if succ[x] >> y & 1
-    )
+    for x, row in enumerate(succ):
+        for y in range(n):
+            edge = row >> y & lanes
+            missing = edge and rule(succ, x, y, one)
+            if missing:
+                lanes &= ~((missing + full) >> n & edge)
+                if not lanes:
+                    return 0
+    return lanes
 
 
 class FrameClass(Enum):

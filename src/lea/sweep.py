@@ -17,7 +17,10 @@ frame with the smallest mask, weighted by the size of its orbit.  Frame
 validity and every frame property are invariant under relabelling, so the
 first hit in (size, mask) order over the representatives is the first hit
 over all labelled frames, and orbit sizes keep counts in labelled frames.
-A sweep takes its class frames a chunk at a time (class_chunks), and one
+Class membership is one pass per size: with the successor rows of every
+orbit packed one frame per byte (orbit_rows), each frame property is a
+few dozen int ops over all orbits at once (kripke._check_property).  A
+sweep takes its class frames a chunk at a time (class_chunks), and one
 evaluation answers for the whole chunk (chunk_hits): each frame's register
 is one block of a wider register, and a carry out of each block gives one
 0/1 byte per frame.  A bounded search reads its (valuation, world) off the
@@ -26,8 +29,8 @@ lowest set bit of the chunk's register.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
+from functools import lru_cache, reduce
+from itertools import chain, compress, count, permutations
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .formula import (
@@ -258,23 +261,38 @@ CHUNK_BITS = 1 << 17
 
 
 @lru_cache(maxsize=None)
+def orbit_rows(n: int) -> tuple[int, ...]:
+    """The successor rows of every frame of frame_orbits(n), one frame per
+    byte: byte i of row s is succ[s] of the i-th frame.  Five worlds and
+    the carry bit above them fit a byte.  Built on first use, per n."""
+    flat = bytes(chain.from_iterable(succ for succ, _ in frame_orbits(n)))
+    return tuple(int.from_bytes(flat[s::n], "little") for s in range(n))
+
+
+def _orbit_lanes(n: int, test: Callable[..., int], arg) -> bytes:
+    """Byte i is lane i of test(n, rows, arg, one), one call over every
+    frame of frame_orbits(n) in its lane of orbit_rows(n); one has bit 0
+    of every byte."""
+    m = len(frame_orbits(n))
+    return test(n, orbit_rows(n), arg, _repeat(1, 1, m)).to_bytes(m, "little")
+
+
+@lru_cache(maxsize=None)
 def orbit_offsets(n: int) -> tuple[tuple[int, bytes], ...]:
     """(d, column) per offset d = t - s on n worlds: byte i of the column
     is the set of worlds s with an edge s -> s + d in the i-th frame of
-    frame_orbits(n).  Five worlds fit a byte.  Built on first use, per n."""
-    orbits = frame_orbits(n)
-    columns = {d: bytearray(len(orbits)) for d in range(1 - n, n)}
-    for i, (succ, _) in enumerate(orbits):
-        for d, sources in _offsets(succ):
-            columns[d][i] = sources
-    return tuple((d, bytes(column)) for d, column in columns.items())
+    frame_orbits(n), gathered lane-wise from orbit_rows(n).  Built on first
+    use, per n."""
+    def sources(n: int, rows: Sequence[int], d: int, one: int) -> int:
+        return sum((rows[s] >> s + d & one) << s for s in range(max(0, -d), min(n, n - d)))
+    return tuple((d, _orbit_lanes(n, sources, d)) for d in range(1 - n, n))
 
 
 @lru_cache(maxsize=None)
 def orbit_property(n: int, prop: FrameProperty) -> bytes:
     """Byte i is 1 where the i-th frame of frame_orbits(n) has prop, else 0.
     Built on first use, per (n, prop)."""
-    return bytes(succ_has_property(n, succ, prop) for succ, _ in frame_orbits(n))
+    return _orbit_lanes(n, succ_has_property, prop)
 
 
 def class_chunks(cls: FrameClass, max_n: int, k: int) -> Iterator[tuple[int, list[int]]]:
@@ -282,30 +300,26 @@ def class_chunks(cls: FrameClass, max_n: int, k: int) -> Iterator[tuple[int, lis
     worlds, in (size, mask) order, cut into chunks for chunk_hits with
     formulas of up to k variables.
 
-    Every orbit goes through succ_in_class, so the class filter sees each
-    frame once.  Raises ValueError for max_n outside 1..MAX_N before it
-    yields anything.
+    Each size goes through succ_in_class once, with every frame of
+    frame_orbits(n) in a lane of orbit_rows(n).  Raises ValueError for
+    max_n outside 1..MAX_N before it yields anything.
     """
     _check_bound(max_n)
     for n in range(1, max_n + 1):
         per_chunk = max(1, CHUNK_BITS // (8 * _block_bytes(n, k)))
-        picked: list[int] = []
-        for i, (succ, _) in enumerate(frame_orbits(n)):
-            if succ_in_class(n, succ, cls):
-                picked.append(i)
-                if len(picked) == per_chunk:
-                    yield n, picked
-                    picked = []
-        if picked:
-            yield n, picked
+        picked = list(compress(count(), _orbit_lanes(n, succ_in_class, cls)))
+        for start in range(0, len(picked), per_chunk):
+            yield n, picked[start:start + per_chunk]
 
 
-def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass) -> bool:
-    return all(_check_property(n, succ, p) for p in cls.properties)
+def succ_in_class(n: int, succ: Sequence[int], cls: FrameClass, one: int = 1) -> int:
+    """The lanes of the frames in cls (see kripke._check_property): with
+    one = 1, 1 when the single frame succ is in cls, else 0."""
+    return reduce(int.__and__, (_check_property(n, succ, p, one) for p in cls.properties), one)
 
 
-def succ_has_property(n: int, succ: Sequence[int], prop) -> bool:
-    return _check_property(n, succ, prop)
+# One property's lanes, under the name the class sweeps look up.
+succ_has_property = _check_property
 
 
 def _block_bytes(n: int, k: int) -> int:

@@ -360,6 +360,28 @@ def naive_in_class(m: Model, cls: FrameClass) -> bool:
     return all(naive_has_property(m, p) for p in cls.properties)
 
 
+def close_into(rng: random.Random, m: Model, cls: FrameClass) -> Model:
+    """A superset of m's relation in cls: add the edges each of the class's
+    conditions asks for (a random successor for a dead end, if serial)
+    until naive_in_class holds."""
+    ws = m.worlds
+    rel = set(m.rel)
+    P = FrameProperty
+    while not naive_in_class(Model(ws, frozenset(rel), {}), cls):
+        props = cls.properties
+        if P.REFLEXIVE in props:
+            rel |= {(w, w) for w in ws}
+        if P.SERIAL in props:
+            rel |= {(w, rng.choice(ws)) for w in ws if not any((w, t) in rel for t in ws)}
+        if P.SYMMETRIC in props:
+            rel |= {(t, s) for s, t in rel}
+        if P.TRANSITIVE in props:
+            rel |= {(s, u) for s, t in rel for t2, u in rel if t == t2}
+        if P.EUCLIDEAN in props:
+            rel |= {(t, u) for s, t in rel for s2, u in rel if s == s2}
+    return Model(ws, frozenset(rel), m.val)
+
+
 def naive_frame_valid(m: Model, f: Formula) -> bool:
     """Truth of f at every world of m under every valuation of its variables."""
     return _naive_frame_valid(m.worlds, m.rel, f)

@@ -54,8 +54,8 @@ def test_tracer_installs_and_uninstalls(tmp_path, capsys):
     assert model_counts["semantics.extension"] == 1
     assert model_counts["sweep.prog_run"] == 1
     # Class frame sweeps filter through the module-global
-    # sweep.succ_in_class: the scan once per orbit on 1 and 2 worlds
-    # (2 + 10), the bounded search at least once more.
+    # sweep.succ_in_class, once per size: the scan on 1 and 2 worlds, and
+    # the bounded search on 1 and 2 worlds, where it finds its model.
     assert tracer.counts["sweep.search_sat"] == 1
-    assert tracer.counts["sweep.class_filter"] > 12
+    assert tracer.counts["sweep.class_filter"] == 2 + 2
     assert tracer.counts["sweep.class_filter:true"] > 0

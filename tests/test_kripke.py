@@ -5,7 +5,13 @@ import random
 import pytest
 
 import lea.kripke
-from helpers import enumerate_valuations, naive_has_property, rand_model, rand_sparse_model
+from helpers import (
+    close_into,
+    enumerate_valuations,
+    naive_has_property,
+    rand_model,
+    rand_sparse_model,
+)
 from lea.cli import main
 from lea.hilbert import System, soundness_scan
 from lea.kripke import (
@@ -262,6 +268,14 @@ def test_properties_match_first_order_oracle():
     rng = random.Random(99)
     frames = [m for n in (1, 2, 3) for m in enumerate_frames(n)]
     frames += [rand_model(rng, 5) for _ in range(300)]
+    # On 9 to 40 worlds a row is wider than the byte lanes of the sweeps'
+    # packed rows.  Frames closed into each class have the properties that
+    # random frames of that size lack.
+    frames += [rand_sparse_model(rng, rng.randint(9, 40)) for _ in range(30)]
+    for cls in FrameClass:
+        for _ in range(3):
+            m = rand_sparse_model(rng, rng.randint(9, 40), degree=rng.uniform(0.3, 1.5))
+            frames.append(close_into(rng, m, cls))
     for m in frames:
         for prop in FrameProperty:
             assert has_property(m, prop) == naive_has_property(m, prop), (m, prop)

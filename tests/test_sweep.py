@@ -15,6 +15,7 @@ from helpers import (
     labelled_definability,
     labelled_scan,
     labelled_search_sat,
+    naive_has_property,
     naive_in_class,
     rand_formula,
 )
@@ -66,6 +67,32 @@ def test_class_frames_filter_orbits_in_size_then_mask_order():
             if naive_in_class(build_model(frame_worlds(n), succ, (), 0), cls)
         ]
         assert list(class_frames(cls, 3)) == expect, cls.name
+
+
+def test_orbit_tables_match_first_order_oracle_on_four_worlds():
+    frames = [build_model(frame_worlds(4), succ, (), 0) for succ, _ in sweep.frame_orbits(4)]
+    assert len(frames) == 3044
+    for prop in FrameProperty:
+        expect = bytes(naive_has_property(m, prop) for m in frames)
+        assert sweep.orbit_property(4, prop) == expect, prop.name
+    for cls in FrameClass:
+        picked = [i for n, chunk in sweep.class_chunks(cls, 4, 0) if n == 4 for i in chunk]
+        expect = [i for i, m in enumerate(frames) if naive_in_class(m, cls)]
+        assert picked == expect, cls.name
+
+
+def test_class_filter_runs_once_per_size(monkeypatch):
+    sizes = []
+    succ_in_class = sweep.succ_in_class
+
+    def counted(n, *args):
+        sizes.append(n)
+        return succ_in_class(n, *args)
+
+    monkeypatch.setattr(sweep, "succ_in_class", counted)
+    list(sweep.class_chunks(FrameClass.KB, 4, 2))
+    # One call per size, not one per orbit (2 + 10 + 104 + 3,044).
+    assert sizes == [1, 2, 3, 4]
 
 
 def test_sweeps_reject_bounds_out_of_range():
