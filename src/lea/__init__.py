@@ -61,6 +61,7 @@ from .bisim import (
     bounded_equivalent,
     box_bisimilar,
     circ_bisimilar,
+    circ_certificate,
     contract,
     is_circ_bisimulation,
     largest_circ_bisimulation,

@@ -165,18 +165,19 @@ def _blocks(m: Model, exempt: bool) -> list[int]:
     return block
 
 
-def _classes(m: Model) -> list[list[str]]:
+def _classes(m: Model, block: Sequence[int] | None = None) -> list[list[str]]:
     members: dict[int, list[str]] = {}
-    for w, b in zip(m.worlds, _blocks(m, exempt=True)):
+    for w, b in zip(m.worlds, _blocks(m, exempt=True) if block is None else block):
         members.setdefault(b, []).append(w)
     return list(members.values())
 
 
-def largest_circ_bisimulation(m: Model) -> BisimRelation:
+def largest_circ_bisimulation(m: Model, block: Sequence[int] | None = None) -> BisimRelation:
     """The union Z of every relation on m passing is_circ_bisimulation.
 
     Z is exactly "same block" of the partition P = _blocks(m, exempt=True),
-    so it is an equivalence relation.
+    so it is an equivalence relation.  A caller that has P passes it as
+    block, and m is not refined again.
 
     (Z within P) By induction on the rounds.  The signatures split no pair
     of Z, by inv.  Let Z lie within the blocks of one round, (s, t) be in
@@ -191,25 +192,37 @@ def largest_circ_bisimulation(m: Model) -> BisimRelation:
     "same block" is a bisimulation and lies within Z.
     """
     return BisimRelation(
-        m, frozenset((s, t) for ws in _classes(m) for s in ws for t in ws)
+        m, frozenset((s, t) for ws in _classes(m, block) for s in ws for t in ws)
     )
 
 
-def _same_block(a: PointedModel, b: PointedModel, exempt: bool) -> bool:
+def _same_block(
+    a: PointedModel, b: PointedModel, exempt: bool
+) -> tuple[bool, Model, list[int]]:
+    """Whether the points share a block of their disjoint union, with the
+    union and its partition."""
     union = disjoint_union(a.model, b.model)
     block, pos = _blocks(union, exempt), union.index.pos
-    return block[pos["L:" + a.point]] == block[pos["R:" + b.point]]
+    return block[pos["L:" + a.point]] == block[pos["R:" + b.point]], union, block
 
 
 def circ_bisimilar(a: PointedModel, b: PointedModel) -> bool:
     """Essence-style bisimilarity of the two points, via the disjoint union."""
-    return _same_block(a, b, exempt=True)
+    return _same_block(a, b, exempt=True)[0]
+
+
+def circ_certificate(a: PointedModel, b: PointedModel) -> BisimRelation | None:
+    """The largest circ bisimulation of the disjoint union (worlds L:w and
+    R:w) when it relates the two points, else None: one refinement either
+    way, and pairs only for an affirmative answer."""
+    same, union, block = _same_block(a, b, exempt=True)
+    return largest_circ_bisimulation(union, block) if same else None
 
 
 def box_bisimilar(a: PointedModel, b: PointedModel) -> bool:
     """Ordinary modal bisimilarity of the two points: the same refinement
     without the exemption."""
-    return _same_block(a, b, exempt=False)
+    return _same_block(a, b, exempt=False)[0]
 
 
 def bounded_equivalent(

@@ -32,10 +32,12 @@ import sys
 from types import SimpleNamespace
 
 from . import decide
-# circ_bisimilar and valid_on_frame stay imported: bench/tracer.py wraps them here.
+# circ_bisimilar, largest_circ_bisimulation and valid_on_frame stay imported:
+# bench/tracer.py wraps them here.
 from .bisim import (
     box_bisimilar,
     circ_bisimilar,
+    circ_certificate,
     contract,
     largest_circ_bisimulation,
     pairs_to_obj,
@@ -55,7 +57,6 @@ from .kripke import (
     FrameProperty,
     Model,
     PointedModel,
-    disjoint_union,
     model_from_json,
     model_to_obj,
 )
@@ -196,13 +197,10 @@ def _cmd_bisim(ns) -> tuple[dict, str]:
     except ValueError as e:
         raise _InputError(str(e)) from e
     flavor = "box" if ns.box else "circ"
-    if ns.box:
-        answer = box_bisimilar(a, b)
-    else:
-        z = largest_circ_bisimulation(disjoint_union(a.model, b.model))
-        answer = ("L:" + a.point, "R:" + b.point) in z.pairs
+    z = None if ns.box else circ_certificate(a, b)
+    answer = box_bisimilar(a, b) if ns.box else z is not None
     payload = {"answer": answer, "flavor": flavor}
-    if answer and not ns.box:
+    if z is not None:
         payload["certificate"] = pairs_to_obj(z)
     return payload, f"{'' if answer else 'not '}{flavor}-bisimilar"
 

@@ -1,17 +1,20 @@
 """Satisfiability and validity over frame classes.
 
-For the TABLEAU_CLASSES K, D, T, KB, K4, S4 and S5 a tableau decides the
-question and returns a concrete witness (model of the formula, or
-countermodel of a validity).  S5 has its own one-clique calculus; the
-labelled tableau for the other six takes its rules from the class's frame
+For the TABLEAU_CLASSES K, D, T, KB, K4, S4 and S5 one labelled tableau
+decides the question and returns a concrete witness (model of the formula,
+or countermodel of a validity).  It takes its rules from the class's frame
 properties (cls.properties): reflexive, serial, symmetric and transitive
-each switch on one rule.  The essence operator is handled by rewriting
-o f as f -> [] f on the fly, which preserves truth at every world of every
-model.  TB and B5 fall back to exhaustive search over small frames
-(sweep.search_sat); "no model up to the bound" is reported as unknown,
-never as unsatisfiable.
+each switch on one rule.  In a transitive class a diamond gets an edge to
+an existing world that holds all a fresh one would get, if there is one:
+an ancestor or its own world, or, when the class is also reflexive and
+symmetric and so every world sees every world, any world, which then gets
+the back edge too.
+The essence operator is handled by rewriting o f as f -> [] f on the fly,
+which preserves truth at every world of every model.  TB and B5 fall back
+to exhaustive search over small frames (sweep.search_sat); "no model up to
+the bound" is reported as unknown, never as unsatisfiable.
 
-The tableaux work on interned, flattened NNF.  A disjunction opens no
+The tableau works on interned, flattened NNF.  A disjunction opens no
 choice point when one of its disjuncts is already present, or when the
 complements of all disjuncts but one are (propagation); going back to a
 choice point adds the complement of the disjunct tried first when that has
@@ -193,26 +196,38 @@ class _Nnf:
 
 
 # ---------------------------------------------------------------------------
-# Tableau state shared by both calculi.  Every formula stored at a world maps
-# to its dependency mask: bit k is set when the formula rests on the disjunct
-# taken at the k-th open choice point.  A clash records the union of the
-# masks of its two halves, so a choice point whose bit is missing from it
-# played no part and its other disjuncts would close the same way.  A formula
-# derived again keeps the mask it first came with.  The search keeps one
-# state: put and push log each write as (container, key), key -1 for a list
-# item, and undo deletes entries newest first.  A choice point saves only the
-# trail length and the three queue heads.
+# Labelled tableau, with one rule per frame property of the class.  Every
+# formula stored at a world maps to its dependency mask: bit k is set when the
+# formula rests on the disjunct taken at the k-th open choice point.  A clash
+# records the union of the masks of its two halves, so a choice point whose
+# bit is missing from it played no part and its other disjuncts would close
+# the same way.  A formula derived again keeps the mask it first came with.
+# Boxes and edges carry masks too: a box pushed along an edge depends on both.
+# The search keeps one state: put and push log each write as (container,
+# key), key -1 for a list item, and undo deletes entries newest first.  A
+# choice point saves only the trail length and the three queue heads.
+# In a class that is reflexive, symmetric and transitive (universal) every
+# world sees every world: each is linked both ways to the world it was made
+# for.  So its worlds share one box store, and each box body goes to every
+# world, made or yet to be made, with the box's own mask; nothing is copied
+# along edges.
 
 _BUDGET = 50_000
 
 
-class _Tableau:
-    def __init__(self, nnf: _Nnf, stats: dict[str, int]):
+class _Branch:
+    def __init__(self, props: tuple[FrameProperty, ...], nnf: _Nnf, stats: dict[str, int]):
+        self.props = props
+        self.universal = {FrameProperty.REFLEXIVE, FrameProperty.SYMMETRIC,
+                          FrameProperty.TRANSITIVE} <= set(props)
         self.nnf = nnf
         self.nodes = nnf.nodes
         self.stats = stats  # budget and counters, never undone
         self.trail: list[tuple] = []
         self.contents: list[dict[int, int]] = []
+        self.boxes: list[dict[int, int]] = []  # box formulas applied at each world
+        self.parent: list[int | None] = []
+        self.succ: list[dict[int, int]] = []  # edge x -> y as succ[x][y] = mask
         self.alpha: list[tuple[int, int]] = []
         self.beta: list[tuple[int, int]] = []
         self.pi: list[tuple[int, int]] = []
@@ -283,11 +298,135 @@ class _Tableau:
                 return None
         return None
 
+    def new_world(self, parent: int | None) -> int:
+        v = len(self.contents)
+        self.push(self.contents, {})
+        self.push(self.boxes, self.boxes[0] if v and self.universal else {})
+        self.push(self.parent, parent)
+        self.push(self.succ, {})
+        for f, dep in self.boxes[v].items():  # only a shared store has any yet
+            self.schedule(v, self.nodes[f][1], dep)
+        return v
+
+    def add_edge(self, x: int, y: int, dep: int) -> None:
+        if y in self.succ[x]:
+            return
+        self.put(self.succ[x], y, dep)
+        if not self.universal:
+            boxes = self.boxes[x]
+            for f in sorted(boxes):
+                self._push_box_along(y, f, boxes[f] | dep)
+
+    def _push_box_along(self, y: int, f: int, dep: int) -> None:
+        self.schedule(y, self.nodes[f][1], dep)
+        if FrameProperty.TRANSITIVE in self.props:
+            self.schedule(y, f, dep)
+
+    def apply_box(self, w: int, f: int) -> None:
+        if f in self.boxes[w]:
+            return
+        dep = self.contents[w][f]
+        self.put(self.boxes[w], f, dep)
+        if self.universal:
+            for v in range(len(self.contents)):
+                self.schedule(v, self.nodes[f][1], dep)
+            return
+        if FrameProperty.REFLEXIVE in self.props:
+            self.schedule(w, self.nodes[f][1], dep)
+        for y, edge_dep in sorted(self.succ[w].items()):
+            self._push_box_along(y, f, dep | edge_dep)
+
+    def expand_dia(self, w: int, f: int) -> None:
+        body = self.nodes[f][1]
+        dep = self.contents[w][f]
+        blocked = None
+        if FrameProperty.TRANSITIVE in self.props:
+            blocked = self._find_blocker(w, body)
+        if blocked is None:
+            v = self.new_world(w)
+            self.schedule(v, body, dep)
+        else:
+            v, wanted_dep = blocked
+            dep |= wanted_dep
+        self.add_edge(w, v, dep)
+        if FrameProperty.SYMMETRIC in self.props:
+            self.add_edge(v, w, dep)
+
+    def _find_blocker(self, w: int, body: int) -> tuple[int, int] | None:
+        # The fresh world would carry the dia body plus everything w's boxes
+        # push along a new edge.  A world already containing all of that can
+        # serve as the successor instead; nothing new flows into it.  In a
+        # transitive class that is an ancestor of w, nearest first, or w
+        # itself.  Where every world sees every world, it is the first world
+        # in index order that holds the body (each holds every box body),
+        # and its back edge brings w nothing new either.  The edge then
+        # depends on the masks of those formulas there.
+        wanted = {body}
+        if self.universal:
+            order: list[int] | range = range(len(self.contents))
+        else:
+            for f in self.boxes[w]:
+                wanted.add(f)
+                wanted.add(self.nodes[f][1])
+            order = []
+            u = self.parent[w]
+            while u is not None:
+                order.append(u)
+                u = self.parent[u]
+            order.append(w)
+        for u in order:
+            content = self.contents[u]
+            if wanted <= content.keys():
+                dep = 0
+                for g in wanted:
+                    dep |= content[g]
+                return u, dep
+        return None
+
     def grow(self) -> bool:
+        # Seriality: the first world with boxes and no successor gets one.
+        if FrameProperty.SERIAL in self.props:
+            for w in range(len(self.contents)):
+                if self.boxes[w] and not self.succ[w]:
+                    self.add_edge(w, self.new_world(w), 0)
+                    return True
         return False
 
+    def model(self) -> tuple[Model, str]:
+        """Model on worlds u0.. with the branch's edges, closed under the
+        class's properties; a variable holds where its positive literal was
+        recorded.  Pointed at u0."""
+        n = len(self.contents)
+        worlds = tuple(f"u{i}" for i in range(n))
+        rows = [sum(1 << y for y in succ) for succ in self.succ]  # bit y: edge to y
+        props = self.props
+        if FrameProperty.TRANSITIVE in props:
+            # Warshall: a world that reaches k reaches all that k reaches.
+            for k in range(n):
+                if rows[k]:
+                    bit = 1 << k
+                    for x in range(n):
+                        if rows[x] & bit:
+                            rows[x] |= rows[k]
+        rel = []
+        for x, row in enumerate(rows):
+            if FrameProperty.REFLEXIVE in props or (FrameProperty.SERIAL in props and not row):
+                row |= 1 << x
+            while row:
+                low = row & -row
+                rel.append((worlds[x], worlds[low.bit_length() - 1]))
+                row ^= low
+        val: dict[str, set[str]] = {}
+        for world, content in zip(worlds, self.contents):
+            for f in content:
+                node = self.nodes[f]
+                if node[0] == "lit" and not node[2]:
+                    val.setdefault(node[1], set()).add(world)
+        model = Model(worlds, frozenset(rel), {p: frozenset(ws) for p, ws in val.items()})
+        return model, worlds[0]
 
-def _search(state: _Tableau) -> bool:
+
+def _search(state: _Branch) -> bool:
     """Depth-first search over disjunctions with dependency-directed
     backjumping; True once state holds the first open saturated branch.
 
@@ -350,182 +489,11 @@ def _search(state: _Tableau) -> bool:
             return False
 
 
-# ---------------------------------------------------------------------------
-# Labelled tableau for K, D, T, KB, K4, S4, with one rule per frame
-# property of the class.  Boxes and edges carry dependency masks too: a box
-# pushed along an edge depends on both.
-
-
-class _Branch(_Tableau):
-    def __init__(self, props: tuple[FrameProperty, ...], nnf: _Nnf, stats: dict[str, int]):
-        super().__init__(nnf, stats)
-        self.props = props
-        self.boxes: list[dict[int, int]] = []  # box formulas applied at each world
-        self.parent: list[int | None] = []
-        self.succ: list[dict[int, int]] = []  # edge x -> y as succ[x][y] = mask
-
-    def new_world(self, parent: int | None) -> int:
-        self.push(self.contents, {})
-        self.push(self.boxes, {})
-        self.push(self.parent, parent)
-        self.push(self.succ, {})
-        return len(self.contents) - 1
-
-    def add_edge(self, x: int, y: int, dep: int) -> None:
-        if y in self.succ[x]:
-            return
-        self.put(self.succ[x], y, dep)
-        boxes = self.boxes[x]
-        for f in sorted(boxes):
-            self._push_box_along(y, f, boxes[f] | dep)
-
-    def _push_box_along(self, y: int, f: int, dep: int) -> None:
-        self.schedule(y, self.nodes[f][1], dep)
-        if FrameProperty.TRANSITIVE in self.props:
-            self.schedule(y, f, dep)
-
-    def apply_box(self, w: int, f: int) -> None:
-        if f in self.boxes[w]:
-            return
-        dep = self.contents[w][f]
-        self.put(self.boxes[w], f, dep)
-        if FrameProperty.REFLEXIVE in self.props:
-            self.schedule(w, self.nodes[f][1], dep)
-        for y, edge_dep in sorted(self.succ[w].items()):
-            self._push_box_along(y, f, dep | edge_dep)
-
-    def expand_dia(self, w: int, f: int) -> None:
-        body = self.nodes[f][1]
-        dep = self.contents[w][f]
-        if FrameProperty.TRANSITIVE in self.props:
-            blocked = self._find_blocker(w, body)
-            if blocked is not None:
-                blocker, wanted_dep = blocked
-                self.add_edge(w, blocker, dep | wanted_dep)
-                return
-        v = self.new_world(w)
-        self.schedule(v, body, dep)
-        self.add_edge(w, v, dep)
-        if FrameProperty.SYMMETRIC in self.props:
-            self.add_edge(v, w, dep)
-
-    def _find_blocker(self, w: int, body: int) -> tuple[int, int] | None:
-        # The fresh world would carry the dia body plus everything w's boxes
-        # push along a new edge.  An ancestor already containing all of that
-        # can serve as the successor instead; nothing new flows into it.
-        # The edge then depends on the masks of those formulas there.
-        wanted = {body}
-        for f in self.boxes[w]:
-            wanted.add(f)
-            wanted.add(self.nodes[f][1])
-        u = self.parent[w]
-        while u is not None and not wanted <= self.contents[u].keys():
-            u = self.parent[u]
-        if u is None:
-            if not wanted <= self.contents[w].keys():
-                return None
-            u = w
-        content = self.contents[u]
-        dep = 0
-        for g in wanted:
-            dep |= content[g]
-        return u, dep
-
-    def grow(self) -> bool:
-        # Seriality: the first world with boxes and no successor gets one.
-        if FrameProperty.SERIAL in self.props:
-            for w in range(len(self.contents)):
-                if self.boxes[w] and not self.succ[w]:
-                    self.add_edge(w, self.new_world(w), 0)
-                    return True
-        return False
-
-    def model(self) -> tuple[Model, str]:
-        n = len(self.contents)
-        rows = [sum(1 << y for y in succ) for succ in self.succ]  # bit y: edge to y
-        props = self.props
-        if FrameProperty.TRANSITIVE in props:
-            # Warshall: a world that reaches k reaches all that k reaches.
-            for k in range(n):
-                if rows[k]:
-                    bit = 1 << k
-                    for x in range(n):
-                        if rows[x] & bit:
-                            rows[x] |= rows[k]
-        edges = []
-        for x, row in enumerate(rows):
-            if FrameProperty.REFLEXIVE in props or (FrameProperty.SERIAL in props and not row):
-                row |= 1 << x
-            while row:
-                low = row & -row
-                edges.append((x, low.bit_length() - 1))
-                row ^= low
-        return _model_of(self.contents, self.nodes, edges)
-
-
-# ---------------------------------------------------------------------------
-# S5: one clique suffices, so worlds share a global box store and each
-# distinct dia body gets at most one witness world.
-
-
-class _Clique(_Tableau):
-    def __init__(self, nnf: _Nnf, stats: dict[str, int]):
-        super().__init__(nnf, stats)
-        self.global_boxes: dict[int, int] = {}  # box bodies, with their masks
-        self.fired: dict[int, bool] = {}  # dia bodies given a witness; values unused
-
-    def new_world(self) -> int:
-        self.push(self.contents, {})
-        w = len(self.contents) - 1
-        for body, dep in self.global_boxes.items():
-            self.schedule(w, body, dep)
-        return w
-
-    def apply_box(self, w: int, f: int) -> None:
-        body = self.nodes[f][1]
-        if body in self.global_boxes:
-            return
-        dep = self.contents[w][f]
-        self.put(self.global_boxes, body, dep)
-        for v in range(len(self.contents)):
-            self.schedule(v, body, dep)
-
-    def expand_dia(self, w: int, f: int) -> None:
-        body = self.nodes[f][1]
-        if body not in self.fired:
-            self.put(self.fired, body, True)
-            dep = self.contents[w][f]
-            self.schedule(self.new_world(), body, dep)
-
-    def model(self) -> tuple[Model, str]:
-        n = len(self.contents)
-        return _model_of(self.contents, self.nodes, [(a, b) for a in range(n) for b in range(n)])
-
-
-def _model_of(contents: list[dict[int, int]], nodes: list[tuple], edges) -> tuple[Model, str]:
-    """Model on worlds u0.. with the given edges; a variable holds where its
-    positive literal was recorded.  Pointed at u0."""
-    worlds = tuple(f"u{i}" for i in range(len(contents)))
-    rel = frozenset((worlds[x], worlds[y]) for x, y in edges)
-    val: dict[str, set[str]] = {}
-    for i, content in enumerate(contents):
-        for f in content:
-            node = nodes[f]
-            if node[0] == "lit" and not node[2]:
-                val.setdefault(node[1], set()).add(worlds[i])
-    model = Model(worlds, rel, {p: frozenset(ws) for p, ws in val.items()})
-    return model, worlds[0]
-
-
 def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[tuple[Model, str] | None, dict]:
     stats = {"expansions": 0, "choice_points": 0, "backjumps": 0}
     nnf = _Nnf()
-    if cls is FrameClass.S5:
-        root: _Tableau = _Clique(nnf, stats)
-        root.new_world()
-    else:
-        root = _Branch(cls.properties, nnf, stats)
-        root.new_world(None)
+    root = _Branch(cls.properties, nnf, stats)
+    root.new_world(None)
     root.schedule(0, nnf.of(f), 0)
     return (root.model() if _search(root) else None), stats
 

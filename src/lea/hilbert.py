@@ -458,13 +458,13 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
     for n, picked in sweep.class_chunks(cls, max_n, k):
         orbits = sweep.frame_orbits(n)
         hits = [sweep.chunk_hits(prog, n, picked, False) for _, prog in progs]
-        # Frame-major, then in axiom order.
+        # Frame-major, then in axiom order; one model per failing frame.
         for i, row in zip(picked, zip(*hits)):
             succ, size = orbits[i]
             checked += size
-            for (name, _), hit in zip(progs, row):
-                if hit:
-                    frame = sweep.build_model(frame_worlds(n), succ, (), 0)
-                    failures.append((frame, name))
-                    failed += size
+            names = [name for (name, _), hit in zip(progs, row) if hit]
+            if names:
+                frame = sweep.build_model(frame_worlds(n), succ, (), 0)
+                failures += [(frame, name) for name in names]
+                failed += size * len(names)
     return ScanReport(system, cls, max_n, checked, tuple(failures), failed)

@@ -364,7 +364,8 @@ def test_criterion_10_soundness_scans():
 def test_criterion_11_decision_coherence():
     rng = random.Random(SEED)
     replayed = 0
-    classes = (FrameClass.K, FrameClass.D, FrameClass.T, FrameClass.K4, FrameClass.S4, FrameClass.S5)
+    classes = (FrameClass.K, FrameClass.D, FrameClass.T, FrameClass.K4, FrameClass.S4, FrameClass.S5,
+               FrameClass.KB)
     for cls in classes:
         for _ in range(300):
             f = rand_formula(rng, depth=3, lang="mixed")
@@ -376,4 +377,4 @@ def test_criterion_11_decision_coherence():
                 assert in_class(model, cls)
                 assert satisfies(model, w, f), (cls.name, render(f))
                 replayed += 1
-    print(f"criterion 11: pass - 1800 crosschecks, no hard failures, {replayed} witnesses replayed")
+    print(f"criterion 11: pass - 2100 crosschecks, no hard failures, {replayed} witnesses replayed")

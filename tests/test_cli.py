@@ -598,6 +598,26 @@ def test_affirmative_circ_bisim_refines_once(models, capsys, monkeypatch):
     assert calls == [True]
 
 
+def test_negative_circ_bisim_refines_once_and_builds_no_pairs(models, capsys, monkeypatch):
+    calls = []
+    real_blocks, real_classes = lea.bisim._blocks, lea.bisim._classes
+
+    def blocks(m, exempt):
+        calls.append(exempt)
+        return real_blocks(m, exempt)
+
+    def classes(*args):
+        calls.append("classes")
+        return real_classes(*args)
+
+    monkeypatch.setattr(lea.bisim, "_blocks", blocks)
+    monkeypatch.setattr(lea.bisim, "_classes", classes)
+    code, out, _ = run(capsys, "bisim", models["serial_a"], "s", models["isolated"], "t", "--json")
+    assert code == 1
+    assert json.loads(out) == {"answer": False, "flavor": "circ"}
+    assert calls == [True]
+
+
 def test_check_on_a_5000_world_chain(tmp_path, capsys):
     ws = [f"c{i}" for i in range(5000)]
     m = Model.make(ws, zip(ws, ws[1:]), {"p": ws[::2]})

@@ -312,7 +312,11 @@ ANSWER_GOLDENS = {
 # computed with the tableau that settles a disjunction by propagation where
 # it can and adds the complement of a first disjunct without box or dia on
 # going back.  The costs and witnesses of a later tableau may differ only
-# with a stated reason.
+# with a stated reason.  S5's changed when the labelled tableau replaced the
+# one-clique calculus: a diamond whose body some world already holds now
+# gets an edge to that world where the clique made one world per body, and
+# the witness is the closure of the branch's edges, so costs and world
+# numbering differ (answers do not: see test_s5_keeps_the_clique_answers).
 WITNESS_GOLDENS = {
     "K": "f0b3ff5faba46e5ddda536ff43ed2b80527851a590a48ec44ffe6f08eea2a169",
     "D": "87c7f2f584dcea895a4ee8714d117bfc9f93f17ba1a92f56e1cbfa9ed6862127",
@@ -320,7 +324,7 @@ WITNESS_GOLDENS = {
     "KB": "0f1bde2f1416afd039cbfb43bef80560edc85fa4dbfb10c2fba9f4604ea84fee",
     "K4": "70486ed9d02a19d9e2af2afb94a0846b8ca5f34975fa81ae7952e54a982ccdfb",
     "S4": "7845be2b85d2e5ebecceb134f25c0a7e23254ed32717637a3378305374e2f04c",
-    "S5": "08be2b77a7567c74be9c84d75e4280df91457433bdce92392b2071a38d958a67",
+    "S5": "f34c966184e0466886f6db764a99bfce117a67bf5e9859f37a7a1c38449316fd",
 }
 
 
@@ -334,6 +338,51 @@ def test_witness_goldens():
     digests = {cls.name: _digest([row[1:] for row in _golden_rows(cls)])
                for cls in TABLEAU_CLASSES}
     assert digests == WITNESS_GOLDENS
+
+
+def _s5_pin_formulas():
+    """3,900 seeded formulas: 600 mixed ones at each depth 1 to 5 over p, q,
+    r, 300 at depth 6 over p, q, and modal 3-CNFs over a, b, c of depth one
+    or two with 3 to 22 clauses (seeds 0-599)."""
+    rng = random.Random(7)
+    for depth in range(1, 6):
+        for _ in range(600):
+            yield rand_formula(rng, depth, ("p", "q", "r"), "mixed")
+    rng = random.Random(11)
+    for _ in range(300):
+        yield rand_formula(rng, 6, ("p", "q"), "mixed")
+    for seed in range(600):
+        yield rand_modal_cnf(random.Random(seed), ("a", "b", "c"), 3 + seed % 20,
+                             depth=1 + seed % 2)
+
+
+# Computed with the one-clique S5 calculus that the labelled tableau
+# replaced: the formulas it gave up on (budget exhausted), the sha256 of the
+# JSON list of its answers on the others, and the worlds of its witnesses in
+# total over those.
+S5_CLIQUE_EXHAUSTED = (3599, 3759)
+S5_CLIQUE_ANSWERS = "98fc3f10a3add83ccbdc5a4493b3138f17efee34b2822f57f738b8e62f8661d9"
+S5_CLIQUE_WITNESS_WORLDS = 5395
+
+
+def test_s5_keeps_the_clique_answers():
+    """Every formula the clique decided is decided, with its answer and a
+    witness that replays (satisfiable checks it), and the witnesses are no
+    larger in total."""
+    answers, worlds = [], 0
+    for i, f in enumerate(_s5_pin_formulas()):
+        try:
+            verdict = satisfiable(f, FrameClass.S5)
+        except DecideError:
+            assert i in S5_CLIQUE_EXHAUSTED, i
+            continue
+        if i in S5_CLIQUE_EXHAUSTED:
+            continue
+        answers.append(verdict.answer)
+        if verdict.witness is not None:
+            worlds += len(verdict.witness[0].worlds)
+    assert _digest(answers) == S5_CLIQUE_ANSWERS
+    assert worlds <= S5_CLIQUE_WITNESS_WORLDS, worlds
 
 
 def test_nested_essence_in_k():

@@ -11,6 +11,7 @@ from helpers import (
     rand_formula,
 )
 from helpers import render_justification as oracle_render_justification
+import lea.sweep
 from lea.formula import And, Box, Ess, Iff, Implies, Not, Or, Var, parse, render, substitute
 from lea.hilbert import (
     EQUI_KW,
@@ -344,6 +345,29 @@ def test_soundness_scan_catches_unsound_pairing():
     model, name = report.failures[0]
     assert name == "KwTr"
     assert not valid_on_frame(model, KW_TR)
+
+
+def test_soundness_scan_builds_one_model_per_failing_frame(monkeypatch):
+    """A frame that fails several axioms is listed once per axiom, frame
+    after frame in axiom order, with one shared model; each entry's axiom
+    fails on it."""
+    built = []
+    real = lea.sweep.build_model
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(lea.sweep, "build_model", spy)
+    report = soundness_scan(System.KB5_CIRC, FrameClass.K, 3)
+    models = [model for model, _ in report.failures]
+    assert [m for i, m in enumerate(models) if i == 0 or m is not models[i - 1]] == built
+    assert len(report.failures) > len(built)
+    order = [name for name, _ in System.KB5_CIRC.axioms]
+    for model, name in report.failures:
+        assert not valid_on_frame(model, System.KB5_CIRC.schema(name))
+    for (m1, a), (m2, b) in zip(report.failures, report.failures[1:]):
+        assert m1 is not m2 or order.index(a) < order.index(b)
 
 
 # ---------------------------------------------------------------------------
