@@ -17,9 +17,9 @@ Extensions add KwTr (transitive frames), KwB (symmetric frames) and KwEuc
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from . import sweep
 from .formula import (
@@ -423,6 +423,33 @@ def gen_conj_derivation(n: int) -> Derivation:
 # Soundness scanning
 
 
+class ScanFailures(Sequence):
+    """The (frame, axiom name) entries of a soundness scan: a read-only
+    sequence kept as (n, index into sweep.frame_orbits(n), axiom name).
+
+    A frame's model is built on the first read of one of its entries and
+    shared by that frame's other entries, so reading five entries builds
+    at most five models.
+    """
+
+    def __init__(self, entries: tuple[tuple[int, int, str], ...]):
+        self._entries = entries
+        self._frames: dict[tuple[int, int], Model] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        n, orbit, name = self._entries[i]
+        frame = self._frames.get((n, orbit))
+        if frame is None:
+            succ = sweep.frame_orbits(n)[orbit][0]
+            frame = self._frames[n, orbit] = sweep.build_model(frame_worlds(n), succ, (), 0)
+        return frame, name
+
+
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of a soundness scan.
@@ -430,14 +457,14 @@ class ScanReport:
     Frames are swept one per isomorphism class.  frames_checked and
     failure_count count labelled frames (each class frame weighted by the
     size of its orbit); failures lists one (frame, axiom) entry per failing
-    orbit and axiom, smallest mask first.
+    orbit and axiom, smallest mask first, then in axiom order.
     """
 
     system: System
     frame_class: FrameClass
     max_n: int
     frames_checked: int
-    failures: tuple[tuple[Model, str], ...]
+    failures: ScanFailures
     failure_count: int
 
     def __bool__(self) -> bool:
@@ -449,22 +476,23 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
 
     Returns the (frame, axiom name) pairs where validity fails; soundness of
     the system over the class predicts none.  max_n must lie in
-    1..sweep.MAX_N (ValueError).
+    1..sweep.MAX_N (ValueError).  One chunk_hits call per chunk answers
+    every axiom, on chunks sized for the union of their variables.
     """
-    progs = [(name, sweep.Prog(schema)) for name, schema in system.axioms]
-    failures: list[tuple[Model, str]] = []
+    axioms = system.axioms
+    progs = [sweep.Prog(schema) for _, schema in axioms]
+    entries: list[tuple[int, int, str]] = []
     checked = failed = 0
-    k = max(len(prog.names) for _, prog in progs)
+    k = len(set().union(*(prog.names for prog in progs)))
     for n, picked in sweep.class_chunks(cls, max_n, k):
         orbits = sweep.frame_orbits(n)
-        hits = [sweep.chunk_hits(prog, n, picked, False) for _, prog in progs]
-        # Frame-major, then in axiom order; one model per failing frame.
+        hits = sweep.chunk_hits(progs, n, picked, False)
+        # Frame-major, then in axiom order.
         for i, row in zip(picked, zip(*hits)):
-            succ, size = orbits[i]
+            size = orbits[i][1]
             checked += size
-            names = [name for (name, _), hit in zip(progs, row) if hit]
-            if names:
-                frame = sweep.build_model(frame_worlds(n), succ, (), 0)
-                failures += [(frame, name) for name in names]
+            if any(row):
+                names = [name for (name, _), hit in zip(axioms, row) if hit]
+                entries += [(n, i, name) for name in names]
                 failed += size * len(names)
-    return ScanReport(system, cls, max_n, checked, tuple(failures), failed)
+    return ScanReport(system, cls, max_n, checked, ScanFailures(tuple(entries)), failed)

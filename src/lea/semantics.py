@@ -119,7 +119,7 @@ def check_definability(
     for n, picked in sweep.class_chunks(FrameClass.K, max_n, len(prog.names)):
         has = sweep.orbit_property(n, prop)
         holds = bytes(map(has.__getitem__, picked))
-        invalid = sweep.chunk_hits(prog, n, picked, False)
+        (invalid,) = sweep.chunk_hits([prog], n, picked, False)
         # A disagreement is a frame with prop where f fails somewhere, or one
         # without it where f never fails.
         j = bytes(map(operator.eq, holds, invalid)).find(1)

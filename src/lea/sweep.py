@@ -1,6 +1,7 @@
 """The one evaluator of formulas on bitmaps, and exhaustive frame sweeps.
 
-Prog compiles a formula to a postorder op list and runs it through one
+Prog compiles a formula to a postorder op list, on an explicit stack so
+that no nesting depth meets the recursion limit, and runs it through one
 table of truth functions on registers.  A register is one int whose bit
 v*n + s is the truth at world s (of n) under valuation number v, so
 checking a formula against every valuation of a frame costs a handful of
@@ -20,15 +21,19 @@ over all labelled frames, and orbit sizes keep counts in labelled frames.
 Class membership is one pass per size: with the successor rows of every
 orbit packed one frame per byte (orbit_rows), each frame property is a
 few dozen int ops over all orbits at once (kripke._check_property).  A
-sweep takes its class frames a chunk at a time (class_chunks), and one
-evaluation answers for the whole chunk (chunk_hits): each frame's register
-is one block of a wider register, and a carry out of each block gives one
-0/1 byte per frame.  A bounded search reads its (valuation, world) off the
-lowest set bit of the chunk's register.
+sweep takes its class frames a chunk at a time (class_chunks).  Each
+frame's register is one block of a wider register, and a chunk's layout
+(_chunk_layout) is built once: the all-true register and the variables'
+registers repeated in every block, over the union of the variables of the
+formulas the sweep asks about, and one mask per edge offset.  Each compiled
+formula is then one evaluation over that layout (chunk_hits), and a carry
+out of each block gives one 0/1 byte per frame.  A bounded search reads its
+(valuation, world) off the lowest set bit of the chunk's register.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, permutations
 from typing import Callable, Iterator, Mapping, Sequence
@@ -87,27 +92,38 @@ class Prog:
         ops: list[tuple] = []
         by_id: dict[int, int] = {}
         by_shape: dict[tuple, int] = {}
-
-        def emit(g: Formula) -> int:
-            reg = by_id.get(id(g))
-            if reg is not None:
-                return reg
-            kind = type(g)
-            if kind is Var:
-                shape = (Var, g.name)
-            elif kind in _BOOLEAN or kind is Ess or kind is Box:
-                shape = (kind, *map(emit, children(g)))
+        # Postorder on an explicit stack, so that no nesting depth meets the
+        # recursion limit.  A node is pushed bare to be visited, and again
+        # as (node, children) to be emitted once its children have been.
+        stack: list = [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is tuple:
+                g, kids = g
+                shape = (type(g), *[by_id[id(c)] for c in kids])
+            elif id(g) in by_id:
+                continue
             else:
-                raise TypeError(f"not a formula: {g!r}")
+                kind = type(g)
+                if kind is Var:
+                    shape = (Var, g.name)
+                elif kind not in _BOOLEAN and kind is not Ess and kind is not Box:
+                    raise TypeError(f"not a formula: {g!r}")
+                else:
+                    kids = children(g)
+                    if kids:
+                        stack.append((g, kids))
+                        stack.extend(kids[::-1])
+                        continue
+                    shape = (kind,)
             reg = by_shape.get(shape)
             if reg is None:
                 reg = by_shape[shape] = len(ops)
                 ops.append(shape)
             by_id[id(g)] = reg
-            return reg
 
         self.ops = ops
-        self.root = emit(f)
+        self.root = by_id[id(f)]
         self.names = tuple(sorted({op[1] for op in ops if op[0] is Var}))
 
     def evaluate(self, full: int, var_regs: Mapping[str, int], step: Step) -> int:
@@ -329,19 +345,28 @@ def _block_bytes(n: int, k: int) -> int:
     return (n << (n * k)) // 8 + 1
 
 
-def chunk_hits(prog: Prog, n: int, picked: Sequence[int], value: bool) -> bytes:
-    """Per picked frame of frame_orbits(n), 1 where the compiled formula
-    takes the given truth value on it under some valuation, else 0.
+def chunk_hits(progs: Sequence[Prog], n: int, picked: Sequence[int], value: bool) -> list[bytes]:
+    """Per compiled formula, one byte per picked frame of frame_orbits(n):
+    1 where the formula takes the given truth value on the frame under
+    some valuation, else 0.
 
-    Adding all-ones to each block of _chunk_register carries into its spare
-    bits exactly where the block is non-zero, and byte j*w of the carries
-    shifted down is frame j's verdict.
+    One layout over the union of the formulas' variables serves them all.
+    Adding all-ones to each block carries into its spare bits exactly where
+    the block is non-zero, and byte j*w of the carries shifted down is
+    frame j's verdict.
     """
-    k, m = len(prog.names), len(picked)
+    names = sorted(set().union(*(prog.names for prog in progs)))
+    k, m = len(names), len(picked)
     w = _block_bytes(n, k)
-    bits, full = _chunk_register(prog, n, picked, value)
-    carries = (bits + full) >> (n << (n * k))
-    return (carries & _repeat(1, w, m)).to_bytes(m * w, "little")[::w]
+    full, var_regs, step = _chunk_layout(n, picked, names)
+    spare, one = n << (n * k), _repeat(1, w, m)
+    hits = []
+    for prog in progs:
+        bits = prog.evaluate(full, var_regs, step)
+        if not value:
+            bits ^= full
+        hits.append((((bits + full) >> spare) & one).to_bytes(m * w, "little")[::w])
+    return hits
 
 
 def _repeat(reg: int, w: int, m: int) -> int:
@@ -349,40 +374,37 @@ def _repeat(reg: int, w: int, m: int) -> int:
     return int.from_bytes(reg.to_bytes(w, "little") * m, "little")
 
 
-def _chunk_register(prog: Prog, n: int, picked: Sequence[int], value: bool) -> tuple[int, int]:
-    """(bits, full) for the picked frames of frame_orbits(n): bits is set
-    where the compiled formula takes the given truth value, full is the
-    all-true register.
+def _chunk_layout(
+    n: int, picked: Sequence[int], names: Sequence[str]
+) -> tuple[int, dict[str, int], Step]:
+    """(full, variable registers, modal step) for one evaluation over the
+    picked frames of frame_orbits(n) and every valuation of names.
 
-    One evaluation covers the chunk.  Frame j's register, laid out as
-    Prog.run lays it out, is the block at byte j*w of one register, w =
-    _block_bytes(n, k), and the spare bits above each block stay zero.  The
-    all-true and variable registers repeat the one-frame ones in every
-    block.  The modal step's mask for an offset holds, in frame j's block,
-    the one-frame lane pattern (ones) times frame j's sources at that
-    offset (orbit_offsets), so no mask reaches across blocks.
+    Frame j's register, laid out as Prog.run lays it out, is the block at
+    byte j*w of one register, w = _block_bytes(n, len(names)), and the spare
+    bits above each block stay zero.  The all-true and variable registers
+    repeat the one-frame ones in every block.  The modal step's mask for an
+    offset holds, in frame j's block, the one-frame lane pattern (ones)
+    times frame j's sources at that offset (orbit_offsets), so no mask
+    reaches across blocks.  Any formula whose variables are among names
+    evaluates over it.
     """
-    k = len(prog.names)
+    k, m = len(names), len(picked)
     full, ones, var_regs = _valuation_registers(n, k)
     w = _block_bytes(n, k)
-    offsets = [(d, bytes(map(column.__getitem__, picked))) for d, column in orbit_offsets(n)]
-    # The lane pattern of each source set in the chunk, as one block.
-    patterns = {
-        sources: (ones * sources).to_bytes(w, "little")
-        for sources in set().union(*(column for _, column in offsets))
-    }
-    lanes = [
-        (n + d, int.from_bytes(b"".join(map(patterns.__getitem__, column)), "little"))
-        for d, column in offsets
-        if any(column)
-    ]
-    full = _repeat(full, w, len(picked))
-    bits = prog.evaluate(
-        full,
-        {name: _repeat(reg, w, len(picked)) for name, reg in zip(prog.names, var_regs)},
-        _frame_step(n, full, lanes),
-    )
-    return (bits if value else bits ^ full), full
+    # The lane pattern of each of the 2^n source sets, as one block.
+    patterns = [(ones * sources).to_bytes(w, "little") for sources in range(1 << n)]
+    # itemgetter of a single index returns the item, not a 1-tuple.
+    take = operator.itemgetter(*picked) if m > 1 else lambda column: (column[picked[0]],)
+    lanes = []
+    for d, column in orbit_offsets(n):
+        sources = take(column)
+        if any(sources):
+            mask = int.from_bytes(b"".join(map(patterns.__getitem__, sources)), "little")
+            lanes.append((n + d, mask))
+    full = _repeat(full, w, m)
+    regs = {name: _repeat(reg, w, m) for name, reg in zip(names, var_regs)}
+    return full, regs, _frame_step(n, full, lanes)
 
 
 def frame_hit(prog: Prog, n: int, succ: Sequence[int], value: bool) -> tuple[int, int] | None:
@@ -427,7 +449,7 @@ def search_sat(f: Formula, cls: FrameClass, max_n: int) -> tuple[Model, str] | N
     prog = Prog(f)
     k = len(prog.names)
     for n, picked in class_chunks(cls, max_n, k):
-        bits, _ = _chunk_register(prog, n, picked, True)
+        bits = prog.evaluate(*_chunk_layout(n, picked, prog.names))
         if bits:
             j, place = divmod((bits & -bits).bit_length() - 1, 8 * _block_bytes(n, k))
             v, s = divmod(place, n)

@@ -41,6 +41,7 @@ from lea.formula import (
     ParseError,
     Top,
     Var,
+    children,
     is_lea,
     parse,
     render,
@@ -156,6 +157,36 @@ def rand_modal_cnf(rng: random.Random, atoms: Sequence[str], clauses: int, depth
 
 # ---------------------------------------------------------------------------
 # Truth by plain recursion over successor sets.
+
+
+def recursive_compile(f: Formula) -> tuple[list[tuple], int]:
+    """(ops, root) of sweep.Prog(f) by the recursive postorder compile that
+    the explicit-stack one replaced: children left to right, nodes looked
+    up by id and then by (node type, child registers)."""
+    ops: list[tuple] = []
+    by_id: dict[int, int] = {}
+    by_shape: dict[tuple, int] = {}
+
+    def emit(g: Formula) -> int:
+        reg = by_id.get(id(g))
+        if reg is not None:
+            return reg
+        kind = type(g)
+        if kind is Var:
+            shape = (Var, g.name)
+        elif kind in (Top, Bot, Not, And, Or, Implies, Iff, Ess, Box):
+            shape = (kind, *map(emit, children(g)))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        reg = by_shape.get(shape)
+        if reg is None:
+            reg = by_shape[shape] = len(ops)
+            ops.append(shape)
+        by_id[id(g)] = reg
+        return reg
+
+    root = emit(f)
+    return ops, root
 
 
 def naive_satisfies(m: Model, w: str, f: Formula) -> bool:

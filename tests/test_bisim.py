@@ -403,3 +403,16 @@ def test_bounded_equivalent_separates_long_chains():
     assert satisfies(c, "c0", sep) and not satisfies(d, "d0", sep)
     assert "~~" not in render(sep)
     assert bounded_equivalent(PointedModel(c, "c0"), PointedModel(d, "d2"), ("p",), 60) is True
+
+
+def test_separator_of_250_round_split_replays():
+    # c0 and d0 first split at round 250; the separator's nesting is past
+    # the recursion limit, and satisfies replays it all the same.
+    def chain(prefix, n):
+        ws = [f"{prefix}{i}" for i in range(n)]
+        return Model.make(ws, zip(ws, ws[1:]), {"p": ws[::2]})
+
+    c, d = chain("c", 250), chain("d", 252)
+    sep = bounded_equivalent(PointedModel(c, "c0"), PointedModel(d, "d0"), ("p",), 255)
+    assert sep is not True
+    assert satisfies(c, "c0", sep) and not satisfies(d, "d0", sep)

@@ -684,6 +684,23 @@ def test_valid_frame_past_the_valuation_limit_is_unknown(tmp_path, capsys):
     assert (code, json.loads(out)) == (1, {"answer": None, "method": "frame-sweep", "reason": reason})
 
 
+def test_scan_builds_only_the_models_it_prints(monkeypatch, capsys):
+    # A scan lists its first five failures; the frames of the other
+    # thousands are never built into models.
+    built = []
+    real = lea.sweep.build_model
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lea.sweep, "build_model", spy)
+    code, out, _ = run(capsys, "scan", "K4", "--class", "K", "--max-n", "4", "--json")
+    payload = json.loads(out)
+    assert code == 1 and len(payload["failures"]) == 5
+    assert len(built) <= 5
+
+
 @pytest.mark.parametrize(
     "argv",
     [

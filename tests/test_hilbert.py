@@ -370,6 +370,32 @@ def test_soundness_scan_builds_one_model_per_failing_frame(monkeypatch):
         assert m1 is not m2 or order.index(a) < order.index(b)
 
 
+def test_scan_failures_read_as_a_tuple_of_entries(monkeypatch):
+    """Length, truth, indexing, slicing and iteration read the entries in
+    order; a read of one entry builds only its frame's model."""
+    built = []
+    real = lea.sweep.build_model
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(lea.sweep, "build_model", spy)
+    report = soundness_scan(System.KB5_CIRC, FrameClass.K, 3)
+    assert built == []
+    model, name = report.failures[-1]
+    assert len(built) == 1
+    entries = tuple(report.failures)
+    assert len(report.failures) == len(entries) > 11 and bool(report.failures)
+    assert entries[-1] == (model, name) and report.failures[-1][0] is model
+    assert report.failures[:5] == entries[:5]
+    assert report.failures[3:11:2] == entries[3:11:2]
+    assert report.failures[::-1] == entries[::-1]
+    assert list(reversed(report.failures)) == list(entries[::-1])
+    with pytest.raises(IndexError):
+        report.failures[len(entries)]
+
+
 # ---------------------------------------------------------------------------
 # The table-driven derivation format against the ladder oracle of helpers.
 

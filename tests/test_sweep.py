@@ -18,19 +18,51 @@ from helpers import (
     naive_has_property,
     naive_in_class,
     rand_formula,
+    recursive_compile,
 )
 from lea import sweep
 from lea.decide import satisfiable
-from lea.formula import parse, render
-from lea.hilbert import System, soundness_scan
-from lea.kripke import FrameClass, FrameProperty, frame_worlds
-from lea.semantics import check_definability
+from lea.formula import And, Box, Ess, Iff, Or, Var, parse, render, substitute
+from lea.hilbert import KW_CON, System, soundness_scan
+from lea.kripke import FrameClass, FrameProperty, Model, frame_worlds
+from lea.semantics import check_definability, extension, satisfies
 from lea.sweep import build_model
 
 
 def _mask(succ):
     n = len(succ)
     return sum(row << (s * n) for s, row in enumerate(succ))
+
+
+def test_compile_matches_recursive_oracle():
+    # The explicit-stack compile gives the recursive compile's ops, in its
+    # order, and its root: on trees, and on DAGs that share subterms by
+    # identity as substitution does.
+    rng = random.Random(2525)
+    for i in range(600):
+        f = rand_formula(rng, 1 + i % 5, names=("p", "q", "r"), lang="mixed")
+        g = rand_formula(rng, 2, lang="mixed")
+        for h in (f, And(f, Ess(f)), Iff(Box(g), Or(g, f)), substitute(KW_CON, {"p": f, "q": g})):
+            prog = sweep.Prog(h)
+            assert (prog.ops, prog.root) == recursive_compile(h), render(h)
+
+
+def test_compile_depth_is_not_bounded_by_recursion():
+    ws = [f"c{i}" for i in range(10)]
+    chain = Model.make(ws, zip(ws, ws[1:]), {"p": ws[::3]})
+    boxes = essences = Var("p")
+    for _ in range(3000):
+        boxes = Box(boxes)
+    for _ in range(1200):
+        essences = Ess(essences)
+    # No path from c0 is 3,000 steps long.
+    assert satisfies(chain, "c0", boxes)
+    # o f holds where f fails, where f holds at the successor too, and where
+    # there is no successor.
+    holds = {w for w in ws if w in chain.val["p"]}
+    for _ in range(1200):
+        holds = {w for w, t in zip(ws, ws[1:] + [None]) if w not in holds or t in holds or t is None}
+    assert extension(chain, essences) == frozenset(holds)
 
 
 def test_frame_orbit_counts():
@@ -211,6 +243,59 @@ def test_soundness_scan_lists_failures_frame_major():
     assert any(a == b for a, b in zip(frames, frames[1:]))
 
 
+# Formulas without a variable, with p, with q and with both: one layout
+# over p and q serves them all.
+TOGETHER = ["[] F | <> <> T", "o p -> [] p", "<> q & ~o q", "o (p & q) | ~p & <> q"]
+
+
+def test_chunk_hits_of_formulas_together_match_one_at_a_time(monkeypatch):
+    _chunk_hits_together_match_one_at_a_time()
+    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
+    _chunk_hits_together_match_one_at_a_time()
+
+
+def _chunk_hits_together_match_one_at_a_time():
+    progs = [sweep.Prog(parse(text)) for text in TOGETHER]
+    seen = set()
+    for cls in FrameClass:
+        for n, picked in sweep.class_chunks(cls, 3, 2):
+            orbits = sweep.frame_orbits(n)
+            for value in (False, True):
+                together = sweep.chunk_hits(progs, n, picked, value)
+                assert len(together) == len(progs)
+                for text, prog, hits in zip(TOGETHER, progs, together):
+                    assert hits == sweep.chunk_hits([prog], n, picked, value)[0], text
+                    expect = bytes(
+                        sweep.frame_hit(prog, n, orbits[i][0], value) is not None for i in picked
+                    )
+                    assert hits == expect, (cls.name, n, value, text)
+                    seen.update(hits)
+    assert seen == {0, 1}
+
+
+def test_soundness_scan_builds_one_layout_per_chunk(monkeypatch):
+    # A deterministic guard on the scan's shape: every axiom of a chunk is
+    # evaluated over the one layout built for that chunk.
+    layouts, evaluations = [], []
+    layout, evaluate = sweep._chunk_layout, sweep.Prog.evaluate
+
+    def counted_layout(*args):
+        layouts.append(args[0])
+        return layout(*args)
+
+    def counted_evaluate(self, *args):
+        evaluations.append(self)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(sweep, "_chunk_layout", counted_layout)
+    monkeypatch.setattr(sweep.Prog, "evaluate", counted_evaluate)
+    report = soundness_scan(System.K4_CIRC, FrameClass.K, 4)
+    chunks = len(list(sweep.class_chunks(FrameClass.K, 4, 2)))
+    assert chunks > 4 and report.failures
+    assert len(layouts) == chunks
+    assert len(evaluations) == chunks * len(System.K4_CIRC.axioms)
+
+
 # Formulas outside rand_formula's two variables: two without a variable
 # (the second has no model on serial frames), and two with three, whose
 # first models have three and two worlds.
@@ -259,7 +344,7 @@ def test_search_sat_evaluates_each_chunk_once(monkeypatch):
         chunks = 0
         for n, picked in sweep.class_chunks(cls, 3, len(prog.names)):
             chunks += 1
-            if 1 in sweep.chunk_hits(prog, n, picked, True):
+            if 1 in sweep.chunk_hits([prog], n, picked, True)[0]:
                 break
         calls = []
         evaluate = sweep.Prog.evaluate
