@@ -24,7 +24,6 @@ its literals at round 0; then chi of its round-(r - 1) block, ~o ~chi_C
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -252,24 +251,39 @@ def bounded_equivalent(
     for i, j in idx.edges:
         succs[i].append(j)
 
-    @cache
-    def separator(x: int, y: int) -> Formula:
+    # separator[(x, y)] for each pair the answer needs, on an explicit stack:
+    # a pair is built once the pairs it needs are, and then popped.
+    separator: dict[tuple[int, int], Formula] = {}
+    root = (x, y)
+    stack = [root]
+    while stack:
+        x, y = pair = stack[-1]
+        if pair in separator:
+            stack.pop()
+            continue
         r = next(r for r, block in enumerate(rounds) if block[x] != block[y])
         if r == 0:
             p = next(p for p, bits in idx.val_bits.items() if (bits >> x ^ bits >> y) & 1)
-            return Var(p) if idx.val_bits[p] >> x & 1 else Not(Var(p))
+            separator[pair] = Var(p) if idx.val_bits[p] >> x & 1 else Not(Var(p))
+            continue
         block = rounds[r - 1]
         reached = {block[t] for t in succs[y]}
         t = next((t for t in succs[x] if block[t] != block[x] and block[t] not in reached), None)
-        if t is None:
-            return _negate(separator(y, x))
         # One w per round-(r - 1) block: a block agrees on shallower formulas.
-        g = [separator(t, w) for w in {block[w]: w for w in (x, *succs[y])}.values()]
+        needs = [(y, x)] if t is None else [
+            (t, w) for w in {block[w]: w for w in (x, *succs[y])}.values()]
+        missing = [q for q in needs if q not in separator]
+        if missing:
+            stack += missing
+            continue
+        g = [separator[q] for q in needs]
+        if t is None:
+            separator[pair] = _negate(g[0])
+            continue
         while len(g) > 1:  # balanced: g nests log2 len(g) deep
             g = [And(*g[i : i + 2]) if i + 1 < len(g) else g[i] for i in range(0, len(g), 2)]
-        return Not(Ess(_negate(g[0])))
-
-    return separator(x, y)
+        separator[pair] = Not(Ess(_negate(g[0])))
+    return separator[root]
 
 
 def _negate(f: Formula) -> Formula:

@@ -7,11 +7,12 @@ object instead of the line.  One rule reads the exit code off the object's
 clean scan) or absent (contract, translate, genproof), 1 when it is false
 or null.  A null answer is a stated limit, and its line is `unknown:
 <reason>`: a bounded search that found no model, a tautology check past its
-atom limit, a frame sweep past its valuation limit, or a formula nested too
-deeply for the recursion limit.  Exit 2 is unusable input (a malformed
-command line, which also prints a usage line; an unreadable or non-UTF-8
-file, bad syntax or content, an unknown name, a --max-n outside 1 to
-sweep.MAX_N); the tableau's expansion budget also exits 2, with an error.
+atom limit, a frame sweep past its valuation limit, or a translation of
+more than MAX_TRANSLATION_NODES nodes written out.  Exit 2 is unusable
+input (a malformed command line, which also prints a usage line; an
+unreadable or non-UTF-8 file, bad syntax or content, an unknown name, a
+--max-n outside 1 to sweep.MAX_N); the tableau's expansion budget also
+exits 2, with an error.
 Exit 3, with `internal error: <reason>` and no verdict, is an answer that
 failed its own check.
 
@@ -42,7 +43,7 @@ from .bisim import (
     largest_circ_bisimulation,
     pairs_to_obj,
 )
-from .formula import Formula, ParseError, parse, render, to_lea, to_ml
+from .formula import Formula, ParseError, parse, render, to_lea, to_ml, tree_size
 from .hilbert import (
     DerivationSyntaxError,
     System,
@@ -67,6 +68,11 @@ from .semantics import (
     valid_on_frame,
 )
 from .sweep import MAX_N, ValuationLimitError
+
+
+# `translate` prints a tree, and each o doubles what to-ml writes: past this
+# many nodes it answers unknown in place of printing megabytes.
+MAX_TRANSLATION_NODES = 1_000_000
 
 
 class _InputError(Exception):
@@ -220,7 +226,13 @@ def _cmd_translate(ns) -> tuple[dict, str]:
         out = fn(f)
     except ValueError as e:
         raise _InputError(str(e)) from e
-    return {"input": render(f), "output": render(out)}, render(out)
+    size = tree_size(out)
+    if size > MAX_TRANSLATION_NODES:
+        reason = (f"the translation has {size} nodes written out, more than "
+                  f"the limit of {MAX_TRANSLATION_NODES}")
+        return {"answer": None, "reason": reason}, reason
+    text = render(out)
+    return {"input": render(f), "output": text}, text
 
 
 def _cmd_define(ns) -> tuple[dict, str]:
@@ -447,9 +459,6 @@ def main(argv=None) -> int:
     except decide.SelfCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    except RecursionError:
-        line = "formula nests too deeply for the recursion limit"
-        payload = {"answer": None, "reason": line}
     answer = payload.get("answer", True)
     if ns.json:
         print(json.dumps(payload, sort_keys=True))

@@ -140,40 +140,70 @@ class _Nnf:
 
     def of(self, f: Formula) -> int:
         """The id of f's NNF; ~f's is that id ^ 1.  Each formula node is
-        rewritten once, however often o and <-> share it."""
-        i = self.memo.get(id(f))
-        if i is not None:
-            return i
-        kind = type(f)
-        if kind is Var:
-            i = self.intern(("lit", f.name, False), False)
-        elif kind is Not:
-            i = self.of(f.sub) ^ 1
-        elif kind is And or kind is Or or kind is Implies:
-            tag = "and" if kind is And else "or"
-            parts: list[int] = []
-            seen: set[tuple[int, bool]] = set()
-            self._operands(f.left, kind is Implies, tag, parts, seen)
-            self._operands(f.right, False, tag, parts, seen)
-            i = self.junction(tag, parts)
-        elif kind is Box:
-            i = self.intern(("box", self.of(f.sub)), True)
-        elif kind is Ess:
-            # o g  is  g -> [] g  pointwise.
-            g = self.of(f.sub)
-            i = self.junction("or", [g ^ 1, self.intern(("box", g), True)])
-        elif kind is Iff:
-            a, b = self.of(f.left), self.of(f.right)
-            i = self.junction("and", [self.junction("or", [a ^ 1, b]),
-                                      self.junction("or", [b ^ 1, a])])
-        elif kind is Top or kind is Bot:
-            i = self.intern(("top",), False) ^ (kind is Bot)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self.memo[id(f)] = i
-        return i
+        rewritten once, however often o and <-> share it.  The rewrite runs
+        on a stack of tasks in the order of a recursive rewrite's calls, so
+        ids come out in that order: (g,) leaves g's id on done, (g, parts)
+        builds it from its children's, (g, neg, tag, parts, seen) collects a
+        run's operands and (None, neg, parts) moves one from done to parts.
+        """
+        memo, done = self.memo, []
+        tasks: list[tuple] = [(f,)]
+        while tasks:
+            task = tasks.pop()
+            g = task[0]
+            kind = type(g)
+            if len(task) == 2:
+                parts = task[1]
+            elif len(task) != 1:
+                if g is None:
+                    task[2].append(done.pop() ^ task[1])
+                else:
+                    self._operands(tasks, *task)
+                continue
+            elif id(g) in memo:
+                done.append(memo[id(g)])
+                continue
+            elif kind is And or kind is Or or kind is Implies:
+                tag = "and" if kind is And else "or"
+                parts, seen = [], set()
+                tasks += [(g, parts), (g.right, False, tag, parts, seen),
+                          (g.left, kind is Implies, tag, parts, seen)]
+                continue
+            elif kind is Not or kind is Box or kind is Ess:
+                tasks += [(g, None), (g.sub,)]
+                continue
+            elif kind is Iff:
+                tasks += [(g, None), (g.right,), (g.left,)]
+                continue
+            else:
+                parts = None  # a leaf
+            # g's children are rewritten: their ids are on done, or in parts.
+            if kind is Var:
+                i = self.intern(("lit", g.name, False), False)
+            elif kind is Not:
+                i = done.pop() ^ 1
+            elif parts is not None:
+                i = self.junction("and" if kind is And else "or", parts)
+            elif kind is Box:
+                i = self.intern(("box", done.pop()), True)
+            elif kind is Ess:
+                # o g  is  g -> [] g  pointwise.
+                x = done.pop()
+                i = self.junction("or", [x ^ 1, self.intern(("box", x), True)])
+            elif kind is Iff:
+                b, a = done.pop(), done.pop()
+                i = self.junction("and", [self.junction("or", [a ^ 1, b]),
+                                          self.junction("or", [b ^ 1, a])])
+            elif kind is Top or kind is Bot:
+                i = self.intern(("top",), False) ^ (kind is Bot)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            memo[id(g)] = i
+            done.append(i)
+        return done.pop()
 
-    def _operands(self, g: Formula, neg: bool, tag: str, parts: list[int], seen: set) -> None:
+    def _operands(self, tasks: list, g: Formula, neg: bool, tag: str, parts: list[int],
+                  seen: set) -> None:
         # Collect into parts, left to right, the operands of the run of &, |
         # and -> below g (negated when neg) that rewrite to tag.  The run is
         # not interned node by node, so a long chain costs linear time, not
@@ -188,11 +218,11 @@ class _Nnf:
         else:
             same = False
         if not same or id(g) in self.memo:
-            parts.append(self.of(g) ^ neg)
+            tasks += [(None, neg, parts), (g,)]
         elif (id(g), neg) not in seen:
             seen.add((id(g), neg))
-            self._operands(g.left, neg != (kind is Implies), tag, parts, seen)
-            self._operands(g.right, neg, tag, parts, seen)
+            tasks += [(g.right, neg, tag, parts, seen),
+                      (g.left, neg != (kind is Implies), tag, parts, seen)]
 
 
 # ---------------------------------------------------------------------------

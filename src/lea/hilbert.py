@@ -34,6 +34,7 @@ from .formula import (
     children,
     is_lea,
     parse,
+    postorder,
     rebuild,
     render,
     substitute,
@@ -90,17 +91,16 @@ def match_schema(schema: Formula, f: Formula) -> Substitution | None:
 
 
 def _match(schema: Formula, f: Formula, binding: dict[str, Formula]) -> bool:
-    if isinstance(schema, Var):
-        seen = binding.get(schema.name)
-        if seen is None:
-            binding[schema.name] = f
-            return True
-        return seen == f
-    if type(schema) is not type(f):
-        return False
-    for s, g in zip(children(schema), children(f)):
-        if not _match(s, g, binding):
+    pairs = [(schema, f)]
+    while pairs:
+        s, g = pairs.pop()
+        if isinstance(s, Var):
+            if binding.setdefault(s.name, g) != g:
+                return False
+        elif type(s) is not type(g):
             return False
+        else:
+            pairs += reversed(list(zip(children(s), children(g))))
     return True
 
 
@@ -127,13 +127,13 @@ def is_tautology(f: Formula) -> bool:
     the frame sweep's valuation limit on one world.
     """
     atoms: dict[Formula, Var] = {}
-
-    def atomise(g: Formula) -> Formula:
+    new: dict[int, Formula] = {}
+    for g in postorder(f, leaves=(Ess, Box)):
         if isinstance(g, (Ess, Box, Var)):
-            return atoms.setdefault(g, Var(str(len(atoms))))
-        return rebuild(g, atomise)
-
-    g = atomise(f)
+            new[id(g)] = atoms.setdefault(g, Var(str(len(atoms))))
+        else:
+            new[id(g)] = rebuild(g, lambda c: new[id(c)])
+    g = new[id(f)]
     if len(atoms) > sweep.MAX_VALUATION_BITS:
         raise sweep.ValuationLimitError(
             f"tautology check over {len(atoms)} atoms exceeds the limit of "

@@ -1,7 +1,7 @@
 """The one evaluator of formulas on bitmaps, and exhaustive frame sweeps.
 
-Prog compiles a formula to a postorder op list, on an explicit stack so
-that no nesting depth meets the recursion limit, and runs it through one
+Prog compiles a formula to a postorder op list (formula.postorder, so
+that no nesting depth meets the recursion limit), and runs it through one
 table of truth functions on registers.  A register is one int whose bit
 v*n + s is the truth at world s (of n) under valuation number v, so
 checking a formula against every valuation of a frame costs a handful of
@@ -51,6 +51,7 @@ from .formula import (
     Top,
     Var,
     children,
+    postorder,
 )
 from .kripke import FrameClass, FrameProperty, Model, _check_property, frame_worlds
 
@@ -92,30 +93,14 @@ class Prog:
         ops: list[tuple] = []
         by_id: dict[int, int] = {}
         by_shape: dict[tuple, int] = {}
-        # Postorder on an explicit stack, so that no nesting depth meets the
-        # recursion limit.  A node is pushed bare to be visited, and again
-        # as (node, children) to be emitted once its children have been.
-        stack: list = [f]
-        while stack:
-            g = stack.pop()
-            if type(g) is tuple:
-                g, kids = g
-                shape = (type(g), *[by_id[id(c)] for c in kids])
-            elif id(g) in by_id:
-                continue
+        for g in postorder(f):
+            kind = type(g)
+            if kind is Var:
+                shape = (Var, g.name)
+            elif kind in _BOOLEAN or kind is Ess or kind is Box:
+                shape = (kind, *map(by_id.__getitem__, map(id, children(g))))
             else:
-                kind = type(g)
-                if kind is Var:
-                    shape = (Var, g.name)
-                elif kind not in _BOOLEAN and kind is not Ess and kind is not Box:
-                    raise TypeError(f"not a formula: {g!r}")
-                else:
-                    kids = children(g)
-                    if kids:
-                        stack.append((g, kids))
-                        stack.extend(kids[::-1])
-                        continue
-                    shape = (kind,)
+                raise TypeError(f"not a formula: {g!r}")
             reg = by_shape.get(shape)
             if reg is None:
                 reg = by_shape[shape] = len(ops)

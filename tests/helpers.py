@@ -10,7 +10,7 @@ between these and the fast paths is the point of most tests.
 import argparse
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -41,9 +41,17 @@ from lea.formula import (
     ParseError,
     Top,
     Var,
+    _CONSTANT,
+    _INFIX,
+    _LEVEL_IFF,
+    _LEVEL_IMP,
+    _PREFIX,
+    _UNARY_STARTERS,
+    _tokenize,
     children,
     is_lea,
     parse,
+    rebuild,
     render,
     substitute,
     variables,
@@ -1080,3 +1088,139 @@ def _oracle_render_top(f: Formula, sugar: bool) -> tuple[str, int]:
     if isinstance(f, Box):
         return "[] " + _oracle_render(f.sub, _ORACLE_LEVEL_UNARY, sugar), _ORACLE_LEVEL_UNARY
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# The recursive walks that lea.formula and decide._Nnf replaced with explicit
+# stacks, as they were, kept as oracles of the order and shape of what the
+# stacks build.  oracle_render above is the recursive printer.
+
+
+def recursive_parse(text: str) -> Formula:
+    """parse by recursive descent: one precedence loop over the tables."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def infix(min_level: int) -> Formula:
+        nonlocal pos
+        f = prefix()
+        while (op := _INFIX.get(tokens[pos][0])) is not None and op[1] >= min_level:
+            build, level = op
+            symbol = tokens[pos][0]
+            parts = [f]
+            while tokens[pos][0] == symbol:
+                pos += 1
+                parts.append(infix(level + 1))
+            if level <= _LEVEL_IMP:
+                f = reduce(lambda right, left: build(left, right), reversed(parts))
+            else:
+                f = reduce(build, parts)
+        return f
+
+    def prefix() -> Formula:
+        nonlocal pos
+        kind, word, offset = tokens[pos]
+        pos += 1
+        build = _PREFIX.get(kind)
+        if build is not None:
+            return build(prefix())
+        if kind in _CONSTANT:
+            return _CONSTANT[kind]()
+        if kind == "ident":
+            return Var(word)
+        if kind == "(":
+            f = infix(_LEVEL_IFF)
+            kind, word, offset = tokens[pos]
+            pos += 1
+            if kind != ")":
+                raise ParseError(offset, (")",), word or "end of input")
+            return f
+        raise ParseError(offset, _UNARY_STARTERS, word or "end of input")
+
+    f = infix(_LEVEL_IFF)
+    kind, word, offset = tokens[pos]
+    if kind != "eof":
+        raise ParseError(offset, ("end of input",), word)
+    return f
+
+
+def recursive_substitute(f: Formula, sub) -> Formula:
+    if isinstance(f, Var):
+        return sub.get(f.name, f)
+    return rebuild(f, lambda g: recursive_substitute(g, sub))
+
+
+def recursive_to_ml(f: Formula) -> Formula:
+    if isinstance(f, Box):
+        raise ValueError(f"not an essence-language formula: contains {render(f)}")
+    if isinstance(f, Ess):
+        g = recursive_to_ml(f.sub)
+        return Implies(g, Box(g))
+    return rebuild(f, recursive_to_ml)
+
+
+def recursive_to_lea(f: Formula) -> Formula:
+    if isinstance(f, Ess):
+        raise ValueError(f"not a box-language formula: contains {render(f)}")
+    if isinstance(f, Box):
+        g = recursive_to_lea(f.sub)
+        return And(Ess(g), g)
+    return rebuild(f, recursive_to_lea)
+
+
+def recursive_modal_depth(f: Formula) -> int:
+    depth = max(map(recursive_modal_depth, children(f)), default=0)
+    return depth + 1 if isinstance(f, (Ess, Box)) else depth
+
+
+class RecursiveNnf(decide._Nnf):
+    """decide._Nnf with the recursive rewrite its task stack replaced."""
+
+    def of(self, f: Formula) -> int:
+        i = self.memo.get(id(f))
+        if i is not None:
+            return i
+        kind = type(f)
+        if kind is Var:
+            i = self.intern(("lit", f.name, False), False)
+        elif kind is Not:
+            i = self.of(f.sub) ^ 1
+        elif kind is And or kind is Or or kind is Implies:
+            tag = "and" if kind is And else "or"
+            parts: list[int] = []
+            seen: set[tuple[int, bool]] = set()
+            self._walk(f.left, kind is Implies, tag, parts, seen)
+            self._walk(f.right, False, tag, parts, seen)
+            i = self.junction(tag, parts)
+        elif kind is Box:
+            i = self.intern(("box", self.of(f.sub)), True)
+        elif kind is Ess:
+            g = self.of(f.sub)
+            i = self.junction("or", [g ^ 1, self.intern(("box", g), True)])
+        elif kind is Iff:
+            a, b = self.of(f.left), self.of(f.right)
+            i = self.junction("and", [self.junction("or", [a ^ 1, b]),
+                                      self.junction("or", [b ^ 1, a])])
+        elif kind is Top or kind is Bot:
+            i = self.intern(("top",), False) ^ (kind is Bot)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self.memo[id(f)] = i
+        return i
+
+    def _walk(self, g: Formula, neg: bool, tag: str, parts: list[int], seen: set) -> None:
+        while type(g) is Not:
+            g, neg = g.sub, not neg
+        kind = type(g)
+        if kind is And:
+            same = tag == ("or" if neg else "and")
+        elif kind is Or or kind is Implies:
+            same = tag == ("and" if neg else "or")
+        else:
+            same = False
+        if not same or id(g) in self.memo:
+            parts.append(self.of(g) ^ neg)
+        elif (id(g), neg) not in seen:
+            seen.add((id(g), neg))
+            self._walk(g.left, neg != (kind is Implies), tag, parts, seen)
+            self._walk(g.right, neg, tag, parts, seen)

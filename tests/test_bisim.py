@@ -416,3 +416,18 @@ def test_separator_of_250_round_split_replays():
     sep = bounded_equivalent(PointedModel(c, "c0"), PointedModel(d, "d0"), ("p",), 255)
     assert sep is not True
     assert satisfies(c, "c0", sep) and not satisfies(d, "d0", sep)
+
+
+def test_separator_of_400_round_split_prints_and_replays():
+    # Past 330 rounds the separator's build once met the recursion limit,
+    # and render did sooner; now it builds, prints, parses back and replays.
+    def chain(prefix, n):
+        ws = [f"{prefix}{i}" for i in range(n)]
+        return Model.make(ws, zip(ws, ws[1:]), {"p": ws[::2]})
+
+    c, d = chain("c", 400), chain("d", 402)
+    sep = bounded_equivalent(PointedModel(c, "c0"), PointedModel(d, "d0"), ("p",), 405)
+    assert modal_depth(sep) == 400
+    text = render(sep)
+    assert parse(text) == sep and "~~" not in text
+    assert satisfies(c, "c0", sep) and not satisfies(d, "d0", sep)

@@ -269,7 +269,8 @@ REPLIES = {
     "unknown-bounded-search": (None, ["sat", "p & ~p", "--class", "TB"]),
     "unknown-valuation-limit": (None, ["valid", "o p & o q -> o (p & q)", "--frame", "{cycle11}"]),
     "unknown-atom-limit": (None, ["prove", "K", "{conj19}"]),
-    "unknown-recursion-limit": (None, ["sat", "(" * 5000 + "p" + ")" * 5000, "--class", "K"]),
+    "unknown-translation-size": (None, ["translate", "to-ml", "o " * 300 + "p"]),
+    "sat-deep-parentheses": (True, ["sat", "(" * 5000 + "p" + ")" * 5000, "--class", "K"]),
     "contract": (ABSENT, ["contract", "{serial_a}"]),
     "translate": (ABSENT, ["translate", "to-ml", "o o p"]),
     "genproof": (ABSENT, ["genproof", "3"]),
@@ -702,24 +703,45 @@ def test_scan_builds_only_the_models_it_prints(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, line",
     [
-        ["sat", "(" * 1000 + "p" + ")" * 1000, "--class", "K"],
-        ["check", "{model}", "s", "~" * 600 + "p"],
+        (["sat", "(" * 1000 + "p" + ")" * 1000, "--class", "K"], "satisfiable in K"),
+        (["check", "{model}", "s", "~" * 600 + "p"], "true: " + "~" * 600 + "p at s"),
     ],
     ids=["parse", "render"],
 )
-def test_deep_nesting_is_a_stated_limit(tmp_path, argv):
-    # The parser recurses about two frames a parenthesis and render two a
-    # connective; past the recursion limit the answer is unknown, exit 1.
+def test_deep_nesting_is_answered(tmp_path, argv, line):
+    # No walk recurses, so nesting past the recursion limit gets an answer.
     path = tmp_path / "one.json"
     path.write_text('{"worlds": ["s"], "rel": [], "val": {"p": ["s"]}}')
     argv = [a.replace("{model}", str(path)) for a in argv]
-    reason = "formula nests too deeply for the recursion limit"
     text, js = _cli(argv, 0), _cli(argv + ["--json"], 0)
-    assert (text.returncode, text.stdout, text.stderr) == (1, f"unknown: {reason}\n", "")
-    assert (js.returncode, js.stderr) == (1, "")
-    assert json.loads(js.stdout) == {"answer": None, "reason": reason}
+    assert (text.returncode, text.stdout, text.stderr) == (0, line + "\n", "")
+    assert (js.returncode, js.stderr, json.loads(js.stdout)["answer"]) == (0, "", True)
+
+
+DEEP = 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, text, line",
+    [
+        (["sat", "@{f}", "--class", "K"], "(" * DEEP + "p" + ")" * DEEP, "satisfiable in K"),
+        (["sat", "@{f}", "--class", "K"], "[] " * DEEP + "p", "satisfiable in K"),
+        (["check", "{model}", "s", "@{f}"], "~" * DEEP + "p", "true: " + "~" * DEEP + "p at s"),
+        (["translate", "to-lea", "@{f}"], "q -> " * DEEP + "[] p", "q -> " * DEEP + "o p & p"),
+        (["prove", "K", "{f}"], "1. " + "p -> " * DEEP + "p   [taut]\n", "accepted (1 lines)"),
+    ],
+    ids=["parse", "sat", "check", "translate-to-lea", "prove"],
+)
+def test_nesting_depth_of_100000(tmp_path, argv, text, line):
+    # A formula file, since one argv string holds at most 128 KiB on Linux.
+    model, f = tmp_path / "one.json", tmp_path / "deep"
+    model.write_text('{"worlds": ["s"], "rel": [], "val": {"p": ["s"]}}')
+    f.write_text(text)
+    argv = [a.format(model=model, f=f) for a in argv]
+    out = _cli(argv, 0)
+    assert (out.returncode, out.stdout, out.stderr) == (0, line + "\n", "")
 
 
 def test_sat_reads_300_nested_parentheses():

@@ -9,6 +9,7 @@ from helpers import (
     labelled_search_sat,
     naive_in_class,
     naive_satisfies,
+    RecursiveNnf,
     rand_formula,
     rand_modal_cnf,
 )
@@ -22,7 +23,7 @@ from lea.decide import (
     satisfiable,
     valid,
 )
-from lea.formula import And, Box, Dia, Not, Or, Var, parse, to_ml
+from lea.formula import And, Box, Dia, Ess, Iff, Implies, Not, Or, Var, parse, to_ml
 from lea.kripke import FrameClass, in_class, model_to_obj
 from lea.semantics import satisfies
 
@@ -449,3 +450,18 @@ def test_nnf_interns_shared_bodies_once(depth):
     nnf = Counted()
     nnf.of(to_ml(parse("o " * depth + "p")))
     assert len(nnf.nodes) == 4 * depth + 2
+
+
+def test_nnf_matches_recursive_oracle():
+    # The task stack of _Nnf.of hands out the recursive rewrite's ids, in its
+    # order, also when formulas of one question share subterms and runs.
+    rng = random.Random(1626)
+    for i in range(300):
+        f = rand_formula(rng, 1 + i % 6, names=("p", "q", "r"), lang="mixed")
+        g = rand_modal_cnf(rng, ("p", "q", "r"), 1 + i % 8, depth=i % 3)
+        question = [f, g, And(f, Or(g, Not(f))), Iff(g, Implies(f, g)),
+                    Ess(And(And(f, g), Not(Or(g, f)))), Or(Or(f, g), Or(f, Not(g)))]
+        nnf, oracle = _Nnf(), RecursiveNnf()
+        assert [nnf.of(h) for h in question] == [oracle.of(h) for h in question]
+        assert (nnf.nodes, nnf.modal, nnf.ids, nnf.memo) == (
+            oracle.nodes, oracle.modal, oracle.ids, oracle.memo)

@@ -1,10 +1,23 @@
-import dataclasses
+import contextlib
+import os
+import pickle
 import random
+import subprocess
 import sys
 
 import pytest
 
-from helpers import oracle_render, oracle_tokenize, rand_formula
+from helpers import (
+    oracle_render,
+    oracle_tokenize,
+    rand_formula,
+    recursive_modal_depth,
+    recursive_parse,
+    recursive_substitute,
+    recursive_to_lea,
+    recursive_to_ml,
+)
+from lea import decide
 from lea import formula as formula_module
 from lea.formula import (
     Acc,
@@ -29,14 +42,17 @@ from lea.formula import (
     parse,
     rebuild,
     render,
+    postorder,
     subformulas,
     substitute,
     to_lea,
     to_ml,
+    tree_size,
     variables,
 )
-from lea.kripke import Model
-from lea.semantics import extension
+from lea.hilbert import is_tautology, match_schema
+from lea.kripke import FrameClass, Model
+from lea.semantics import extension, satisfies
 from lea.sweep import Prog
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -199,15 +215,14 @@ def _node_types() -> list[type]:
 
 
 def _arity(cls: type) -> int:
-    return sum(fld.type == "Formula" for fld in dataclasses.fields(cls))
+    return sum(field != "name" for field in cls.__slots__)
 
 
 def _node(cls: type, kids) -> Formula:
-    """An instance of cls whose Formula fields take kids in order; a plain
-    field (a variable's name) takes "p"."""
+    """An instance of cls whose declared fields (its __slots__) take kids in
+    order, but for a variable's name, which takes "p"."""
     kids = iter(kids)
-    fields = dataclasses.fields(cls)
-    return cls(*(next(kids) if fld.type == "Formula" else "p" for fld in fields))
+    return cls(*(next(kids) if field != "name" else "p" for field in cls.__slots__))
 
 
 def test_connective_tables_cover_every_node_type():
@@ -304,3 +319,129 @@ def test_printer_matches_oracle():
         f = _sugared_formula(rng, 5)
         for sugar in (False, True):
             assert render(f, sugar=sugar) == oracle_render(f, sugar), (f, sugar)
+
+
+# ---------------------------------------------------------------------------
+# Every walk keeps an explicit stack; the recursive walks it replaced are the
+# oracles in helpers.
+
+KW_CON = parse("o p & o q -> o (p & q)")
+
+
+def _seeded_formulas(seed: int):
+    """Random formulas of each language, and shapes that share subterms, so
+    the walks meet DAGs as well as trees."""
+    rng = random.Random(seed)
+    for i in range(300):
+        for lang in ("lea", "ml", "mixed"):
+            f = rand_formula(rng, 1 + i % 6, names=("p", "q", "r"), lang=lang)
+            g = rand_formula(rng, 3, lang=lang)
+            yield f
+            yield Iff(g, Or(g, Not(f)))
+            yield substitute(KW_CON if lang != "ml" else to_ml(KW_CON), {"p": f, "q": g})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ParseError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_walks_match_recursive_oracles():
+    for f in _seeded_formulas(2026):
+        for sugar in (False, True):
+            text = render(f, sugar=sugar)
+            assert parse(text) == recursive_parse(text) == f, text
+        assert modal_depth(f) == recursive_modal_depth(f)
+        sub = {"p": Not(f), "q": Ess(Var("p"))}
+        assert substitute(f, sub) == recursive_substitute(f, sub)
+        assert _outcome(to_ml, f) == _outcome(recursive_to_ml, f)
+        assert _outcome(to_lea, f) == _outcome(recursive_to_lea, f)
+        assert tree_size(f) == len(render(f).replace(" ", "").replace("(", "").replace(")", "")
+                                   .replace("<->", "=").replace("->", "=").replace("[]", "="))
+        order = list(postorder(f))
+        place = {id(g): i for i, g in enumerate(order)}
+        assert len(place) == len(order) == len({id(g) for g in subformulas(f)})
+        assert all(place[id(c)] < place[id(g)] for g in order for c in children(g))
+
+
+_PARSER_ALPHABET = ["~", "o ", "A ", "[]", "<>", "T", "F", "&", "|", "->", "<->",
+                    "(", "(", ")", ")", "p", "q", " "]
+
+
+def test_parse_errors_match_recursive_oracle():
+    rng = random.Random(20261022)
+    parsed = 0
+    for _ in range(50_000):
+        text = "".join(rng.choices(_PARSER_ALPHABET, k=rng.randint(0, 12)))
+        got = _outcome(parse, text)
+        assert got == _outcome(recursive_parse, text), text
+        parsed += isinstance(got, Formula)
+    assert 1_000 < parsed < 49_000, parsed
+
+
+def _frames() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_no_formula_walk_recurses():
+    # Every walk of the library over formulas 10^4 connectives deep, with
+    # only 100 frames to spare above this one.
+    n = 10_000
+    texts = ["~" * n + "p", "(" * n + "p" + ")" * n, "[] " * n + "p", "o " * n + "p",
+             "p -> " * n + "p", "A " * n + "<> p", "p & " * n + "p"]
+    m = Model.make(("s", "t"), [("s", "t")], {"p": ("s",)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 100)
+    try:
+        for text in texts:
+            f = parse(text)
+            assert f == parse(text) and hash(f) == hash(parse(text))
+            assert parse(render(f)) == f and parse(render(f, sugar=True)) == f
+            assert repr(f) == f"parse({str(f)!r})" and tree_size(f) <= 3 * n
+            assert len(list(subformulas(f))) == len(list(postorder(f))) <= 3 * n
+            assert variables(f) == {"p"} and modal_depth(f) <= n + 1
+            assert is_lea(f) or is_ml(f) or text.startswith("A")
+            assert substitute(f, {"p": Var("q")}) == parse(text.replace("p", "q"))
+            assert match_schema(f, f) == {} and match_schema(Var("x"), f) == {"x": f}
+            satisfies(m, "s", f)
+            Prog(f)
+            # The tableau makes a world per diamond, and its NNF splices each
+            # ~o into the next: the A chain costs time, not depth, there.
+            if not text.startswith("A"):
+                with contextlib.suppress(decide.DecideError):  # the budget, not the depth
+                    decide.satisfiable(f, FrameClass.K)
+            if is_lea(f):
+                assert satisfies(m, "t", to_ml(f)) == satisfies(m, "t", f)
+            if is_ml(f):
+                to_lea(f)
+        assert is_tautology(parse("p -> " * n + "p"))
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_formulas_hash_and_compare():
+    # Two formulas 10^5 connectives deep, built apart, hash and compare
+    # without recursion.
+    a, b, c = Var("p"), Var("p"), Var("q")
+    for _ in range(50_000):
+        a, b, c = Box(Not(a)), Box(Not(b)), Box(Not(c))
+    assert a is not b and hash(a) == hash(b) and a == b
+    assert a != c and And(a, c) != And(a, b)
+
+
+def test_pickled_formulas_hash_in_the_reading_process():
+    # A node stores its hash, and hashes of names and types differ between
+    # processes, so a pickle read elsewhere must hash as that process does.
+    f = parse("o (p & ~q) -> [] T | r")
+    code = ("import pickle, sys; from lea.formula import parse; f = pickle.loads(sys.stdin.buffer.read()); "
+            "g = parse('o (p & ~q) -> [] T | r'); print(hash(f) == hash(g) and f == g and {f: 1}[g])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(formula_module.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="7")
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(f), env=env,
+                         capture_output=True, timeout=60)
+    assert out.stdout.decode().strip() == "1", out.stderr.decode()

@@ -36,3 +36,10 @@ def test_library_imports_only_the_standard_library():
 def test_project_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def test_formula_nodes_import_no_dataclasses():
+    # Formula nodes are plain __slots__ classes: the formula layer imports
+    # neither dataclasses nor the inspect module that it pulls in.
+    tree = ast.parse((ROOT / "src" / "lea" / "formula.py").read_text(encoding="utf-8"))
+    assert {name for _, name in _absolute_imports(tree)}.isdisjoint({"dataclasses", "inspect"})
