@@ -6,10 +6,12 @@ is NOT itself in the relation.  Box-bisimilar worlds are always bisimilar
 in this sense; the converse fails (a reflexive p-world and an isolated
 p-world are related by {(s, t)} even though [] F tells them apart).
 
-One partition-refinement engine, _rounds, serves every question here.  The
-essence flavour exempts each world's own block, as the "(s, t) not in Z"
-clause does; its final partition is the largest bisimulation (proof at
-largest_circ_bisimulation).
+One partition-refinement engine, _rounds, serves every question here.  Its
+input (_laid) is built once per question from the models asked about, laid
+side by side: each world's successors, in world order, and its valuation
+signature.  The essence flavour exempts each world's own block, as the
+"(s, t) not in Z" clause does; its final partition is the largest
+bisimulation (proof at largest_circ_bisimulation).
 
 Round r is depth r: worlds share a block after r rounds exactly when they
 agree on every essence formula of modal depth <= r over the model's
@@ -25,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .formula import And, Ess, Formula, Not, Var
-from .kripke import Model, PointedModel, disjoint_union
+from .kripke import Model, PointedModel, bit_positions, disjoint_union
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,19 @@ def is_circ_bisimulation(z: BisimRelation) -> bool | BisimViolation:
     lexicographic pair order.
     """
     m = z.carrier
-    idx = m.index
-    pos = idx.pos
+    pos = m.index.pos
+    # zrow[s]: partners of s used on the left; zcol[t]: partners of t on the right.
+    zrow, zcol = [0] * len(pos), [0] * len(pos)
     for s, t in z.pairs:
         if s not in pos or t not in pos:
             raise ValueError(f"pair ({s!r}, {t!r}) is not over the carrier's worlds")
+        zrow[pos[s]] |= 1 << pos[t]
+        zcol[pos[t]] |= 1 << pos[s]
     if not z.pairs:
         return BisimViolation("empty")
-    zrow, zcol = _pair_masks(idx.n, [(pos[s], pos[t]) for s, t in z.pairs])
+    laid = _laid((m,), m.val)
     for s, s2 in sorted(z.pairs):
-        bad = _pair_violation(idx, zrow, zcol, pos[s], pos[s2])
+        bad = _pair_violation(laid, zrow, zcol, pos[s], pos[s2])
         if bad is not None:
             condition, world = bad
             return BisimViolation(
@@ -106,43 +111,47 @@ def is_circ_bisimulation(z: BisimRelation) -> bool | BisimViolation:
     return True
 
 
-def _pair_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    # zrow[s]: partners of s used on the left; zcol[t]: partners of t on the right.
-    zrow = [0] * n
-    zcol = [0] * n
-    for i, j in pairs:
-        zrow[i] |= 1 << j
-        zcol[j] |= 1 << i
-    return zrow, zcol
-
-
-def _pair_violation(idx, zrow, zcol, i: int, j: int) -> tuple[str, int | None] | None:
-    if idx.sig[i] != idx.sig[j]:
+def _pair_violation(laid: _Laid, zrow, zcol, i: int, j: int) -> tuple[str, int | None] | None:
+    succs, sigs = laid
+    if sigs[i] != sigs[j]:
         return ("inv", None)
     # forth: each successor t of i with (i, t) outside Z needs a partner
     # among j's successors; back: the same from j, with partners among i's.
     for condition, s, partners, s2 in (("forth", i, zrow, j), ("back", j, zcol, i)):
-        pending = idx.succ[s] & ~zrow[s]
-        t = 0
-        while pending:
-            if pending & 1 and not partners[t] & idx.succ[s2]:
+        reach = sum(1 << u for u in succs[s2])
+        for t in succs[s]:
+            if not (zrow[s] >> t & 1 or partners[t] & reach):
                 return (condition, t)
-            pending >>= 1
-            t += 1
     return None
 
 
-def _rounds(m: Model, exempt: bool) -> Iterator[list[int]]:
+# Successors of each world in world order, and its valuation signature.
+_Laid = tuple[list[list[int]], list[tuple[str, ...]]]
+
+
+def _laid(models: Sequence[Model], names: Collection[str]) -> _Laid:
+    """The engine's input for the worlds of models side by side, each
+    model's numbered after the previous ones' as disjoint_union numbers
+    them.  Successors come off each model's own succ rows; a signature
+    holds the world's digit ("0" or "1") in each of names, in that order."""
+    succs: list[list[int]] = []
+    sigs: list[tuple[str, ...]] = []
+    for m in models:
+        idx, base = m.index, len(succs)
+        succs += [[base + t for t in bit_positions(row)] for row in idx.succ]
+        cols = [format(idx.val_bits.get(p, 0), f"0{idx.n}b")[::-1] for p in names]
+        sigs += zip(*cols) if cols else [()] * idx.n
+    return succs, sigs
+
+
+def _rounds(laid: _Laid, exempt: bool) -> Iterator[list[int]]:
     """Block of each world after each round: the valuation signatures at
     round 0, then each round keys a world by its block and its successors'
     blocks, less its own when exempt, until the number of blocks stops
     growing.  Blocks are numbered in the order of their first world."""
-    idx = m.index
-    succs: list[list[int]] = [[] for _ in range(idx.n)]
-    for i, j in idx.edges:
-        succs[i].append(j)
+    succs, sigs = laid
     ids: dict[object, int] = {}
-    block = [ids.setdefault(sig, len(ids)) for sig in idx.sig]
+    block = [ids.setdefault(sig, len(ids)) for sig in sigs]
     while True:
         yield block
         count, ids = len(ids), {}
@@ -157,16 +166,18 @@ def _rounds(m: Model, exempt: bool) -> Iterator[list[int]]:
         block = keyed
 
 
-def _blocks(m: Model, exempt: bool) -> list[int]:
+def _blocks(laid: _Laid, exempt: bool) -> list[int]:
     """The last partition of _rounds."""
-    for block in _rounds(m, exempt):
+    for block in _rounds(laid, exempt):
         pass
     return block
 
 
 def _classes(m: Model, block: Sequence[int] | None = None) -> list[list[str]]:
     members: dict[int, list[str]] = {}
-    for w, b in zip(m.worlds, _blocks(m, exempt=True) if block is None else block):
+    if block is None:
+        block = _blocks(_laid((m,), m.val), exempt=True)
+    for w, b in zip(m.worlds, block):
         members.setdefault(b, []).append(w)
     return list(members.values())
 
@@ -195,27 +206,31 @@ def largest_circ_bisimulation(m: Model, block: Sequence[int] | None = None) -> B
     )
 
 
-def _same_block(
-    a: PointedModel, b: PointedModel, exempt: bool
-) -> tuple[bool, Model, list[int]]:
-    """Whether the points share a block of their disjoint union, with the
-    union and its partition."""
-    union = disjoint_union(a.model, b.model)
-    block, pos = _blocks(union, exempt), union.index.pos
-    return block[pos["L:" + a.point]] == block[pos["R:" + b.point]], union, block
+def _points(a: PointedModel, b: PointedModel) -> tuple[int, int]:
+    """The positions of the two points with their models side by side."""
+    idx = a.model.index
+    return idx.pos[a.point], idx.n + b.model.index.pos[b.point]
+
+
+def _same_block(a: PointedModel, b: PointedModel, exempt: bool) -> tuple[bool, list[int]]:
+    """Whether the points share a block of their models side by side, with
+    the partition."""
+    block = _blocks(_laid((a.model, b.model), {**a.model.val, **b.model.val}), exempt)
+    x, y = _points(a, b)
+    return block[x] == block[y], block
 
 
 def circ_bisimilar(a: PointedModel, b: PointedModel) -> bool:
-    """Essence-style bisimilarity of the two points, via the disjoint union."""
+    """Essence-style bisimilarity of the two points."""
     return _same_block(a, b, exempt=True)[0]
 
 
 def circ_certificate(a: PointedModel, b: PointedModel) -> BisimRelation | None:
-    """The largest circ bisimulation of the disjoint union (worlds L:w and
-    R:w) when it relates the two points, else None: one refinement either
-    way, and pairs only for an affirmative answer."""
-    same, union, block = _same_block(a, b, exempt=True)
-    return largest_circ_bisimulation(union, block) if same else None
+    """The largest circ bisimulation of the disjoint union when it relates
+    the two points, else None: one refinement either way, and the union and
+    its pairs only for an affirmative answer."""
+    same, block = _same_block(a, b, exempt=True)
+    return largest_circ_bisimulation(disjoint_union(a.model, b.model), block) if same else None
 
 
 def box_bisimilar(a: PointedModel, b: PointedModel) -> bool:
@@ -230,26 +245,22 @@ def bounded_equivalent(
     """Do a and b agree on every essence formula over names up to depth?
 
     True when they share a block after depth rounds of the essence
-    refinement of their union, its valuation cut down to names.  Otherwise a
-    separator over names, true at a, false at b and as deep as the first
-    round that splits them, so none is shallower (Cleaveland, CAV 1990): a
-    literal at round 0, and at round r, ~o ~g where x has a successor t in a
-    round-(r - 1) block that no successor of y reaches and g conjoins the
-    separators of t from x and from each successor of y.  depth must be at
-    least 0 (ValueError).
+    refinement of their models side by side, with signatures over names.
+    Otherwise a separator over names, true at a, false at b and as deep as
+    the first round that splits them, so none is shallower (Cleaveland, CAV
+    1990): a literal at round 0, and at round r, ~o ~g where x has a
+    successor t in a round-(r - 1) block that no successor of y reaches and
+    g conjoins the distinct separators of t from x and from each successor
+    of y.  Successors are taken in world order, so the separator does not
+    depend on the hash seed.  depth must be at least 0 (ValueError).
     """
     if depth < 0:
         raise ValueError(f"depth must be at least 0, not {depth}")
-    union = disjoint_union(a.model, b.model)
-    union = Model(union.worlds, union.rel, {p: union.val[p] for p in names if p in union.val})
-    idx = union.index
-    rounds = list(islice(_rounds(union, exempt=True), depth + 1))
-    x, y = idx.pos["L:" + a.point], idx.pos["R:" + b.point]
+    succs, sigs = laid = _laid((a.model, b.model), names)
+    rounds = list(islice(_rounds(laid, exempt=True), depth + 1))
+    x, y = _points(a, b)
     if rounds[-1][x] == rounds[-1][y]:
         return True
-    succs: list[list[int]] = [[] for _ in range(idx.n)]
-    for i, j in idx.edges:
-        succs[i].append(j)
 
     # separator[(x, y)] for each pair the answer needs, on an explicit stack:
     # a pair is built once the pairs it needs are, and then popped.
@@ -263,8 +274,8 @@ def bounded_equivalent(
             continue
         r = next(r for r, block in enumerate(rounds) if block[x] != block[y])
         if r == 0:
-            p = next(p for p, bits in idx.val_bits.items() if (bits >> x ^ bits >> y) & 1)
-            separator[pair] = Var(p) if idx.val_bits[p] >> x & 1 else Not(Var(p))
+            k = next(k for k, (u, v) in enumerate(zip(sigs[x], sigs[y])) if u != v)
+            separator[pair] = Var(names[k]) if sigs[x][k] == "1" else Not(Var(names[k]))
             continue
         block = rounds[r - 1]
         reached = {block[t] for t in succs[y]}
@@ -276,7 +287,7 @@ def bounded_equivalent(
         if missing:
             stack += missing
             continue
-        g = [separator[q] for q in needs]
+        g = list(dict.fromkeys(separator[q] for q in needs))
         if t is None:
             separator[pair] = _negate(g[0])
             continue

@@ -16,11 +16,12 @@ the bound" is reported as unknown, never as unsatisfiable.
 
 The tableau works on interned, flattened NNF.  A disjunction opens no
 choice point when one of its disjuncts is already present, or when the
-complements of all disjuncts but one are (propagation); going back to a
-choice point adds the complement of the disjunct tried first when that has
-no modal part (semantic branching).  The search backtracks by undoing a
-trail of its writes, and jumps over choice points that a clash does not
-depend on.  It stores at most 50,000 formulas per question; past that it
+complements of all disjuncts but one are (propagation).  A choice point
+tries first the disjuncts that make no new world, those with no dia
+outside every box; going back to it adds the complement of the disjunct
+tried first when that has no modal part (semantic branching).  The search
+backtracks by undoing a trail of its writes, and jumps over choice points
+that a clash does not depend on.  It stores at most 50,000 formulas per question; past that it
 raises DecideError.
 
 Every witness is replayed through the model checker before being
@@ -46,7 +47,7 @@ from .formula import (
     Top,
     Var,
 )
-from .kripke import FrameClass, FrameProperty, Model, in_class
+from .kripke import FrameClass, FrameProperty, Model, bit_positions, in_class
 from .semantics import satisfies
 
 TABLEAU_CLASSES = (
@@ -106,6 +107,7 @@ class _Nnf:
     def __init__(self):
         self.nodes: list[tuple] = []
         self.modal: list[bool] = []  # the node has a box or dia inside
+        self.spawns: list[bool] = []  # the node has a dia outside every box
         self.ids: dict[tuple, int] = {}
         self.memo: dict[int, int] = {}  # id(formula) -> node
 
@@ -113,12 +115,19 @@ class _Nnf:
         i = self.ids.get(node)
         if i is None:
             i = len(self.nodes)
-            if node[0] == "lit":
+            tag = node[0]
+            if tag == "lit":
                 dual = ("lit", node[1], not node[2])
             else:
-                dual = (_DUAL[node[0]], *[k ^ 1 for k in node[1:]])
+                dual = (_DUAL[tag], *[k ^ 1 for k in node[1:]])
             self.nodes += (node, dual)
             self.modal += (modal, modal)
+            if modal and (tag == "and" or tag == "or"):
+                # Children, complements included, are interned before parents.
+                spawns, kids = self.spawns, node[1:]
+                self.spawns += (any(spawns[k] for k in kids), any(spawns[k ^ 1] for k in kids))
+            else:
+                self.spawns += (tag == "dia", tag == "box")
             self.ids[node] = i
             self.ids[dual] = i + 1
         return i
@@ -442,10 +451,7 @@ class _Branch:
         for x, row in enumerate(rows):
             if FrameProperty.REFLEXIVE in props or (FrameProperty.SERIAL in props and not row):
                 row |= 1 << x
-            while row:
-                low = row & -row
-                rel.append((worlds[x], worlds[low.bit_length() - 1]))
-                row ^= low
+            rel += [(worlds[x], worlds[y]) for y in bit_positions(row)]
         val: dict[str, set[str]] = {}
         for world, content in zip(worlds, self.contents):
             for f in content:
@@ -463,8 +469,9 @@ def _search(state: _Branch) -> bool:
     A disjunction taken at world w is settled without a choice point when
     it can be: skipped when a disjunct is already at w, and, when the
     complements of all its disjuncts but one are at w, that one is added
-    with their masks (all of them: a clash).  Otherwise its first open
-    disjunct runs in place with bit k added, k the choice point's depth; the
+    with their masks (all of them: a clash).  Otherwise its open disjuncts
+    are stably sorted, those that make no new world first, and the first
+    runs in place with bit k added, k the choice point's depth; the
     stack keeps the trail length from before it.  When the branch closes,
     each choice point whose bit the clash lacks is popped unexplored.  The
     first one that took part undoes the trail to that length and takes the
@@ -474,7 +481,7 @@ def _search(state: _Branch) -> bool:
     depended on instead of on bit k.
     """
     stats = state.stats
-    nodes, modal = state.nodes, state.nnf.modal
+    nodes, modal, spawns = state.nodes, state.nnf.modal, state.nnf.spawns
     stack: list[tuple[int, tuple[int, int, int], int, list[int], int]] = []
     while True:
         choice = state.next_choice()
@@ -493,6 +500,7 @@ def _search(state: _Branch) -> bool:
                     dep |= mask
             else:
                 if len(left) > 1:
+                    left.sort(key=spawns.__getitem__)
                     stack.append((len(state.trail), tuple(state.heads), w, left, dep))
                     stats["choice_points"] += 1
                     state.schedule(w, left[0], dep | 1 << (len(stack) - 1))

@@ -105,16 +105,13 @@ class ModelIndex:
     evaluation reads.  succ is built straight from the relation, and each
     world name of rel and val is looked up in pos once; a failed lookup
     raises KeyError, which is how model_from_obj finds an unknown world.
-    Lazy, built on first use and kept: edges (each edge as a pair of
-    positions, in the relation's iteration order; read by pred and the
-    bisimulation engine), pred (read by add_self_loops) and sig (read by
-    the bisimulation engine)."""
+    Lazy, built from the succ rows on first use and kept: pred (read by
+    add_self_loops)."""
 
     def __init__(self, m: Model):
         n = self.n = len(m.worlds)
         pos = self.pos = {w: i for i, w in enumerate(m.worlds)}
         self.all_mask = (1 << n) - 1
-        self._rel = m.rel
         succ = self.succ = [0] * n
         for s, t in m.rel:
             succ[pos[s]] |= 1 << pos[t]
@@ -126,24 +123,20 @@ class ModelIndex:
             self.val_bits[p] = bits
 
     @cached_property
-    def edges(self) -> list[tuple[int, int]]:
-        pos = self.pos
-        return [(pos[s], pos[t]) for s, t in self._rel]
-
-    @cached_property
     def pred(self) -> list[int]:
         pred = [0] * self.n
-        for i, j in self.edges:
-            pred[j] |= 1 << i
+        for i, row in enumerate(self.succ):
+            for j in bit_positions(row):
+                pred[j] |= 1 << i
         return pred
 
-    @cached_property
-    def sig(self) -> list[tuple[str, ...]]:
-        """Per-world valuation fingerprint: the world's digit ("0" or "1")
-        in each declared variable, in name order."""
-        n = self.n
-        cols = [format(self.val_bits[p], f"0{n}b")[::-1] for p in sorted(self.val_bits)]
-        return list(zip(*cols)) if cols else [()] * n
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +403,11 @@ def add_self_loops(m: Model, mode: SelfLoopMode) -> Model:
 
 def disjoint_union(a: Model, b: Model) -> Model:
     """Side-by-side union; worlds get 'L:'/'R:' prefixes."""
-    la = {w: "L:" + w for w in a.worlds}
-    rb = {w: "R:" + w for w in b.worlds}
-    worlds = tuple(la[w] for w in a.worlds) + tuple(rb[w] for w in b.worlds)
-    rel = frozenset((la[s], la[t]) for s, t in a.rel) | frozenset(
-        (rb[s], rb[t]) for s, t in b.rel
-    )
-    val: dict[str, frozenset[str]] = {}
-    for p in sorted(set(a.val) | set(b.val)):
-        val[p] = frozenset(la[w] for w in a.val.get(p, ())) | frozenset(
-            rb[w] for w in b.val.get(p, ())
-        )
-    return Model(worlds, rel, val)
+    sides = [({w: tag + w for w in m.worlds}, m) for tag, m in (("L:", a), ("R:", b))]
+    rel = frozenset((ren[s], ren[t]) for ren, m in sides for s, t in m.rel)
+    val = {p: frozenset(ren[w] for ren, m in sides for w in m.val.get(p, ()))
+           for p in sorted({*a.val, *b.val})}
+    return Model(tuple(w for ren, _ in sides for w in ren.values()), rel, val)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from helpers import (
 from lea.bisim import (
     BisimRelation,
     BisimViolation,
+    _laid,
     _rounds,
     bounded_equivalent,
     box_bisimilar,
@@ -349,7 +350,7 @@ def test_round_r_is_depth_r():
     for _ in range(1000):
         m = rand_model(rng, 7, names=("p",))
         for exempt, modal in ((True, "ess"), (False, "box")):
-            rounds = list(_rounds(m, exempt))
+            rounds = list(_rounds(_laid((m,), m.val), exempt))
             for d in range(6):
                 exts = [ext for _, ext in layered_formulas(m, ("p",), d, modal)]
                 agree = [tuple(w in ext for ext in exts) for w in m.worlds]
@@ -387,6 +388,18 @@ def test_bounded_equivalent_ignores_other_variables():
     b = PointedModel(Model.make(("s",), [], {"p": ["s"]}), "s")
     assert bounded_equivalent(a, b, ("p",), 3) is True
     assert bounded_equivalent(a, b, ("p", "q"), 0) == parse("q")
+
+
+def test_separator_repeats_no_conjunct():
+    # The successor of r that s cannot match holds p, and p separates it
+    # both from r and from z; conjoined as they came, the two parts read
+    # ~o ~(p & p).
+    m = Model.make(["r", "x1", "x2", "x3", "y"],
+                   [("r", "x1"), ("r", "x2"), ("r", "x3"), ("x1", "y"), ("x2", "x2")],
+                   {"p": ["x1", "x3"], "q": ["x2", "y"]})
+    n = Model.make(["s", "z"], [("s", "z")], {"q": ["z"]})
+    sep = bounded_equivalent(PointedModel(m, "r"), PointedModel(n, "s"), ("p", "q"), 3)
+    assert sep == parse("~o ~p")
 
 
 def test_bounded_equivalent_separates_long_chains():

@@ -507,6 +507,52 @@ def test_sat_output_does_not_depend_on_hash_seed():
             assert runs[0].returncode == runs[1].returncode
 
 
+_SEED_SCRIPT = """
+import sys
+from lea.bisim import bounded_equivalent
+from lea.cli import main
+from lea.formula import render
+from lea.kripke import Model, PointedModel
+
+# A root with six successors against an isolated world: p and q each
+# separate at depth 2, and successor order picks which.
+ts = [f"t{i}" for i in range(6)]
+a = PointedModel(Model.make(["r", *ts], [("r", t) for t in ts],
+                            {"p": ts[0::2], "q": ts[1::2], "s": ts[:2]}), "r")
+b = PointedModel(Model.make(["u"]), "u")
+print(render(bounded_equivalent(a, b, ("p", "q", "s"), 2)))
+cycle, pair = sys.argv[1:]
+for argv in (["bisim", cycle, "a0", pair, "b0", "--json"],
+             ["bisim", cycle, "a0", pair, "b0", "--box", "--json"],
+             ["contract", cycle, "--json"],
+             ["sat", "o (p | <> q) & <> ~p & <> (q & <> p)", "--class", "K", "--json"]):
+    print(main(argv))
+"""
+
+
+def test_answers_do_not_depend_on_hash_seed(tmp_path):
+    # Six fresh interpreters, one hash seed each, print the same bytes:
+    # a separator, bisim certificates (circ and box), a quotient and a
+    # tableau witness.
+    ws = [f"a{i}" for i in range(4)]
+    cycle, pair = tmp_path / "cycle.json", tmp_path / "pair.json"
+    cycle.write_text(model_to_json(Model.make(ws, zip(ws, ws[1:] + ws[:1]), {"p": ws[::2]})))
+    pair.write_text(model_to_json(Model.make(["b0", "b1"], [("b0", "b1"), ("b1", "b0")],
+                                             {"p": ["b0"]})))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lea.__file__)))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _SEED_SCRIPT, str(cycle), str(pair)],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)),
+            capture_output=True, timeout=60,
+        )
+        for seed in range(6)
+    ]
+    assert all(r.returncode == 0 and r.stderr == b"" for r in runs), runs[0].stderr
+    assert runs[0].stdout.decode().splitlines()[0] == "~o ~p"
+    assert all(r.stdout == runs[0].stdout for r in runs)
+
+
 @pytest.mark.parametrize("bad", ["missing", "directory", "latin-1"])
 @pytest.mark.parametrize(
     "argv, kind",

@@ -318,14 +318,18 @@ ANSWER_GOLDENS = {
 # gets an edge to that world where the clique made one world per body, and
 # the witness is the closure of the branch's edges, so costs and world
 # numbering differ (answers do not: see test_s5_keeps_the_clique_answers).
+# All seven changed again when a choice point began to try the disjuncts
+# that make no new world (no dia outside every box) first: the order of
+# the search, and so its costs and the witness it stops at, differ, while
+# the answers stay those of ANSWER_GOLDENS.
 WITNESS_GOLDENS = {
-    "K": "f0b3ff5faba46e5ddda536ff43ed2b80527851a590a48ec44ffe6f08eea2a169",
-    "D": "87c7f2f584dcea895a4ee8714d117bfc9f93f17ba1a92f56e1cbfa9ed6862127",
-    "T": "6d290c588622fe3e34ee78971ea96dcee0bc0e7ce60af211cf99ef864ba46ce5",
-    "KB": "0f1bde2f1416afd039cbfb43bef80560edc85fa4dbfb10c2fba9f4604ea84fee",
-    "K4": "70486ed9d02a19d9e2af2afb94a0846b8ca5f34975fa81ae7952e54a982ccdfb",
-    "S4": "7845be2b85d2e5ebecceb134f25c0a7e23254ed32717637a3378305374e2f04c",
-    "S5": "f34c966184e0466886f6db764a99bfce117a67bf5e9859f37a7a1c38449316fd",
+    "K": "6c4c830abdb03a3b3d77b313cdf20dc02907c1ad415597303b6440ea4e364216",
+    "D": "0fd1756b41edc39acb55dfeba1c7a22e48ba65f726ce26d221856ef1103ca7bc",
+    "T": "c74eb0d89a47f2c32b7278ae407e19526684c8359032bfd2dc6cff782df71deb",
+    "KB": "54d5e124d71f4b4a72ef3caf53125d2b82769342067748947de67d77158872dc",
+    "K4": "3a9b62757ead33d9430f5cf71e3a156907499f40a5e6136763f416fbbfd8d6b4",
+    "S4": "7a10dd756b2f73478f24d6f57986ba68d2c7c7b944cd8597632f87e6c4b7d9d9",
+    "S5": "544de43e0f830611fc16bc933b9bbaf6d7387de58396c30010c63b311e8729ec",
 }
 
 
@@ -387,12 +391,27 @@ def test_s5_keeps_the_clique_answers():
 
 
 def test_nested_essence_in_k():
-    """o^20 p: each o opens a choice point, so they grow like Fibonacci
-    numbers; the search restores by undoing and rewrites each subformula
-    into NNF once per polarity, so this takes seconds, not hours."""
+    """o^20 p is ~o^19 p | [] o^19 p.  The box makes no world, so it is
+    tried first and holds at a world without successors: one choice point
+    and a one-world witness.  (Tried in NNF order, each ~o opened a world of
+    its own, and the choice points grew like Fibonacci numbers: 39,601
+    formulas, 6,765 choice points and a 10,946-world witness.)"""
     verdict = satisfiable(parse("o " * 20 + "p"), FrameClass.K)
     assert verdict.answer is True
-    assert verdict.stats == {"expansions": 39601, "choice_points": 6765, "backjumps": 0}
+    assert verdict.stats == {"expansions": 2, "choice_points": 1, "backjumps": 0}
+    assert len(verdict.witness[0].worlds) == 1
+
+
+def test_nested_essence_costs_linear_expansions():
+    # Each o offers [] g, which makes no world, beside ~g, so no tableau
+    # class should pay more than one choice point a level; in NNF order K
+    # ran out of budget at d = 24.
+    for d in range(1, 101):
+        f = parse("o " * d + "p")
+        for cls in TABLEAU_CLASSES:
+            verdict = satisfiable(f, cls)
+            assert verdict.answer is True
+            assert verdict.stats["expansions"] <= 2 * d + 2, (d, cls)
 
 
 def test_long_diamond_chain_in_k4():
