@@ -39,7 +39,6 @@ from .kripke import (
     SelfLoopMode,
     add_self_loops,
     disjoint_union,
-    enumerate_frames,
     has_property,
     in_class,
     model_from_json,
@@ -85,10 +84,8 @@ from .hilbert import (
     soundness_scan,
 )
 from .decide import (
-    CrosscheckReport,
     DecideError,
     Verdict,
-    crosscheck,
     satisfiable,
     valid,
 )

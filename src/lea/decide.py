@@ -31,7 +31,7 @@ returned; one that fails replay raises SelfCheckError instead of lying.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import sweep
 from .formula import (
@@ -545,27 +545,25 @@ def satisfiable(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verd
 
     Tableau classes get a definitive answer.  Others are searched up to
     max_n worlds (1..sweep.MAX_N, else ValueError): a hit is definitive,
-    exhaustion is answer=None.
+    exhaustion is answer=None.  Either method's hit is replayed before it is
+    returned.
     """
     if cls in TABLEAU_CLASSES:
         hit, stats = _tableau_sat(f, cls)
-        if hit is None:
-            return Verdict(f, cls, "sat", False, "tableau", stats=stats)
+        verdict = Verdict(f, cls, "sat", hit is not None, "tableau", hit, stats=stats)
+    else:
+        hit = sweep.search_sat(f, cls, max_n)
+        verdict = Verdict(f, cls, "sat", True if hit else None, "bounded-search", hit, max_n)
+    if hit is not None:
         _replay(hit, f, cls)
-        return Verdict(f, cls, "sat", True, "tableau", hit, stats=stats)
-    hit = sweep.search_sat(f, cls, max_n)
-    if hit is None:
-        return Verdict(f, cls, "sat", None, "bounded-search", None, max_n)
-    _replay(hit, f, cls)
-    return Verdict(f, cls, "sat", True, "bounded-search", hit, max_n)
+    return verdict
 
 
 def valid(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verdict:
     """Is f true everywhere on every model of the class?  Dual of satisfiable."""
     inner = satisfiable(Not(f), cls, max_n)
     answer = None if inner.answer is None else not inner.answer
-    return Verdict(f, cls, "valid", answer, inner.method, inner.witness, inner.bound,
-                   inner.stats)
+    return replace(inner, formula=f, question="valid", answer=answer)
 
 
 def _replay(hit: tuple[Model, str], f: Formula, cls: FrameClass) -> None:
@@ -574,37 +572,3 @@ def _replay(hit: tuple[Model, str], f: Formula, cls: FrameClass) -> None:
         raise SelfCheckError(f"witness frame is not in {cls.name}")
     if not satisfies(model, world, f):
         raise SelfCheckError("witness failed replay")
-
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    formula: Formula
-    frame_class: FrameClass
-    verdict: Verdict
-    search_hit: tuple[Model, str] | None
-    hard_failure: bool
-    note: str
-
-    def __bool__(self) -> bool:
-        return not self.hard_failure
-
-
-def crosscheck(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> CrosscheckReport:
-    """Pit the decision procedure against brute-force search up to max_n.
-
-    A model found by search while the procedure says unsatisfiable is a hard
-    failure.  Search exhaustion proves nothing (the model may just be big).
-    """
-    verdict = satisfiable(f, cls, max_n)
-    hit = sweep.search_sat(f, cls, max_n)
-    if hit is not None:
-        _replay(hit, f, cls)
-    if verdict.answer is False and hit is not None:
-        return CrosscheckReport(f, cls, verdict, hit, True, "search refutes unsat")
-    if verdict.answer is True and hit is None:
-        note = "sat but no model within bound (witness is larger)"
-    elif verdict.answer is None and hit is None:
-        note = "both unresolved within bound"
-    else:
-        note = "agree"
-    return CrosscheckReport(f, cls, verdict, hit, False, note)

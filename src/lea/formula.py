@@ -167,12 +167,7 @@ def children(f: Formula) -> tuple[Formula, ...]:
 def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """f with fn applied to each direct subformula, left to right; a leaf
     comes back unchanged."""
-    kind = type(f)
-    if kind in _BINARY:
-        return kind(fn(f.left), fn(f.right))
-    if kind in _UNARY:
-        return kind(fn(f.sub))
-    return f
+    return _same(f, *map(fn, children(f)))
 
 
 def postorder(f: Formula, leaves: tuple[type, ...] = ()) -> list[Formula]:

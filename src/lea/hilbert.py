@@ -50,11 +50,6 @@ KW_TR = parse("o p & p -> o o p")
 KW_B = parse("p -> o (o ~p -> p)")
 KW_EUC = parse("~o ~p -> o (o ~p -> p)")
 
-# Like KwEuc but with a plain negation as antecedent.  Not an axiom of any
-# system here; kept because it is frame-valid on Euclidean frames, which
-# the scan machinery can confirm at small sizes.
-KW_EUC_ALT = parse("~p -> o (o ~p -> p)")
-
 _BASE = (("KwTop", KW_TOP), ("EquiKw", EQUI_KW), ("KwCon", KW_CON))
 
 

@@ -16,7 +16,6 @@ per size with every orbit of that size in a lane) and the tableau's rules
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
@@ -410,28 +409,7 @@ def disjoint_union(a: Model, b: Model) -> Model:
     return Model(tuple(w for ren, _ in sides for w in ren.values()), rel, val)
 
 
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration
-
-
 def frame_worlds(n: int) -> tuple[str, ...]:
+    """Worlds w0..w{n-1}, as every frame a sweep builds names them."""
     return tuple(f"w{i}" for i in range(n))
 
-
-def enumerate_frames(n: int) -> Iterator[Model]:
-    """All 2^(n*n) relations on worlds w0..w{n-1}, empty valuation.
-
-    No isomorphism reduction: callers that quantify over frames get the raw
-    labelled space, in the mask order of sweep.iter_succ_tables.  The
-    library's own sweeps visit one frame per isomorphism class instead
-    (sweep.frame_orbits).  Warns when n exceeds 4 (2^25 frames and up).
-    """
-    if n < 1:
-        raise ValueError("need at least one world")
-    if n > 4:
-        warnings.warn(f"enumerating 2^{n * n} frames; this will take a while")
-    worlds = frame_worlds(n)
-    pairs = [(s, t) for s in worlds for t in worlds]
-    for mask in range(1 << (n * n)):
-        rel = frozenset(pairs[k] for k in range(n * n) if (mask >> k) & 1)
-        yield Model(worlds, rel, {})

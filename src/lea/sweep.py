@@ -197,8 +197,7 @@ def _frame_step(n: int, full: int, lanes: Sequence[tuple[int, int]]) -> Step:
 def iter_succ_tables(n: int) -> Iterator[tuple[int, ...]]:
     """Successor bitmask tuples of every frame on n worlds, mask order.
 
-    Frame number m encodes the pair (s, t) at bit s*n + t, matching
-    kripke.enumerate_frames.
+    Frame number m encodes the pair (s, t) at bit s*n + t.
     """
     width = (1 << n) - 1
     for mask in range(1 << (n * n)):

@@ -78,7 +78,7 @@ from lea.kripke import (
     Model,
     PointedModel,
     disjoint_union,
-    enumerate_frames,
+    frame_worlds,
 )
 from lea.semantics import _modal_bits
 from lea.sweep import MAX_N
@@ -348,6 +348,16 @@ def naive_has_property(m: Model, prop: FrameProperty) -> bool:
 # Valuations, relabelling and labelled frame sweeps, one Model at a time.
 
 
+def enumerate_frames(n: int) -> Iterator[Model]:
+    """All 2^(n*n) relations on worlds w0..w{n-1}, empty valuation, in the
+    mask order of sweep.iter_succ_tables: the labelled space, where the
+    library's sweeps visit one frame per isomorphism class."""
+    worlds = frame_worlds(n)
+    pairs = [(s, t) for s in worlds for t in worlds]
+    for mask in range(1 << (n * n)):
+        yield Model(worlds, frozenset(pairs[k] for k in range(n * n) if (mask >> k) & 1), {})
+
+
 def enumerate_valuations(m: Model, names: Sequence[str]) -> Iterator[Model]:
     """All models that differ from m only in the valuation of names."""
     n = len(m.worlds)
@@ -419,6 +429,11 @@ def close_into(rng: random.Random, m: Model, cls: FrameClass) -> Model:
         if P.EUCLIDEAN in props:
             rel |= {(t, u) for s, t in rel for s2, u in rel if s == s2}
     return Model(ws, frozenset(rel), m.val)
+
+
+# KwEuc with a plain negation as antecedent: an axiom of no system, but
+# frame-valid on Euclidean frames, which criterion 10 confirms up to n = 4.
+KW_EUC_ALT = parse("~p -> o (o ~p -> p)")
 
 
 def naive_frame_valid(m: Model, f: Formula) -> bool:

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     bitparallel_union_oracle,
+    enumerate_frames,
     enumerate_valuations,
     layered_bounded_equivalent,
     layered_formulas,
@@ -35,7 +36,6 @@ from lea.kripke import (
     Model,
     PointedModel,
     disjoint_union,
-    enumerate_frames,
     in_class,
 )
 from lea.semantics import satisfies

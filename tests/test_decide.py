@@ -13,13 +13,14 @@ from helpers import (
     rand_formula,
     rand_modal_cnf,
 )
+from lea import sweep
 from lea.cli import main
 from lea.decide import (
     DEFAULT_BOUND,
     TABLEAU_CLASSES,
     DecideError,
+    _Branch,
     _Nnf,
-    crosscheck,
     satisfiable,
     valid,
 )
@@ -98,13 +99,18 @@ def test_countermodel_refutes():
 
 
 def test_crosscheck_agrees():
+    # No unsat verdict where bounded search finds a model on at most three
+    # worlds; the search hit and the witness both lie in the class and replay.
     rng = random.Random(52)
     for cls in TABLEAU_CLASSES:
         for _ in range(60):
             f = rand_formula(rng, 3, lang="lea")
-            report = crosscheck(f, cls, max_n=3)
-            assert not report.hard_failure, (cls, f, report.note)
-            assert bool(report)
+            verdict = satisfiable(f, cls)
+            hit = sweep.search_sat(f, cls, 3)
+            assert verdict.answer is not False or hit is None, (cls, f)
+            for model, point in filter(None, (hit, verdict.witness)):
+                assert in_class(model, cls)
+                assert satisfies(model, point, f)
 
 
 def test_bounded_search_classes():
@@ -130,6 +136,33 @@ def test_deep_formulas_terminate():
     for cls in (FrameClass.K4, FrameClass.S4, FrameClass.S5, FrameClass.KB):
         verdict = satisfiable(f, cls)
         assert verdict.answer in (True, False)
+
+
+@pytest.mark.parametrize(
+    "cls,sizes",
+    [(FrameClass.K4, (3, 3, 5)), (FrameClass.S4, (4, 4, 6)), (FrameClass.S5, (3, 3, 4))],
+    ids=["K4", "S4", "S5"],
+)
+def test_blocking_reuses_a_world(cls, sizes, monkeypatch):
+    # In a transitive class [] <> p would make worlds without end; each of
+    # these formulas is satisfied only because some diamond finds a blocker.
+    find = _Branch._find_blocker
+    found = []
+
+    def spy(self, w, body):
+        found.append(find(self, w, body))
+        return found[-1]
+
+    monkeypatch.setattr(_Branch, "_find_blocker", spy)
+    for text, size in zip(("<> T & [] <> p", "[] <> p & <> ~p", "<> p & <> ~p & [] <> q"), sizes):
+        found.clear()
+        verdict = satisfiable(parse(text), cls)
+        assert verdict.answer is True, text
+        assert any(hit is not None for hit in found), text
+        model, point = verdict.witness
+        assert len(model.worlds) == size, text
+        assert naive_in_class(model, cls)
+        assert naive_satisfies(model, point, parse(text))
 
 
 def test_deterministic_witness():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import (
+    KW_EUC_ALT,
     mutate_derivation,
     oracle_check_derivation,
     oracle_parse_derivation,
@@ -18,7 +19,6 @@ from lea.hilbert import (
     KW_B,
     KW_CON,
     KW_EUC,
-    KW_EUC_ALT,
     KW_TOP,
     KW_TR,
     Axiom,

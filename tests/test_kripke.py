@@ -7,6 +7,7 @@ import pytest
 import lea.kripke
 from helpers import (
     close_into,
+    enumerate_frames,
     enumerate_valuations,
     naive_has_property,
     rand_model,
@@ -23,7 +24,6 @@ from lea.kripke import (
     SelfLoopMode,
     add_self_loops,
     disjoint_union,
-    enumerate_frames,
     has_property,
     in_class,
     model_from_json,

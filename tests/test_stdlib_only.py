@@ -1,7 +1,7 @@
 """The library runs on the standard library alone.
 
-pyproject.toml declares no dependencies; this holds every module under
-src/lea to that.
+pyproject.toml declares no dependencies and Python 3.10 or later; this
+holds every module under src/lea to both, the second as syntax only.
 """
 
 import ast
@@ -31,6 +31,15 @@ def test_library_imports_only_the_standard_library():
         if name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert not outside, outside
+
+
+def test_library_parses_as_the_oldest_declared_python():
+    # pyproject.toml declares requires-python >= 3.10.  This holds the syntax
+    # of every module to 3.10; it cannot catch a newer library call.
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["requires-python"] == ">=3.10"
+    for path in MODULES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_project_declares_no_dependencies():
