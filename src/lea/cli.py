@@ -11,7 +11,7 @@ atom limit, a frame sweep past its valuation limit, or a translation of
 more than MAX_TRANSLATION_NODES nodes written out.  Exit 2 is unusable
 input (a malformed command line, which also prints a usage line; an
 unreadable or non-UTF-8 file, bad syntax or content, an unknown name, a
---max-n outside 1 to sweep.MAX_N); the tableau's expansion budget also
+--max-n outside 1 to MAX_N); the tableau's expansion budget also
 exits 2, with an error.
 Exit 3, with `internal error: <reason>` and no verdict, is an answer that
 failed its own check.
@@ -23,6 +23,15 @@ flags after it.  A long flag may be a unique prefix and take its value as
 a value; after `--` every token is an ARG.
 
 Formulas are given inline or as @path; models are always files.
+
+A command loads only the modules it runs: at load time this module
+imports the formula layer and lea.limits alone.  Each `_COMMANDS` row
+names the library modules its handler needs, and `main` binds their
+`_LIBRARY` names here on the command's first run in a process; later runs
+import and bind nothing.  A name read from outside first (bench/tracer.py
+wraps some) binds on that read, through the module `__getattr__` (PEP
+562).  Binding keeps a name already bound, so such a wrapper stays the one
+called.
 """
 
 from __future__ import annotations
@@ -32,42 +41,45 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import decide
-# circ_bisimilar, largest_circ_bisimulation and valid_on_frame stay imported:
-# bench/tracer.py wraps them here.
-from .bisim import (
-    box_bisimilar,
-    circ_bisimilar,
-    circ_certificate,
-    contract,
-    largest_circ_bisimulation,
-    pairs_to_obj,
-)
 from .formula import Formula, ParseError, parse, render, to_lea, to_ml, tree_size
-from .hilbert import (
-    DerivationSyntaxError,
-    System,
-    check_derivation,
-    gen_conj_derivation,
-    parse_derivation,
-    render_derivation,
-    soundness_scan,
-)
-from .kripke import (
-    FrameClass,
-    FrameProperty,
-    Model,
-    PointedModel,
-    model_from_json,
-    model_to_obj,
-)
-from .semantics import (
-    check_definability,
-    frame_countermodel,
-    satisfies,
-    valid_on_frame,
-)
-from .sweep import MAX_N, ValuationLimitError
+from .limits import DEFAULT_BOUND, MAX_N, DecideError, SelfCheckError
+
+# The library names the handlers call, by module.  Binding a module binds
+# the module under its own name too: decide is called as decide.valid and
+# decide.satisfiable, which bench/tracer.py wraps in decide.
+# circ_bisimilar, largest_circ_bisimulation and valid_on_frame are here for
+# bench/tracer.py alone, which wraps them in this module.
+_LIBRARY = {
+    "bisim": ("box_bisimilar", "circ_bisimilar", "circ_certificate", "contract",
+              "largest_circ_bisimulation", "pairs_to_obj"),
+    "decide": (),
+    "hilbert": ("DerivationSyntaxError", "System", "check_derivation", "gen_conj_derivation",
+                "parse_derivation", "render_derivation", "soundness_scan"),
+    "kripke": ("FrameClass", "FrameProperty", "PointedModel", "model_from_json",
+               "model_to_obj"),
+    "semantics": ("check_definability", "frame_countermodel", "satisfies", "valid_on_frame"),
+    "sweep": ("ValuationLimitError",),
+}
+
+
+def _bind(module: str) -> None:
+    """Import a library module and bind it and its `_LIBRARY` names here,
+    keeping any name already bound."""
+    from importlib import import_module
+
+    lib = import_module(f"{__package__}.{module}")
+    space = globals()
+    space.setdefault(module, lib)
+    for name in _LIBRARY[module]:
+        space.setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name: str):
+    module = next((m for m, names in _LIBRARY.items() if name == m or name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 # `translate` prints a tree, and each o doubles what to-ml writes: past this
@@ -105,15 +117,21 @@ def _read_model(path: str) -> tuple[Model, str | None]:
 
 
 # Named inputs: kind -> (case fold of the name, the options by folded name).
+# Each kind's options are built on its first use, from the names its
+# command's modules bound.
 _NAMED = {
-    "frame class": (str.upper, {c.name: c for c in FrameClass}),
-    "property": (str.lower, {p.value: p for p in FrameProperty}),
-    "system": (str.upper, {s.name.removesuffix("_CIRC"): s for s in System}),
+    "frame class": (str.upper, lambda: {c.name: c for c in FrameClass}),
+    "property": (str.lower, lambda: {p.value: p for p in FrameProperty}),
+    "system": (str.upper, lambda: {s.name.removesuffix("_CIRC"): s for s in System}),
 }
+_OPTIONS: dict[str, dict] = {}
 
 
 def _named(kind: str, name: str):
-    fold, options = _NAMED[kind]
+    fold, build = _NAMED[kind]
+    options = _OPTIONS.get(kind)
+    if options is None:
+        options = _OPTIONS[kind] = build()
     try:
         return options[fold(name)]
     except KeyError:
@@ -303,31 +321,35 @@ _FLAGS = {
     "--help": ("help", None, "show this help and exit"),
     "--json": ("json", None, "emit a JSON verdict instead of text"),
     "--max-n": ("max_n", "N", f"world bound for searches and scans, 1 to {MAX_N} "
-                              f"(default {decide.DEFAULT_BOUND})"),
+                              f"(default {DEFAULT_BOUND})"),
     "--class": ("frame_class", "CLS", "frame class"),
     "--frame": ("frame", "MODELFILE", "one frame, read from a model file"),
     "--circ": ("circ", None, "essence bisimilarity (default)"),
     "--box": ("box", None, "ordinary box bisimilarity"),
 }
 _GLOBAL = ("-h", "--help", "--json", "--max-n")
-# Commands: handler, positionals ("[world]" may be left out), own flags and
-# help.  Own flags exclude each other; one of them is required unless they
-# are in brackets.
+# Commands: handler, the library modules it runs (see _LIBRARY), positionals
+# ("[world]" may be left out), own flags and help.  Own flags exclude each
+# other; one of them is required unless they are in brackets.
 _COMMANDS = {
-    "check": (_cmd_check, "model [world] formula", "", "evaluate a formula at a world of a model"),
-    "valid": (_cmd_valid, "formula", "--class --frame",
+    "check": (_cmd_check, "kripke semantics", "model [world] formula", "",
+              "evaluate a formula at a world of a model"),
+    "valid": (_cmd_valid, "decide kripke semantics sweep", "formula", "--class --frame",
               "validity over a frame class or on one frame"),
-    "sat": (_cmd_sat, "formula", "--class", "satisfiability over a frame class"),
-    "bisim": (_cmd_bisim, "model_a point_a model_b point_b", "[--circ --box]",
+    "sat": (_cmd_sat, "decide kripke", "formula", "--class", "satisfiability over a frame class"),
+    "bisim": (_cmd_bisim, "bisim kripke", "model_a point_a model_b point_b", "[--circ --box]",
               "compare two pointed models"),
-    "contract": (_cmd_contract, "model", "", "quotient a model by its largest bisimulation"),
-    "translate": (_cmd_translate, "direction formula", "",
+    "contract": (_cmd_contract, "bisim kripke", "model", "",
+                 "quotient a model by its largest bisimulation"),
+    "translate": (_cmd_translate, "", "direction formula", "",
                   "translate between the essence and box languages"),
-    "define": (_cmd_define, "property formula", "",
+    "define": (_cmd_define, "kripke semantics", "property formula", "",
                "test whether a formula defines a frame property"),
-    "prove": (_cmd_prove, "system file", "", "check a derivation file against a system"),
-    "scan": (_cmd_scan, "system", "--class", "search small frames for axiom failures"),
-    "genproof": (_cmd_genproof, "n", "", "emit a derivation of the n-ary essence conjunction"),
+    "prove": (_cmd_prove, "hilbert", "system file", "", "check a derivation file against a system"),
+    "scan": (_cmd_scan, "hilbert kripke", "system", "--class",
+             "search small frames for axiom failures"),
+    "genproof": (_cmd_genproof, "hilbert", "n", "",
+                 "emit a derivation of the n-ary essence conjunction"),
 }
 # Values that are not free text: ints, and the choices of a direction.
 _TYPES = {"max_n": int, "n": int, "direction": ("to-ml", "to-lea")}
@@ -356,8 +378,8 @@ def _flag(token: str, flags: tuple[str, ...]):
 
 def _exit(command: str | None, error: str | None = None):
     """Print the usage line and the error and exit 2, or the help and exit 0."""
-    _, positionals, own, text = _COMMANDS.get(command, (
-        None, "COMMAND ...", "", "Workbench for the modal logic of essence and accident."))
+    _, _, positionals, own, text = _COMMANDS.get(command, (
+        None, "", "COMMAND ...", "", "Workbench for the modal logic of essence and accident."))
     flags = " | ".join(f"{f} {_FLAGS[f][1] or ''}".strip() for f in own.strip("[]").split())
     flags = f"[{flags}]" if own[:1] == "[" else f"({flags})" if "|" in flags else flags
     usage = " ".join(filter(None, ("usage: lea", command, "[-h] [--json] [--max-n N]", flags,
@@ -366,7 +388,7 @@ def _exit(command: str | None, error: str | None = None):
         print(usage, f"lea: error: {error}", sep="\n", file=sys.stderr)
         raise SystemExit(2)
     rows = [(p.upper(), _ARG_HELP.get(p, "")) for p in positionals.split()] if command else [
-        (name, row[3]) for name, row in _COMMANDS.items()]
+        (name, row[4]) for name, row in _COMMANDS.items()]
     rows.append(("-h, --help", _FLAGS["--help"][2]))
     for flag in ("--json", "--max-n", *own.strip("[]").split()):
         rows.append((f"{flag} {_FLAGS[flag][1] or ''}", _FLAGS[flag][2]))
@@ -378,7 +400,7 @@ def _read_argv(argv) -> SimpleNamespace:
     """The command line, read by the table above.  Help (exit 0) and a
     malformed line (exit 2) end in _exit."""
     command, flags, own, words, seen = None, _GLOBAL, (), [], set()
-    values = {"json": False, "max_n": decide.DEFAULT_BOUND}
+    values = {"json": False, "max_n": DEFAULT_BOUND}
     tail, tokens = 0, iter(argv)  # positionals since the last flag
 
     def convert(name: str, dest: str, text: str):
@@ -406,7 +428,7 @@ def _read_argv(argv) -> SimpleNamespace:
             if token not in _COMMANDS:
                 _exit(command, f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
             command = token
-            func, positionals, own, _ = _COMMANDS[command]
+            func, _, positionals, own, _ = _COMMANDS[command]
             required, own = own.startswith("--"), tuple(own.strip("[]").split())
             flags = _GLOBAL + own
         elif read is None:
@@ -447,16 +469,23 @@ def _read_argv(argv) -> SimpleNamespace:
     return SimpleNamespace(command=command, func=func, **values)
 
 
+_READY: set[str] = set()  # commands whose modules are bound
+
+
 def main(argv=None) -> int:
     ns = _read_argv(sys.argv[1:] if argv is None else argv)
+    if ns.command not in _READY:
+        for module in _COMMANDS[ns.command][1].split():
+            _bind(module)
+        _READY.add(ns.command)
     try:
         if not 1 <= ns.max_n <= MAX_N:
             raise _InputError(f"--max-n must be between 1 and {MAX_N}, not {ns.max_n}")
         payload, line = ns.func(ns)
-    except (_InputError, decide.DecideError) as e:
+    except (_InputError, DecideError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except decide.SelfCheckError as e:
+    except SelfCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     answer = payload.get("answer", True)

@@ -48,6 +48,7 @@ from .formula import (
     Var,
 )
 from .kripke import FrameClass, FrameProperty, Model, bit_positions, in_class
+from .limits import DEFAULT_BOUND, DecideError, SelfCheckError
 from .semantics import satisfies
 
 TABLEAU_CLASSES = (
@@ -59,16 +60,6 @@ TABLEAU_CLASSES = (
     FrameClass.S4,
     FrameClass.S5,
 )
-
-DEFAULT_BOUND = 3
-
-
-class DecideError(Exception):
-    """The tableau's expansion budget is exhausted."""
-
-
-class SelfCheckError(Exception):
-    """Internal fault: a witness is outside its class or failed replay."""
 
 
 @dataclass(frozen=True)

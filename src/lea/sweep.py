@@ -54,6 +54,7 @@ from .formula import (
     postorder,
 )
 from .kripke import FrameClass, FrameProperty, Model, _check_property, frame_worlds
+from .limits import MAX_N
 
 # Registers over every valuation of k variables on n worlds hold n * 2^(n*k)
 # bits: megabytes past n*k = MAX_VALUATION_BITS, and 2^k times more a world.
@@ -202,11 +203,6 @@ def iter_succ_tables(n: int) -> Iterator[tuple[int, ...]]:
     width = (1 << n) - 1
     for mask in range(1 << (n * n)):
         yield tuple((mask >> (s * n)) & width for s in range(n))
-
-
-# Frame sweeps cover 1 to MAX_N worlds.  Beyond this the seen table of
-# frame_orbits alone takes 2^(n*n) bytes (64 GiB at six worlds).
-MAX_N = 5
 
 
 @lru_cache(maxsize=None)
