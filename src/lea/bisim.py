@@ -100,7 +100,7 @@ def is_circ_bisimulation(z: BisimRelation) -> bool | BisimViolation:
         zcol[pos[t]] |= 1 << pos[s]
     if not z.pairs:
         return BisimViolation("empty")
-    laid = _laid((m,), m.val)
+    laid = _laid((m,), m.index.val_bits)
     for s, s2 in sorted(z.pairs):
         bad = _pair_violation(laid, zrow, zcol, pos[s], pos[s2])
         if bad is not None:
@@ -176,7 +176,7 @@ def _blocks(laid: _Laid, exempt: bool) -> list[int]:
 def _classes(m: Model, block: Sequence[int] | None = None) -> list[list[str]]:
     members: dict[int, list[str]] = {}
     if block is None:
-        block = _blocks(_laid((m,), m.val), exempt=True)
+        block = _blocks(_laid((m,), m.index.val_bits), exempt=True)
     for w, b in zip(m.worlds, block):
         members.setdefault(b, []).append(w)
     return list(members.values())
@@ -215,7 +215,8 @@ def _points(a: PointedModel, b: PointedModel) -> tuple[int, int]:
 def _same_block(a: PointedModel, b: PointedModel, exempt: bool) -> tuple[bool, list[int]]:
     """Whether the points share a block of their models side by side, with
     the partition."""
-    block = _blocks(_laid((a.model, b.model), {**a.model.val, **b.model.val}), exempt)
+    names = {**a.model.index.val_bits, **b.model.index.val_bits}
+    block = _blocks(_laid((a.model, b.model), names), exempt)
     x, y = _points(a, b)
     return block[x] == block[y], block
 

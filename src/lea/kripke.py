@@ -16,26 +16,31 @@ per size with every orbit of that size in a lane) and the tableau's rules
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 
-@dataclass(frozen=True)
 class Model:
-    worlds: tuple[str, ...]
-    rel: frozenset[tuple[str, str]]
-    val: Mapping[str, frozenset[str]]
-    # False skips _check_worlds.  Only model_from_obj passes it: it builds
-    # the index at once, and a world that the build cannot place rejects
-    # the file.
-    check_worlds: InitVar[bool] = True
+    """A Kripke model: its worlds in order, a relation and a valuation.
 
-    def __post_init__(self, check_worlds: bool) -> None:
-        if check_worlds:
-            _check_worlds(self.worlds, self.rel, self.val, min)
+    The constructor checks the worlds (_check_worlds) and keeps rel and
+    val; the index is built from them on first use.  A model read by
+    model_from_obj skips the constructor: it carries its worlds and the
+    ModelIndex the loader built, and builds rel and val from the index
+    rows on first read.  Models are immutable, compare by (worlds, rel,
+    val) and are not hashable.
+    """
+
+    def __init__(
+        self,
+        worlds: tuple[str, ...],
+        rel: frozenset[tuple[str, str]],
+        val: Mapping[str, frozenset[str]],
+    ) -> None:
+        _check_worlds(worlds, rel, val, min)
+        self.__dict__.update(worlds=worlds, rel=rel, val=val)
 
     @staticmethod
     def make(
@@ -52,18 +57,56 @@ class Model:
 
     @cached_property
     def index(self) -> "ModelIndex":
-        """Bitmask index, built on first use and kept in the instance dict."""
-        return ModelIndex(self)
+        """Bitmask index, built on first use."""
+        return ModelIndex(self.worlds, self.rel, self.val)
+
+    @cached_property
+    def rel(self) -> frozenset[tuple[str, str]]:
+        """A loaded model's relation, from its succ rows."""
+        ws = self.worlds
+        return frozenset((ws[s], ws[t]) for s, row in enumerate(self.index.succ)
+                         for t in bit_positions(row))
+
+    @cached_property
+    def val(self) -> Mapping[str, frozenset[str]]:
+        """A loaded model's valuation, from its val_bits."""
+        ws = self.worlds
+        return {p: frozenset(ws[w] for w in bit_positions(bits))
+                for p, bits in self.index.val_bits.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.worlds, self.rel, self.val) == (other.worlds, other.rel, other.val)
+
+    def __repr__(self) -> str:
+        return f"Model(worlds={self.worlds!r}, rel={self.rel!r}, val={self.val!r})"
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
 class PointedModel:
-    model: Model
-    point: str
+    """A model and one of its worlds, the point.  Immutable, like Model."""
 
-    def __post_init__(self) -> None:
-        if self.point not in self.model.worlds:
-            raise ValueError(f"point {self.point!r} is not a world of the model")
+    def __init__(self, model: Model, point: str) -> None:
+        if point not in model.worlds:
+            raise ValueError(f"point {point!r} is not a world of the model")
+        self.__dict__.update(model=model, point=point)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.model, self.point) == (other.model, other.point)
+
+    def __repr__(self) -> str:
+        return f"PointedModel(model={self.model!r}, point={self.point!r})"
+
+    __setattr__ = Model.__setattr__
+    __delattr__ = Model.__delattr__
 
 
 def _check_worlds(
@@ -101,21 +144,28 @@ def _check_worlds(
 
 class ModelIndex:
     """Eager: n, pos, all_mask, succ and val_bits, which is all that
-    evaluation reads.  succ is built straight from the relation, and each
-    world name of rel and val is looked up in pos once; a failed lookup
-    raises KeyError, which is how model_from_obj finds an unknown world.
-    Lazy, built from the succ rows on first use and kept: pred (read by
-    add_self_loops)."""
+    evaluation reads.  Built in one pass from the worlds, the relation's
+    pairs and the valuation's world lists, whether a Model's sets or a
+    model file's lists: each world name of rel and val is looked up in pos
+    once, and a failed lookup raises KeyError (an unknown name) or
+    TypeError (an unhashable one), which is how model_from_obj finds a bad
+    world.  Lazy, built from the succ rows on first use and kept: pred
+    (read by add_self_loops)."""
 
-    def __init__(self, m: Model):
-        n = self.n = len(m.worlds)
-        pos = self.pos = {w: i for i, w in enumerate(m.worlds)}
+    def __init__(
+        self,
+        worlds: Sequence[str],
+        rel: Iterable[Sequence[str]],
+        val: Mapping[str, Iterable[str]],
+    ):
+        n = self.n = len(worlds)
+        pos = self.pos = {w: i for i, w in enumerate(worlds)}
         self.all_mask = (1 << n) - 1
         succ = self.succ = [0] * n
-        for s, t in m.rel:
+        for s, t in rel:
             succ[pos[s]] |= 1 << pos[t]
         self.val_bits: dict[str, int] = {}
-        for p, ws in m.val.items():
+        for p, ws in val.items():
             bits = 0
             for w in ws:
                 bits |= 1 << pos[w]
@@ -171,12 +221,15 @@ def model_from_obj(obj: object) -> tuple[Model, str | None]:
     """Parse the dict form, strictly.  Returns the model and its optional point.
 
     A valid file is read in one pass over its world names: after checks on
-    its containers (lists, dicts, pair lengths), building the model's
-    ModelIndex is the validation, since a world name that is unknown or not
-    a string fails there (its pos lookup, or hashing it).  The model keeps
-    that index and skips _check_worlds.  Only a rejected file pays for
-    _reject, which runs every check in a fixed order and names the first
-    offender in file order.
+    its containers (lists, dicts, pair lengths), building a ModelIndex
+    straight from its lists is the validation, since a world name that is
+    unknown or not a string fails there (its pos lookup, or hashing it).
+    The model carries its worlds and that index, and skips the constructor
+    and _check_worlds; its rel and val are built from the index rows when
+    something reads them, so a caller that later changes obj does not
+    change the model.  Only a rejected file pays for _reject, which runs
+    every check in a fixed order and names the first offender in file
+    order.
     """
     loaded = _load(obj)
     if loaded is None:
@@ -195,17 +248,13 @@ def _load(obj: object) -> tuple[Model, str | None] | None:
             and (point is None or isinstance(point, str))):
         return None
     try:
-        m = Model(
-            tuple(worlds),
-            frozenset(map(tuple, rel)),
-            {p: frozenset(ws) for p, ws in val.items()},
-            check_worlds=False,
-        )
-        pos = m.index.pos
+        index = ModelIndex(worlds, rel, val)
     except (KeyError, TypeError):  # an unknown world, or an unhashable one
         return None
-    if not worlds or len(pos) != len(worlds) or not (point is None or point in pos):
+    if not worlds or len(index.pos) != len(worlds) or not (point is None or point in index.pos):
         return None
+    m = object.__new__(Model)
+    m.__dict__.update(worlds=tuple(worlds), index=index)
     return m, point
 
 

@@ -705,6 +705,36 @@ def test_check_leaves_lazy_index_fields_unbuilt(tmp_path, capsys, monkeypatch):
     assert "index" in model.__dict__
     assert "pred" not in model.index.__dict__
     assert "sig" not in model.index.__dict__
+    # The loaded model carries its index; check never reads rel or val.
+    assert "rel" not in model.__dict__ and "val" not in model.__dict__
+
+
+def test_bisim_refutations_leave_rel_and_val_unbuilt(tmp_path, capsys, monkeypatch):
+    # bisim reads succ rows and atom names off each file's index; only an
+    # affirmative circ answer builds the union its certificate is over.
+    ws = [f"w{i}" for i in range(40)]
+    a = Model.make(ws, zip(ws, ws[1:] + ws[:1]), {"p": ws[::2]})
+    b = Model.make(ws, zip(ws, ws[1:] + ws[:1]), {"p": ws[::2], "q": ws[:1]})
+    paths = []
+    for name, m in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(model_to_json(m))
+    loaded = []
+    real = lea.cli.model_from_json
+
+    def spy(text):
+        loaded.append(real(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(lea.cli, "model_from_json", spy)
+    for flag in ([], ["--box"]):
+        argv = ["bisim", str(paths[0]), "w0", str(paths[1]), "w0", *flag]
+        assert main(argv) == 1
+        assert main(argv + ["--json"]) == 1
+    capsys.readouterr()
+    assert len(loaded) == 8
+    for model, _ in loaded:
+        assert "rel" not in model.__dict__ and "val" not in model.__dict__
 
 
 def test_valid_frame_on_a_ten_world_cycle(tmp_path, capsys):

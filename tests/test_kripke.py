@@ -14,6 +14,7 @@ from helpers import (
     rand_sparse_model,
 )
 from lea.cli import main
+from lea.formula import parse
 from lea.hilbert import System, soundness_scan
 from lea.kripke import (
     FrameClass,
@@ -31,6 +32,7 @@ from lea.kripke import (
     model_to_json,
     model_to_obj,
 )
+from lea.semantics import extension
 from lea.sweep import build_model
 
 
@@ -143,7 +145,7 @@ def _mutate(rng: random.Random, obj: dict) -> dict:
     obj = copy.deepcopy(obj)
     spots = [("worlds", obj["worlds"])] + [("rel", e) for e in obj["rel"]]
     spots += [("val", ws) for ws in obj["val"].values()]
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:  # drop a key, or add one
         if rng.random() < 0.8:
             del obj[rng.choice(sorted(obj))]
@@ -162,6 +164,11 @@ def _mutate(rng: random.Random, obj: dict) -> dict:
     elif kind == 4:  # duplicate a world
         worlds = obj["worlds"]
         worlds.insert(rng.randrange(len(worlds) + 1), rng.choice(worlds))
+    elif kind == 5:  # harmless: repeat a rel pair, or a name in a valuation
+        lists = [ws for ws in (obj["rel"], *obj["val"].values()) if ws]
+        if lists:
+            target = rng.choice(lists)
+            target.insert(rng.randrange(len(target) + 1), copy.deepcopy(rng.choice(target)))
     else:  # an unknown point, or a rel entry of the wrong length
         if rng.random() < 0.5:
             obj["point"] = rng.choice(["zz", ""])
@@ -177,11 +184,15 @@ def _mutate(rng: random.Random, obj: dict) -> dict:
 def test_bad_files_raise_only_value_error(tmp_path, capsys):
     rng = random.Random(14)
     cases = 0
-    for i in range(400):
+    for i in range(450):
         m = rand_model(rng, 4)
         obj = _mutate(rng, model_to_obj(m, rng.choice((None,) + m.worlds)))
         if _valid_obj(obj):
-            assert model_from_obj(obj)[0].worlds == tuple(obj["worlds"])
+            loaded = model_from_obj(obj)[0]
+            built = Model.make(obj["worlds"], map(tuple, obj["rel"]), obj["val"])
+            assert (loaded.worlds, loaded.rel, loaded.val) == (built.worlds, built.rel, built.val)
+            fresh = ModelIndex(obj["worlds"], obj["rel"], obj["val"])
+            assert _index_fields(loaded.index) == _index_fields(fresh)
             continue
         cases += 1
         with pytest.raises(ValueError) as info:
@@ -218,9 +229,10 @@ def test_loaded_model_equals_built(monkeypatch):
         point = rng.choice((None,) + m.worlds)
         text = model_to_json(m, point)
         loaded, again = model_from_json(text)
-        assert (loaded, again) == (m, point)
         assert "index" in loaded.__dict__
-        fresh = _index_fields(ModelIndex(loaded))
+        assert "rel" not in loaded.__dict__ and "val" not in loaded.__dict__
+        assert (loaded, again) == (m, point)
+        fresh = _index_fields(ModelIndex(loaded.worlds, loaded.rel, loaded.val))
         assert _index_fields(loaded.index) == fresh
         assert fresh == _index_fields(m.index)
 
@@ -238,6 +250,32 @@ def test_loaded_model_equals_built(monkeypatch):
     loaded, _ = model_from_json(model_to_json(models[-1]))
     assert loaded.index.pred  # built from the index the loader kept
     assert calls == {"index": 1, "check": 0}
+
+
+def test_loaded_model_ignores_later_changes_to_its_source():
+    # A loaded model builds rel and val from its index rows, so changing the
+    # dict it was read from, before or after they are first read, changes
+    # neither them nor any answer.
+    formulas = [parse(t) for t in ("p", "o p", "[] q", "o (p -> <> q)", "~o ~p")]
+    want = Model.make("abc", [("a", "b"), ("b", "c"), ("c", "c")], {"p": "b", "q": "bc"})
+
+    def source():
+        return model_to_obj(want, "a")
+
+    for read_first in (False, True):
+        obj = source()
+        m, _ = model_from_obj(obj)
+        if read_first:
+            assert (m.rel, m.val) == (want.rel, want.val)
+        obj["worlds"].append("d")
+        obj["rel"].append(["c", "a"])
+        obj["rel"][0][1] = "c"
+        obj["val"]["p"].append("c")
+        obj["val"]["q"].clear()
+        obj["val"]["r"] = ["a"]
+        assert (m.worlds, m.rel, m.val) == (want.worlds, want.rel, want.val)
+        assert [extension(m, f) for f in formulas] == [extension(want, f) for f in formulas]
+        assert model_to_obj(m, "a") == source()
 
 
 def test_library_models_stay_lazy():

@@ -94,6 +94,16 @@ def test_translate_loads_the_formula_layer_alone():
     assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
+def test_kripke_loads_no_dataclasses():
+    # Model and PointedModel are written by hand, so the model layer costs
+    # no dataclass generation and no inspect import.
+    run = _python("-S", "-c", "import sys, lea.kripke; print(*sys.modules)")
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.split())
+    assert "lea.kripke" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
 def test_model_and_proof_commands_load_only_their_layers(inputs):
     check = _loaded(["check", inputs["loop"], "s", "o p"])
     assert "lea.semantics" in check
