@@ -25,21 +25,20 @@ its literals at round 0; then chi of its round-(r - 1) block, ~o ~chi_C
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Collection, Iterator, Mapping, Sequence
 
 from .formula import And, Ess, Formula, Not, Var
-from .kripke import Model, PointedModel, bit_positions, disjoint_union
+from .kripke import Model, PointedModel, bit_positions, disjoint_union, record
 
 
-@dataclass(frozen=True)
+@record
 class BisimRelation:
     carrier: Model
     pairs: frozenset[tuple[str, str]]
 
 
-@dataclass(frozen=True)
+@record
 class BisimViolation:
     """First failed condition; falsy so checks read naturally."""
 
@@ -71,16 +70,11 @@ def pairs_to_obj(z: BisimRelation) -> dict:
 def pairs_from_obj(obj: object) -> list[tuple[str, str]]:
     if not isinstance(obj, dict) or set(obj) != {"pairs"}:
         raise ValueError('expected an object with a single "pairs" key')
-    out = []
     for entry in obj["pairs"]:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(x, str) for x in entry)
-        ):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(x, str) for x in entry)):
             raise ValueError(f"pair entries must be two world ids: {entry!r}")
-        out.append((entry[0], entry[1]))
-    return out
+    return [tuple(entry) for entry in obj["pairs"]]
 
 
 def is_circ_bisimulation(z: BisimRelation) -> bool | BisimViolation:
@@ -306,7 +300,7 @@ def _negate(f: Formula) -> Formula:
 # Contraction
 
 
-@dataclass(frozen=True)
+@record
 class Contraction:
     model: Model
     class_of: Mapping[str, str]
@@ -321,15 +315,9 @@ def contract(m: Model) -> Contraction:
     when its members do.  Each world of m stays bisimilar to its class in
     the quotient.
     """
-    class_of: dict[str, str] = {}
-    order: list[str] = []
-    for ws in _classes(m):
-        cid = "[" + min(ws) + "]"
-        order.append(cid)
-        for w in ws:
-            class_of[w] = cid
-    rel = frozenset(
-        (class_of[s], class_of[t]) for s, t in m.rel
-    )
+    classes = _classes(m)
+    ids = tuple("[" + min(ws) + "]" for ws in classes)
+    class_of = {w: cid for cid, ws in zip(ids, classes) for w in ws}
+    rel = frozenset((class_of[s], class_of[t]) for s, t in m.rel)
     val = {p: frozenset(class_of[w] for w in ws) for p, ws in m.val.items()}
-    return Contraction(Model(tuple(order), rel, val), class_of)
+    return Contraction(Model(ids, rel, val), class_of)

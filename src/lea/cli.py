@@ -140,13 +140,6 @@ def _named(kind: str, name: str):
         ) from None
 
 
-def _witness_obj(witness: tuple[Model, str] | None):
-    if witness is None:
-        return None
-    model, point = witness
-    return model_to_obj(model, point)
-
-
 # ---------------------------------------------------------------------------
 # Commands.  Each returns (json payload, text line); main reads the exit code
 # off the payload's "answer" and puts `unknown: ` before the line of a null one.
@@ -176,7 +169,8 @@ def _cmd_valid(ns) -> tuple[dict, str]:
         except ValuationLimitError as e:
             return {"answer": None, "method": "frame-sweep", "reason": str(e)}, str(e)
         answer = witness is None
-        payload = {"answer": answer, "method": "frame-sweep", "witness": _witness_obj(witness)}
+        payload = {"answer": answer, "method": "frame-sweep",
+                   "witness": model_to_obj(*witness) if witness else None}
         return payload, "valid on frame" if answer else "not valid on frame"
     cls = _named("frame class", ns.frame_class)
     return _verdict_reply(decide.valid(f, cls, ns.max_n))
@@ -201,7 +195,7 @@ def _verdict_reply(verdict: decide.Verdict) -> tuple[dict, str]:
     payload = {
         "answer": verdict.answer,
         "method": verdict.method,
-        "witness": _witness_obj(verdict.witness),
+        "witness": model_to_obj(*verdict.witness) if verdict.witness else None,
         "stats": dict(verdict.stats),
     }
     if verdict.bound is not None:

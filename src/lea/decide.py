@@ -31,7 +31,6 @@ returned; one that fails replay raises SelfCheckError instead of lying.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 
 from . import sweep
 from .formula import (
@@ -47,22 +46,15 @@ from .formula import (
     Top,
     Var,
 )
-from .kripke import FrameClass, FrameProperty, Model, bit_positions, in_class
+from .kripke import FrameClass, FrameProperty, Model, Uncompared, bit_positions, in_class, record
 from .limits import DEFAULT_BOUND, DecideError, SelfCheckError
 from .semantics import satisfies
 
-TABLEAU_CLASSES = (
-    FrameClass.K,
-    FrameClass.D,
-    FrameClass.T,
-    FrameClass.KB,
-    FrameClass.K4,
-    FrameClass.S4,
-    FrameClass.S5,
-)
+# Every class but TB and B5, which bounded search answers.
+TABLEAU_CLASSES = tuple(c for c in FrameClass if c not in (FrameClass.TB, FrameClass.B5))
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     formula: Formula
     frame_class: FrameClass
@@ -75,7 +67,7 @@ class Verdict:
     # choice points opened (disjunctions branched on, not those settled by
     # a present disjunct or by propagation) and choice points skipped by
     # backjumping.
-    stats: Mapping[str, int] = field(default_factory=dict, compare=False)
+    stats: Mapping[str, int] = Uncompared(dict)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +546,7 @@ def valid(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verdict:
     """Is f true everywhere on every model of the class?  Dual of satisfiable."""
     inner = satisfiable(Not(f), cls, max_n)
     answer = None if inner.answer is None else not inner.answer
-    return replace(inner, formula=f, question="valid", answer=answer)
+    return inner.replace(formula=f, question="valid", answer=answer)
 
 
 def _replay(hit: tuple[Model, str], f: Formula, cls: FrameClass) -> None:

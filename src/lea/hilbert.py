@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, reduce
 
 from . import sweep
 from .formula import (
@@ -39,7 +39,7 @@ from .formula import (
     render,
     substitute,
 )
-from .kripke import FrameClass, Model, frame_worlds
+from .kripke import FrameClass, Model, frame_worlds, record
 
 Substitution = Mapping[str, Formula]
 
@@ -141,36 +141,36 @@ def is_tautology(f: Formula) -> bool:
 # Derivations
 
 
-@dataclass(frozen=True)
+@record
 class Taut:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Premise:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Axiom:
     """An axiom line names its axiom and nothing else; the checker matches the schema."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class MP:
     antecedent: int  # line holding f
     implication: int  # line holding f -> g
 
 
-@dataclass(frozen=True)
+@record
 class Sub:
     source: int
     subst: Substitution
 
 
-@dataclass(frozen=True)
+@record
 class R:
     source: int
 
@@ -178,14 +178,14 @@ class R:
 Justification = Taut | Premise | Axiom | MP | Sub | R
 
 
-@dataclass(frozen=True)
+@record
 class Line:
     index: int
     formula: Formula
     just: Justification
 
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     lines: tuple[Line, ...]
 
@@ -197,7 +197,7 @@ class Derivation:
         return tuple(l.formula for l in self.lines if isinstance(l.just, Premise))
 
 
-@dataclass(frozen=True)
+@record
 class CheckReport:
     ok: bool | None  # None: unknown, first_error names a line past a limit
     first_error: tuple[int, str] | None = None
@@ -234,8 +234,7 @@ def check_derivation(d: Derivation, system: System) -> CheckReport:
 def _check_line(
     line: Line, earlier: dict[int, Formula], system: System
 ) -> str | None:
-    f = line.formula
-    just = line.just
+    f, just = line.formula, line.just
     if not is_lea(f):
         return "formula leaves the essence fragment (contains [])"
     if type(just) not in _KINDS:
@@ -388,19 +387,10 @@ def gen_conj_derivation(n: int) -> Derivation:
         lines.append(Line(len(lines) + 1, f, just))
         return len(lines)
 
-    def conj(parts: list[Formula]) -> Formula:
-        out = parts[0]
-        for g in parts[1:]:
-            out = And(out, g)
-        return out
-
-    goal_idx = emit(
-        Implies(And(Ess(p[0]), Ess(p[1])), Ess(And(p[0], p[1]))),
-        Axiom("KwCon"),
-    )
+    goal_idx = emit(Implies(And(Ess(p[0]), Ess(p[1])), Ess(And(p[0], p[1]))), Axiom("KwCon"))
     for k in range(2, n):
-        body = conj(list(p[:k]))
-        antecedent = conj([Ess(v) for v in p[:k]])
+        body = reduce(And, p[:k])
+        antecedent = reduce(And, map(Ess, p[:k]))
         grown_body = And(body, p[k])
         grown_antecedent = And(antecedent, Ess(p[k]))
         step = Implies(And(Ess(body), Ess(p[k])), Ess(grown_body))
@@ -418,26 +408,30 @@ def gen_conj_derivation(n: int) -> Derivation:
 # Soundness scanning
 
 
+@record
 class ScanFailures(Sequence):
     """The (frame, axiom name) entries of a soundness scan: a read-only
-    sequence kept as (n, index into sweep.frame_orbits(n), axiom name).
+    sequence kept as (n, index into sweep.frame_orbits(n), axiom name),
+    and equal to another whose entries are equal.
 
     A frame's model is built on the first read of one of its entries and
     shared by that frame's other entries, so reading five entries builds
     at most five models.
     """
 
-    def __init__(self, entries: tuple[tuple[int, int, str], ...]):
-        self._entries = entries
-        self._frames: dict[tuple[int, int], Model] = {}
+    entries: tuple[tuple[int, int, str], ...]
+
+    @cached_property
+    def _frames(self) -> dict[tuple[int, int], Model]:
+        return {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        n, orbit, name = self._entries[i]
+        n, orbit, name = self.entries[i]
         frame = self._frames.get((n, orbit))
         if frame is None:
             succ = sweep.frame_orbits(n)[orbit][0]
@@ -445,7 +439,7 @@ class ScanFailures(Sequence):
         return frame, name
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     """Outcome of a soundness scan.
 

@@ -19,9 +19,72 @@ import json
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 
+class Uncompared:
+    """The default of a record field that == and hash leave out, built
+    afresh for each instance by factory."""
+
+    def __init__(self, factory: Callable[[], object]) -> None:
+        self.factory = factory
+
+
+def _read_only(self, attr: str, *value: object) -> NoReturn:
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {attr!r}")
+
+
+def record(cls: type) -> type:
+    """Make cls an immutable value over the fields it annotates, in order.
+
+    A class attribute named like a field is its default.  The decorator
+    adds each of these that the class body does not define: __init__ (the
+    fields by position or keyword), __eq__ and __hash__ over the fields
+    whose default is not Uncompared, a repr Name(field=value, ...), a
+    __setattr__ and __delattr__ that raise AttributeError, and
+    replace(**changes).  Instances keep their __dict__, which holds the
+    fields and every cached_property.
+    """
+    name, fields = cls.__qualname__, tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    compared = [f for f in fields if not isinstance(defaults.get(f), Uncompared)]
+    key = attrgetter("__class__", *compared)  # a tuple for any number of fields
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(fields, args), **kwargs)
+        if kwargs or len(args) != len(fields):
+            if len(values) < len(args) + len(kwargs) or values.keys() - fields:
+                raise TypeError(f"{name}() got too many, repeated or unknown arguments")
+            for f in fields[len(args):]:
+                if f not in values:
+                    if f not in defaults:
+                        raise TypeError(f"{name}() missing required argument {f!r}")
+                    values[f] = d.factory() if isinstance(d := defaults[f], Uncompared) else d
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        return f"{name}({', '.join(f'{f}={getattr(self, f)!r}' for f in fields)})"
+
+    def replace(self, **changes):
+        """A copy of this value with the given fields changed."""
+        return self.__class__(*[changes.pop(f, getattr(self, f)) for f in fields], **changes)
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__,
+               "__setattr__": _read_only, "__delattr__": _read_only, "replace": replace}
+    for attr, method in methods.items():
+        if attr not in cls.__dict__:
+            setattr(cls, attr, method)
+    return cls
+
+
+@record
 class Model:
     """A Kripke model: its worlds in order, a relation and a valuation.
 
@@ -33,27 +96,21 @@ class Model:
     val) and are not hashable.
     """
 
-    def __init__(
-        self,
-        worlds: tuple[str, ...],
-        rel: frozenset[tuple[str, str]],
-        val: Mapping[str, frozenset[str]],
-    ) -> None:
+    worlds: tuple[str, ...]
+    rel: frozenset[tuple[str, str]]
+    val: Mapping[str, frozenset[str]]
+    __hash__ = None
+
+    def __init__(self, worlds, rel, val) -> None:
         _check_worlds(worlds, rel, val, min)
         self.__dict__.update(worlds=worlds, rel=rel, val=val)
 
     @staticmethod
-    def make(
-        worlds: Iterable[str],
-        rel: Iterable[tuple[str, str]] = (),
-        val: Mapping[str, Iterable[str]] | None = None,
-    ) -> "Model":
+    def make(worlds: Iterable[str], rel: Iterable[tuple[str, str]] = (),
+             val: Mapping[str, Iterable[str]] | None = None) -> Model:
         """Build a model from plain iterables."""
-        return Model(
-            tuple(worlds),
-            frozenset((s, t) for s, t in rel),
-            {p: frozenset(ws) for p, ws in (val or {}).items()},
-        )
+        return Model(tuple(worlds), frozenset((s, t) for s, t in rel),
+                     {p: frozenset(ws) for p, ws in (val or {}).items()})
 
     @cached_property
     def index(self) -> "ModelIndex":
@@ -74,39 +131,18 @@ class Model:
         return {p: frozenset(ws[w] for w in bit_positions(bits))
                 for p, bits in self.index.val_bits.items()}
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.worlds, self.rel, self.val) == (other.worlds, other.rel, other.val)
 
-    def __repr__(self) -> str:
-        return f"Model(worlds={self.worlds!r}, rel={self.rel!r}, val={self.val!r})"
-
-    def __setattr__(self, name: str, value: object) -> NoReturn:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> NoReturn:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
+@record
 class PointedModel:
     """A model and one of its worlds, the point.  Immutable, like Model."""
+
+    model: Model
+    point: str
 
     def __init__(self, model: Model, point: str) -> None:
         if point not in model.worlds:
             raise ValueError(f"point {point!r} is not a world of the model")
         self.__dict__.update(model=model, point=point)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.model, self.point) == (other.model, other.point)
-
-    def __repr__(self) -> str:
-        return f"PointedModel(model={self.model!r}, point={self.point!r})"
-
-    __setattr__ = Model.__setattr__
-    __delattr__ = Model.__delattr__
 
 
 def _check_worlds(
@@ -432,21 +468,18 @@ def add_self_loops(m: Model, mode: SelfLoopMode) -> Model:
     essence-language formulas at each world as m does.
     """
     idx = m.index
-    chosen = []
-    for i, w in enumerate(m.worlds):
-        if mode is SelfLoopMode.ALL:
-            hit = True
-        elif mode is SelfLoopMode.ENDPOINTS:
-            hit = idx.succ[i] == 0
-        elif mode is SelfLoopMode.TWO_CYCLES:
-            hit = bool(idx.succ[i] & idx.pred[i])
-        elif mode is SelfLoopMode.HAS_PREDECESSOR:
-            hit = idx.pred[i] != 0
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        if hit:
-            chosen.append((w, w))
-    return Model(m.worlds, m.rel | frozenset(chosen), m.val)
+    if mode is SelfLoopMode.ALL:
+        hits = [True] * idx.n
+    elif mode is SelfLoopMode.ENDPOINTS:
+        hits = [not row for row in idx.succ]
+    elif mode is SelfLoopMode.TWO_CYCLES:
+        hits = [row & back for row, back in zip(idx.succ, idx.pred)]
+    elif mode is SelfLoopMode.HAS_PREDECESSOR:
+        hits = idx.pred
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    loops = frozenset((w, w) for w, hit in zip(m.worlds, hits) if hit)
+    return Model(m.worlds, m.rel | loops, m.val)
 
 
 def disjoint_union(a: Model, b: Model) -> Model:

@@ -8,13 +8,12 @@ every successor, and o f holds at s when f-at-s forces f at every successor
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 from . import sweep
 from .formula import Formula
-from .kripke import FrameClass, FrameProperty, Model, ModelIndex, frame_worlds
+from .kripke import FrameClass, FrameProperty, Model, ModelIndex, frame_worlds, record
 
 
 def _modal_bits(n: int, succ: Sequence[int], sub: int, ess: bool) -> int:
@@ -90,7 +89,7 @@ def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
 # Frame definability
 
 
-@dataclass(frozen=True)
+@record
 class DefinabilityVerdict:
     property: FrameProperty
     formula: Formula

@@ -396,6 +396,18 @@ def test_scan_failures_read_as_a_tuple_of_entries(monkeypatch):
         report.failures[len(entries)]
 
 
+@pytest.mark.parametrize("system, failures", [(System.K_CIRC, 0), (System.KB5_CIRC, 4)])
+def test_scans_of_one_input_are_equal(system, failures):
+    """Two scans compare, hash and print alike by their entries, whether or
+    not a model of a failure has been built."""
+    a, b = (soundness_scan(system, FrameClass.K, 2) for _ in range(2))
+    assert len(a.failures) == failures
+    list(a.failures)
+    assert a == b and a.failures == b.failures and hash(a) == hash(b)
+    assert repr(a.failures) == repr(b.failures) == f"ScanFailures(entries={a.failures.entries!r})"
+    assert a != soundness_scan(system, FrameClass.K, 1)
+
+
 # ---------------------------------------------------------------------------
 # The table-driven derivation format against the ladder oracle of helpers.
 

@@ -47,8 +47,14 @@ def test_project_declares_no_dependencies():
         assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
-def test_formula_nodes_import_no_dataclasses():
-    # Formula nodes are plain __slots__ classes: the formula layer imports
-    # neither dataclasses nor the inspect module that it pulls in.
-    tree = ast.parse((ROOT / "src" / "lea" / "formula.py").read_text(encoding="utf-8"))
-    assert {name for _, name in _absolute_imports(tree)}.isdisjoint({"dataclasses", "inspect"})
+def test_library_imports_no_dataclasses():
+    # Library values are kripke.record classes and formula nodes are
+    # formula._node_type classes: no module imports dataclasses or the
+    # inspect module that it pulls in.
+    found = [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for path in MODULES
+        for lineno, name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name.partition(".")[0] in ("dataclasses", "inspect")
+    ]
+    assert not found, found
