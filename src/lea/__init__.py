@@ -25,8 +25,8 @@ _EXPORTS = {
         "model_from_json", "model_from_obj", "model_to_json", "model_to_obj",
     ),
     "semantics": (
-        "DefinabilityVerdict", "check_definability", "extension", "satisfies",
-        "valid_on_frame",
+        "DefinabilityVerdict", "check_definability", "extension", "frame_countermodel",
+        "satisfies", "valid_on_frame",
     ),
     "bisim": (
         "BisimRelation", "BisimViolation", "Contraction", "bounded_equivalent",
@@ -41,8 +41,9 @@ _EXPORTS = {
         "soundness_scan",
     ),
     "decide": ("DecideError", "Verdict", "satisfiable", "valid"),
+    "sweep": ("ValuationLimitError",),
 }
-_MODULES = (*_EXPORTS, "sweep", "limits", "cli")
+_MODULES = (*_EXPORTS, "limits", "cli")
 
 __all__ = [name for names in _EXPORTS.values() for name in names]
 

@@ -25,13 +25,13 @@ a value; after `--` every token is an ARG.
 Formulas are given inline or as @path; models are always files.
 
 A command loads only the modules it runs: at load time this module
-imports the formula layer and lea.limits alone.  Each `_COMMANDS` row
-names the library modules its handler needs, and `main` binds their
-`_LIBRARY` names here on the command's first run in a process; later runs
-import and bind nothing.  A name read from outside first (bench/tracer.py
-wraps some) binds on that read, through the module `__getattr__` (PEP
-562).  Binding keeps a name already bound, so such a wrapper stays the one
-called.
+imports the formula layer and lea.limits alone.  A handler reads every
+other library name as `lib.<name>`, an attribute of this module; the
+module `__getattr__` (PEP 562) binds a name on its first read, from the
+lazy package's own `__getattr__`, which imports the defining module and
+resolves only lea's exports and modules (not its `__path__` or
+`__all__`).  A name bound first from outside (bench/tracer.py wraps some)
+is kept, so such a wrapper stays the one called.
 """
 
 from __future__ import annotations
@@ -44,42 +44,11 @@ from types import SimpleNamespace
 from .formula import Formula, ParseError, parse, render, to_lea, to_ml, tree_size
 from .limits import DEFAULT_BOUND, MAX_N, DecideError, SelfCheckError
 
-# The library names the handlers call, by module.  Binding a module binds
-# the module under its own name too: decide is called as decide.valid and
-# decide.satisfiable, which bench/tracer.py wraps in decide.
-# circ_bisimilar, largest_circ_bisimulation and valid_on_frame are here for
-# bench/tracer.py alone, which wraps them in this module.
-_LIBRARY = {
-    "bisim": ("box_bisimilar", "circ_bisimilar", "circ_certificate", "contract",
-              "largest_circ_bisimulation", "pairs_to_obj"),
-    "decide": (),
-    "hilbert": ("DerivationSyntaxError", "System", "check_derivation", "gen_conj_derivation",
-                "parse_derivation", "render_derivation", "soundness_scan"),
-    "kripke": ("FrameClass", "FrameProperty", "PointedModel", "model_from_json",
-               "model_to_obj"),
-    "semantics": ("check_definability", "frame_countermodel", "satisfies", "valid_on_frame"),
-    "sweep": ("ValuationLimitError",),
-}
-
-
-def _bind(module: str) -> None:
-    """Import a library module and bind it and its `_LIBRARY` names here,
-    keeping any name already bound."""
-    from importlib import import_module
-
-    lib = import_module(f"{__package__}.{module}")
-    space = globals()
-    space.setdefault(module, lib)
-    for name in _LIBRARY[module]:
-        space.setdefault(name, getattr(lib, name))
+lib = sys.modules[__name__]  # handlers read library names as lib.<name>
 
 
 def __getattr__(name: str):
-    module = next((m for m, names in _LIBRARY.items() if name == m or name in names), None)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(module)
-    return globals()[name]
+    return globals().setdefault(name, sys.modules[__package__].__getattr__(name))
 
 
 # `translate` prints a tree, and each o doubles what to-ml writes: past this
@@ -108,21 +77,21 @@ def _read_formula(text: str) -> Formula:
         raise _InputError(f"formula syntax error: {e}") from e
 
 
-def _read_model(path: str) -> tuple[Model, str | None]:
+def _read_model(path: str) -> tuple[lib.Model, str | None]:
     text = _read_file(path, "model")
     try:
-        return model_from_json(text)
+        return lib.model_from_json(text)
     except (ValueError, RecursionError) as e:
         raise _InputError(f"bad model in {path}: {e}") from e
 
 
 # Named inputs: kind -> (case fold of the name, the options by folded name).
-# Each kind's options are built on its first use, from the names its
-# command's modules bound.
+# Each kind's options are built from its library class on first use, which
+# imports the class's module then and not before.
 _NAMED = {
-    "frame class": (str.upper, lambda: {c.name: c for c in FrameClass}),
-    "property": (str.lower, lambda: {p.value: p for p in FrameProperty}),
-    "system": (str.upper, lambda: {s.name.removesuffix("_CIRC"): s for s in System}),
+    "frame class": (str.upper, lambda: {c.name: c for c in lib.FrameClass}),
+    "property": (str.lower, lambda: {p.value: p for p in lib.FrameProperty}),
+    "system": (str.upper, lambda: {s.name.removesuffix("_CIRC"): s for s in lib.System}),
 }
 _OPTIONS: dict[str, dict] = {}
 
@@ -152,7 +121,7 @@ def _cmd_check(ns) -> tuple[dict, str]:
         raise _InputError("no world given and the model file has no point")
     f = _read_formula(ns.formula)
     try:
-        answer = satisfies(model, world, f)
+        answer = lib.satisfies(model, world, f)
     except ValueError as e:
         raise _InputError(str(e)) from e
     text = render(f)
@@ -165,21 +134,21 @@ def _cmd_valid(ns) -> tuple[dict, str]:
     if ns.frame is not None:
         model, _ = _read_model(ns.frame)
         try:
-            witness = frame_countermodel(model, f)
-        except ValuationLimitError as e:
+            witness = lib.frame_countermodel(model, f)
+        except lib.ValuationLimitError as e:
             return {"answer": None, "method": "frame-sweep", "reason": str(e)}, str(e)
         answer = witness is None
         payload = {"answer": answer, "method": "frame-sweep",
-                   "witness": model_to_obj(*witness) if witness else None}
+                   "witness": lib.model_to_obj(*witness) if witness else None}
         return payload, "valid on frame" if answer else "not valid on frame"
     cls = _named("frame class", ns.frame_class)
-    return _verdict_reply(decide.valid(f, cls, ns.max_n))
+    return _verdict_reply(lib.decide.valid(f, cls, ns.max_n))
 
 
 def _cmd_sat(ns) -> tuple[dict, str]:
     f = _read_formula(ns.formula)
     cls = _named("frame class", ns.frame_class)
-    return _verdict_reply(decide.satisfiable(f, cls, ns.max_n))
+    return _verdict_reply(lib.decide.satisfiable(f, cls, ns.max_n))
 
 
 # Text lines per question: (unknown, affirmative, negative).
@@ -191,11 +160,11 @@ _VERDICT_LINES = {
 }
 
 
-def _verdict_reply(verdict: decide.Verdict) -> tuple[dict, str]:
+def _verdict_reply(verdict: lib.decide.Verdict) -> tuple[dict, str]:
     payload = {
         "answer": verdict.answer,
         "method": verdict.method,
-        "witness": model_to_obj(*verdict.witness) if verdict.witness else None,
+        "witness": lib.model_to_obj(*verdict.witness) if verdict.witness else None,
         "stats": dict(verdict.stats),
     }
     if verdict.bound is not None:
@@ -210,23 +179,23 @@ def _cmd_bisim(ns) -> tuple[dict, str]:
     model_a, _ = _read_model(ns.model_a)
     model_b, _ = _read_model(ns.model_b)
     try:
-        a = PointedModel(model_a, ns.point_a)
-        b = PointedModel(model_b, ns.point_b)
+        a = lib.PointedModel(model_a, ns.point_a)
+        b = lib.PointedModel(model_b, ns.point_b)
     except ValueError as e:
         raise _InputError(str(e)) from e
     flavor = "box" if ns.box else "circ"
-    z = None if ns.box else circ_certificate(a, b)
-    answer = box_bisimilar(a, b) if ns.box else z is not None
+    z = None if ns.box else lib.circ_certificate(a, b)
+    answer = lib.box_bisimilar(a, b) if ns.box else z is not None
     payload = {"answer": answer, "flavor": flavor}
     if z is not None:
-        payload["certificate"] = pairs_to_obj(z)
+        payload["certificate"] = lib.pairs_to_obj(z)
     return payload, f"{'' if answer else 'not '}{flavor}-bisimilar"
 
 
 def _cmd_contract(ns) -> tuple[dict, str]:
     model, point = _read_model(ns.model)
-    result = contract(model)
-    obj = model_to_obj(result.model, result.class_of[point] if point is not None else None)
+    result = lib.contract(model)
+    obj = lib.model_to_obj(result.model, result.class_of[point] if point is not None else None)
     obj["classes"] = {w: result.class_of[w] for w in model.worlds}
     return obj, json.dumps(obj, sort_keys=True)
 
@@ -250,12 +219,12 @@ def _cmd_translate(ns) -> tuple[dict, str]:
 def _cmd_define(ns) -> tuple[dict, str]:
     prop = _named("property", ns.property)
     f = _read_formula(ns.formula)
-    verdict = check_definability(prop, f, ns.max_n)
+    verdict = lib.check_definability(prop, f, ns.max_n)
     payload = {
         "answer": verdict.confirmed,
         "max_n": verdict.max_n,
         "direction": verdict.direction,
-        "witness": model_to_obj(verdict.witness) if verdict.witness else None,
+        "witness": lib.model_to_obj(verdict.witness) if verdict.witness else None,
     }
     if verdict.confirmed:
         return payload, f"Confirmed up to n={verdict.max_n}"
@@ -266,10 +235,10 @@ def _cmd_prove(ns) -> tuple[dict, str]:
     system = _named("system", ns.system)
     text = _read_file(ns.file, "derivation")
     try:
-        derivation = parse_derivation(text)
-    except DerivationSyntaxError as e:
+        derivation = lib.parse_derivation(text)
+    except lib.DerivationSyntaxError as e:
         raise _InputError(f"derivation syntax: {e}") from e
-    report = check_derivation(derivation, system)
+    report = lib.check_derivation(derivation, system)
     if report.ok:
         n = len(derivation.lines)
         return {"answer": True, "lines": n}, f"accepted ({n} lines)"
@@ -282,9 +251,9 @@ def _cmd_prove(ns) -> tuple[dict, str]:
 def _cmd_scan(ns) -> tuple[dict, str]:
     system = _named("system", ns.system)
     cls = _named("frame class", ns.frame_class)
-    report = soundness_scan(system, cls, ns.max_n)
+    report = lib.soundness_scan(system, cls, ns.max_n)
     failures = [
-        {"axiom": name, "model": model_to_obj(model)}
+        {"axiom": name, "model": lib.model_to_obj(model)}
         for model, name in report.failures[:5]
     ]
     payload = {
@@ -301,8 +270,8 @@ def _cmd_scan(ns) -> tuple[dict, str]:
 def _cmd_genproof(ns) -> tuple[dict, str]:
     if ns.n < 2:
         raise _InputError("n must be at least 2")
-    derivation = gen_conj_derivation(ns.n)
-    text = render_derivation(derivation)
+    derivation = lib.gen_conj_derivation(ns.n)
+    text = lib.render_derivation(derivation)
     return {"lines": text.splitlines()}, text
 
 
@@ -322,28 +291,24 @@ _FLAGS = {
     "--box": ("box", None, "ordinary box bisimilarity"),
 }
 _GLOBAL = ("-h", "--help", "--json", "--max-n")
-# Commands: handler, the library modules it runs (see _LIBRARY), positionals
-# ("[world]" may be left out), own flags and help.  Own flags exclude each
-# other; one of them is required unless they are in brackets.
+# Commands: handler, positionals ("[world]" may be left out), own flags and
+# help.  Own flags exclude each other; one of them is required unless they
+# are in brackets.
 _COMMANDS = {
-    "check": (_cmd_check, "kripke semantics", "model [world] formula", "",
-              "evaluate a formula at a world of a model"),
-    "valid": (_cmd_valid, "decide kripke semantics sweep", "formula", "--class --frame",
+    "check": (_cmd_check, "model [world] formula", "", "evaluate a formula at a world of a model"),
+    "valid": (_cmd_valid, "formula", "--class --frame",
               "validity over a frame class or on one frame"),
-    "sat": (_cmd_sat, "decide kripke", "formula", "--class", "satisfiability over a frame class"),
-    "bisim": (_cmd_bisim, "bisim kripke", "model_a point_a model_b point_b", "[--circ --box]",
+    "sat": (_cmd_sat, "formula", "--class", "satisfiability over a frame class"),
+    "bisim": (_cmd_bisim, "model_a point_a model_b point_b", "[--circ --box]",
               "compare two pointed models"),
-    "contract": (_cmd_contract, "bisim kripke", "model", "",
-                 "quotient a model by its largest bisimulation"),
-    "translate": (_cmd_translate, "", "direction formula", "",
+    "contract": (_cmd_contract, "model", "", "quotient a model by its largest bisimulation"),
+    "translate": (_cmd_translate, "direction formula", "",
                   "translate between the essence and box languages"),
-    "define": (_cmd_define, "kripke semantics", "property formula", "",
+    "define": (_cmd_define, "property formula", "",
                "test whether a formula defines a frame property"),
-    "prove": (_cmd_prove, "hilbert", "system file", "", "check a derivation file against a system"),
-    "scan": (_cmd_scan, "hilbert kripke", "system", "--class",
-             "search small frames for axiom failures"),
-    "genproof": (_cmd_genproof, "hilbert", "n", "",
-                 "emit a derivation of the n-ary essence conjunction"),
+    "prove": (_cmd_prove, "system file", "", "check a derivation file against a system"),
+    "scan": (_cmd_scan, "system", "--class", "search small frames for axiom failures"),
+    "genproof": (_cmd_genproof, "n", "", "emit a derivation of the n-ary essence conjunction"),
 }
 # Values that are not free text: ints, and the choices of a direction.
 _TYPES = {"max_n": int, "n": int, "direction": ("to-ml", "to-lea")}
@@ -372,8 +337,8 @@ def _flag(token: str, flags: tuple[str, ...]):
 
 def _exit(command: str | None, error: str | None = None):
     """Print the usage line and the error and exit 2, or the help and exit 0."""
-    _, _, positionals, own, text = _COMMANDS.get(command, (
-        None, "", "COMMAND ...", "", "Workbench for the modal logic of essence and accident."))
+    _, positionals, own, text = _COMMANDS.get(command, (
+        None, "COMMAND ...", "", "Workbench for the modal logic of essence and accident."))
     flags = " | ".join(f"{f} {_FLAGS[f][1] or ''}".strip() for f in own.strip("[]").split())
     flags = f"[{flags}]" if own[:1] == "[" else f"({flags})" if "|" in flags else flags
     usage = " ".join(filter(None, ("usage: lea", command, "[-h] [--json] [--max-n N]", flags,
@@ -382,7 +347,7 @@ def _exit(command: str | None, error: str | None = None):
         print(usage, f"lea: error: {error}", sep="\n", file=sys.stderr)
         raise SystemExit(2)
     rows = [(p.upper(), _ARG_HELP.get(p, "")) for p in positionals.split()] if command else [
-        (name, row[4]) for name, row in _COMMANDS.items()]
+        (name, row[3]) for name, row in _COMMANDS.items()]
     rows.append(("-h, --help", _FLAGS["--help"][2]))
     for flag in ("--json", "--max-n", *own.strip("[]").split()):
         rows.append((f"{flag} {_FLAGS[flag][1] or ''}", _FLAGS[flag][2]))
@@ -422,7 +387,7 @@ def _read_argv(argv) -> SimpleNamespace:
             if token not in _COMMANDS:
                 _exit(command, f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
             command = token
-            func, _, positionals, own, _ = _COMMANDS[command]
+            func, positionals, own, _ = _COMMANDS[command]
             required, own = own.startswith("--"), tuple(own.strip("[]").split())
             flags = _GLOBAL + own
         elif read is None:
@@ -463,15 +428,8 @@ def _read_argv(argv) -> SimpleNamespace:
     return SimpleNamespace(command=command, func=func, **values)
 
 
-_READY: set[str] = set()  # commands whose modules are bound
-
-
 def main(argv=None) -> int:
     ns = _read_argv(sys.argv[1:] if argv is None else argv)
-    if ns.command not in _READY:
-        for module in _COMMANDS[ns.command][1].split():
-            _bind(module)
-        _READY.add(ns.command)
     try:
         if not 1 <= ns.max_n <= MAX_N:
             raise _InputError(f"--max-n must be between 1 and {MAX_N}, not {ns.max_n}")

@@ -441,8 +441,7 @@ class _Branch:
                 node = self.nodes[f]
                 if node[0] == "lit" and not node[2]:
                     val.setdefault(node[1], set()).add(world)
-        model = Model(worlds, frozenset(rel), {p: frozenset(ws) for p, ws in val.items()})
-        return model, worlds[0]
+        return Model(worlds, rel, val), worlds[0]
 
 
 def _search(state: _Branch) -> bool:

@@ -88,12 +88,15 @@ def record(cls: type) -> type:
 class Model:
     """A Kripke model: its worlds in order, a relation and a valuation.
 
-    The constructor checks the worlds (_check_worlds) and keeps rel and
-    val; the index is built from them on first use.  A model read by
+    The constructor copies worlds, rel and val into a tuple, a frozenset
+    and a new dict of frozensets, so a later change to what the caller
+    passed does not reach the model, and checks the copies (_check_worlds);
+    the index is built from them on first use.  A model read by
     model_from_obj skips the constructor: it carries its worlds and the
     ModelIndex the loader built, and builds rel and val from the index
-    rows on first read.  Models are immutable, compare by (worlds, rel,
-    val) and are not hashable.
+    rows on first read.  Models refuse assignment (val is a plain dict,
+    which no caller should write into), compare by (worlds, rel, val) and
+    are not hashable.
     """
 
     worlds: tuple[str, ...]
@@ -102,6 +105,8 @@ class Model:
     __hash__ = None
 
     def __init__(self, worlds, rel, val) -> None:
+        worlds, rel = tuple(worlds), frozenset(rel)
+        val = {p: frozenset(ws) for p, ws in val.items()}
         _check_worlds(worlds, rel, val, min)
         self.__dict__.update(worlds=worlds, rel=rel, val=val)
 
@@ -109,8 +114,7 @@ class Model:
     def make(worlds: Iterable[str], rel: Iterable[tuple[str, str]] = (),
              val: Mapping[str, Iterable[str]] | None = None) -> Model:
         """Build a model from plain iterables."""
-        return Model(tuple(worlds), frozenset((s, t) for s, t in rel),
-                     {p: frozenset(ws) for p, ws in (val or {}).items()})
+        return Model(worlds, ((s, t) for s, t in rel), val or {})
 
     @cached_property
     def index(self) -> "ModelIndex":
@@ -488,7 +492,7 @@ def disjoint_union(a: Model, b: Model) -> Model:
     rel = frozenset((ren[s], ren[t]) for ren, m in sides for s, t in m.rel)
     val = {p: frozenset(ren[w] for ren, m in sides for w in m.val.get(p, ()))
            for p in sorted({*a.val, *b.val})}
-    return Model(tuple(w for ren, _ in sides for w in ren.values()), rel, val)
+    return Model((w for ren, _ in sides for w in ren.values()), rel, val)
 
 
 def frame_worlds(n: int) -> tuple[str, ...]:

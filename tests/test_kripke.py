@@ -278,6 +278,24 @@ def test_loaded_model_ignores_later_changes_to_its_source():
         assert model_to_obj(m, "a") == source()
 
 
+def test_built_model_ignores_later_changes_to_its_arguments():
+    # The constructor copies what it is given, so changing the caller's
+    # worlds, pairs or valuation afterwards changes neither the model nor
+    # any answer, and the model still equals a fresh copy of itself.
+    formulas = [parse(t) for t in ("p", "o p", "[] q", "o (p -> <> q)", "~o ~p")]
+    want = Model.make("st", [("s", "t")], {"p": "s", "q": "t"})
+    worlds, rel, val = ["s", "t"], {("s", "t")}, {"p": {"s"}, "q": {"t"}}
+    m = Model(worlds, rel, val)
+    answers = [extension(m, f) for f in formulas]
+    worlds.append("ghost")
+    rel.add(("t", "s"))
+    val["p"] = frozenset({"t", "ghost"})
+    val["q"].add("s")
+    assert (m.worlds, m.rel, m.val) == (want.worlds, want.rel, want.val)
+    assert m == want == Model(m.worlds, m.rel, m.val)
+    assert [extension(m, f) for f in formulas] == answers
+
+
 def test_library_models_stay_lazy():
     report = soundness_scan(System.KB_CIRC, FrameClass.K, 2)
     assert report.failures

@@ -6,8 +6,10 @@ modules already.  None of them times anything: they read which modules an
 interpreter loaded, which objects names resolve to and what it printed.
 """
 
+import ast
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +21,13 @@ from lea.hilbert import gen_conj_derivation, render_derivation
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "bench" / "tracer.py"
 LOOP = '{"worlds": ["s"], "rel": [["s", "s"]], "val": {"p": ["s"]}}'
+# Eleven worlds: a frame sweep of two variables over it passes the
+# valuation limit (2^22 > 2^20 valuations).
+WIDE = json.dumps({"worlds": [f"w{i}" for i in range(11)], "rel": [], "val": {}})
 
 # The names `lea` exported when its __init__ imported every module, by the
-# module that defines them.
+# module that defines them, and the two the CLI reads through the package
+# since: frame_countermodel and sweep's ValuationLimitError.
 EXPORTS = {
     "formula": [
         "Acc", "And", "Bot", "Box", "Dia", "Ess", "Formula", "Iff", "Implies", "Not",
@@ -34,8 +40,8 @@ EXPORTS = {
         "model_from_json", "model_from_obj", "model_to_json", "model_to_obj",
     ],
     "semantics": [
-        "DefinabilityVerdict", "check_definability", "extension", "satisfies",
-        "valid_on_frame",
+        "DefinabilityVerdict", "check_definability", "extension", "frame_countermodel",
+        "satisfies", "valid_on_frame",
     ],
     "bisim": [
         "BisimRelation", "BisimViolation", "Contraction", "bounded_equivalent",
@@ -50,6 +56,7 @@ EXPORTS = {
         "soundness_scan",
     ],
     "decide": ["DecideError", "Verdict", "satisfiable", "valid"],
+    "sweep": ["ValuationLimitError"],
 }
 
 
@@ -65,7 +72,12 @@ def inputs(tmp_path):
     loop.write_text(LOOP)
     proof = tmp_path / "conj3.txt"
     proof.write_text(render_derivation(gen_conj_derivation(3)) + "\n")
-    return {"loop": str(loop), "proof": str(proof)}
+    bad_proof = tmp_path / "bad.txt"
+    bad_proof.write_text("1. p -> p  nonsense\n")
+    wide = tmp_path / "wide.json"
+    wide.write_text(WIDE)
+    return {"loop": str(loop), "proof": str(proof), "bad_proof": str(bad_proof),
+            "wide": str(wide)}
 
 
 # `python -m lea.cli ARGV`, then the names of the loaded modules.
@@ -116,6 +128,8 @@ star = {}
 exec("from lea import *", star)
 assert all(star[name] is getattr(lea, name) for name in lea.__all__)
 assert lea.sweep is sys.modules["lea.sweep"] and lea.cli is sys.modules["lea.cli"]
+# lea.cli reads library names through the package, not its attributes.
+assert not hasattr(lea.cli, "__path__") and not hasattr(lea.cli, "__all__")
 """
 
 
@@ -148,6 +162,41 @@ def test_tracer_wrappers_are_the_names_a_command_calls(inputs):
     assert counts["kripke.index"] == 1
 
 
+def test_every_name_the_cli_reads_is_a_library_name():
+    # Handlers read library names as lib.<name>, through the lazy package,
+    # so each must be an export of lea or one of its modules.  Names read
+    # only in an except clause are checked here too, not only when their
+    # error is raised.
+    import lea
+
+    tree = ast.parse((ROOT / "src" / "lea" / "cli.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "lib"}
+    assert {"DerivationSyntaxError", "ValuationLimitError", "decide"} <= names
+    modules = {module.name for module in pkgutil.iter_modules(lea.__path__)}
+    assert names - set(lea.__all__) - modules == set()
+
+
+# `lea.cli.main(ARGV)`, then the names the run bound in lea.cli.
+_BOUND = """
+import sys
+import lea.cli
+before = set(vars(lea.cli))
+assert lea.cli.main(sys.argv[1:]) in (0, 1)
+print(*sorted(set(vars(lea.cli)) - before))
+"""
+
+
+@pytest.mark.parametrize(("command", "bound"), [
+    ("translate", []),
+    ("check", ["model_from_json", "satisfies"]),
+])
+def test_a_command_binds_only_the_names_it_reads(command, bound, inputs):
+    run = _python("-c", _BOUND, *[a.format(**inputs) for a in PARITY[command]])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].split() == bound
+
+
 PARITY = {
     "check": ["check", "{loop}", "s", "o p"],
     "valid": ["valid", "[] p -> p", "--class", "T"],
@@ -158,6 +207,8 @@ PARITY = {
     "translate": ["translate", "to-lea", "[] p"],
     "define": ["define", "reflexive", "[] p -> p", "--max-n", "2"],
     "prove": ["prove", "K", "{proof}"],
+    "prove-malformed": ["prove", "K", "{bad_proof}"],
+    "valid-frame-limit": ["valid", "p | ~q", "--frame", "{wide}"],
     "scan": ["scan", "K", "--class", "T", "--max-n", "2"],
     "genproof": ["genproof", "3"],
     "bare": [],
@@ -181,8 +232,9 @@ def test_command_loads_no_dataclasses(command, inputs):
 @pytest.mark.parametrize("argv", PARITY.values(), ids=PARITY)
 def test_entry_points_agree(argv, inputs):
     """`python -m lea.cli` runs this module as __main__, apart from the
-    lea.cli that `from lea.cli import main` loads; each binds its own
-    globals, so a name a handler calls and its row does not bind fails."""
+    lea.cli that `from lea.cli import main` loads; each binds library
+    names in its own globals, so a name that resolves in one and not the
+    other (an except clause's included) fails."""
     argv = [a.format(**inputs) for a in argv]
     as_main = _python("-m", "lea.cli", *argv)
     as_library = _python("-c", "import sys\nfrom lea.cli import main\n"
