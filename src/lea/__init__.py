@@ -20,13 +20,13 @@ _EXPORTS = {
         "subformulas", "substitute", "to_lea", "to_ml", "variables",
     ),
     "kripke": (
-        "FrameClass", "FrameProperty", "Model", "PointedModel", "SelfLoopMode",
+        "FrameClass", "FrameProperty", "Model", "PointedModel", "SelfLoopMode", "Verdict",
         "add_self_loops", "disjoint_union", "has_property", "in_class",
         "model_from_json", "model_from_obj", "model_to_json", "model_to_obj",
     ),
     "semantics": (
-        "DefinabilityVerdict", "check_definability", "extension", "frame_countermodel",
-        "satisfies", "valid_on_frame",
+        "check_definability", "extension", "frame_countermodel", "satisfies",
+        "valid_on_frame",
     ),
     "bisim": (
         "BisimRelation", "BisimViolation", "Contraction", "bounded_equivalent",
@@ -35,12 +35,11 @@ _EXPORTS = {
         "pairs_to_obj",
     ),
     "hilbert": (
-        "CheckReport", "Derivation", "DerivationSyntaxError", "Line", "ScanReport",
-        "System", "check_derivation", "gen_conj_derivation", "is_axiom_instance",
-        "is_tautology", "match_schema", "parse_derivation", "render_derivation",
-        "soundness_scan",
+        "Derivation", "DerivationSyntaxError", "Line", "System", "check_derivation",
+        "gen_conj_derivation", "is_axiom_instance", "is_tautology", "match_schema",
+        "parse_derivation", "render_derivation", "soundness_scan",
     ),
-    "decide": ("DecideError", "Verdict", "satisfiable", "valid"),
+    "decide": ("DecideError", "satisfiable", "valid"),
     "sweep": ("ValuationLimitError",),
 }
 _MODULES = (*_EXPORTS, "limits", "cli")

@@ -16,6 +16,9 @@ exits 2, with an error.
 Exit 3, with `internal error: <reason>` and no verdict, is an answer that
 failed its own check.
 
+sat, valid, define, prove and scan print one lea.Verdict: its answer,
+reason, witness and stats, and for a bounded search the --max-n bound.
+
 The command line is `lea COMMAND ARG...` with flags anywhere, read by the
 table `_COMMANDS`: --json and --max-n before or after the command, its own
 flags after it.  A long flag may be a unique prefix and take its value as
@@ -142,37 +145,35 @@ def _cmd_valid(ns) -> tuple[dict, str]:
                    "witness": lib.model_to_obj(*witness) if witness else None}
         return payload, "valid on frame" if answer else "not valid on frame"
     cls = _named("frame class", ns.frame_class)
-    return _verdict_reply(lib.decide.valid(f, cls, ns.max_n))
+    return _verdict_reply(lib.decide.valid(f, cls, ns.max_n), ns, cls)
 
 
 def _cmd_sat(ns) -> tuple[dict, str]:
     f = _read_formula(ns.formula)
     cls = _named("frame class", ns.frame_class)
-    return _verdict_reply(lib.decide.satisfiable(f, cls, ns.max_n))
+    return _verdict_reply(lib.decide.satisfiable(f, cls, ns.max_n), ns, cls)
 
 
-# Text lines per question: (unknown, affirmative, negative).
+# Text lines per question, of the class name: (affirmative, negative).
 _VERDICT_LINES = {
-    "sat": ("no model with up to {} worlds",
-            "satisfiable in {}", "unsatisfiable in {}"),
-    "valid": ("no countermodel with up to {} worlds",
-              "valid in {}", "not valid in {} (countermodel found)"),
+    "sat": ("satisfiable in {}", "unsatisfiable in {}"),
+    "valid": ("valid in {}", "not valid in {} (countermodel found)"),
 }
 
 
-def _verdict_reply(verdict: lib.decide.Verdict) -> tuple[dict, str]:
+def _verdict_reply(verdict: lib.Verdict, ns, cls: lib.FrameClass) -> tuple[dict, str]:
     payload = {
         "answer": verdict.answer,
         "method": verdict.method,
         "witness": lib.model_to_obj(*verdict.witness) if verdict.witness else None,
         "stats": dict(verdict.stats),
     }
-    if verdict.bound is not None:
-        payload["bound"] = verdict.bound
-    unknown, yes, no = _VERDICT_LINES[verdict.question]
+    if verdict.method == "bounded-search":
+        payload["bound"] = ns.max_n
     if verdict.answer is None:
-        return payload, unknown.format(verdict.bound)
-    return payload, (yes if verdict.answer else no).format(verdict.frame_class.name)
+        return payload, verdict.reason
+    yes, no = _VERDICT_LINES[ns.command]
+    return payload, (yes if verdict.answer else no).format(cls.name)
 
 
 def _cmd_bisim(ns) -> tuple[dict, str]:
@@ -221,14 +222,14 @@ def _cmd_define(ns) -> tuple[dict, str]:
     f = _read_formula(ns.formula)
     verdict = lib.check_definability(prop, f, ns.max_n)
     payload = {
-        "answer": verdict.confirmed,
-        "max_n": verdict.max_n,
-        "direction": verdict.direction,
+        "answer": verdict.answer,
+        "max_n": ns.max_n,
+        "direction": verdict.reason,
         "witness": lib.model_to_obj(verdict.witness) if verdict.witness else None,
     }
-    if verdict.confirmed:
-        return payload, f"Confirmed up to n={verdict.max_n}"
-    return payload, f"Refuted: {verdict.direction} (see witness)"
+    if verdict.answer:
+        return payload, f"Confirmed up to n={ns.max_n}"
+    return payload, f"Refuted: {verdict.reason} (see witness)"
 
 
 def _cmd_prove(ns) -> tuple[dict, str]:
@@ -238,33 +239,30 @@ def _cmd_prove(ns) -> tuple[dict, str]:
         derivation = lib.parse_derivation(text)
     except lib.DerivationSyntaxError as e:
         raise _InputError(f"derivation syntax: {e}") from e
-    report = lib.check_derivation(derivation, system)
-    if report.ok:
+    verdict = lib.check_derivation(derivation, system)
+    if verdict.answer:
         n = len(derivation.lines)
         return {"answer": True, "lines": n}, f"accepted ({n} lines)"
-    index, message = report.first_error
-    where = f"line {index}: {message}"
-    payload = {"answer": report.ok, "line": index, "reason": message}
-    return payload, where if report.ok is None else f"rejected at {where}"
+    where = f"line {verdict.witness}: {verdict.reason}"
+    payload = {"answer": verdict.answer, "line": verdict.witness, "reason": verdict.reason}
+    return payload, where if verdict.answer is None else f"rejected at {where}"
 
 
 def _cmd_scan(ns) -> tuple[dict, str]:
     system = _named("system", ns.system)
     cls = _named("frame class", ns.frame_class)
-    report = lib.soundness_scan(system, cls, ns.max_n)
-    failures = [
-        {"axiom": name, "model": lib.model_to_obj(model)}
-        for model, name in report.failures[:5]
-    ]
+    verdict = lib.soundness_scan(system, cls, ns.max_n)
+    failures, frames = verdict.witness, verdict.stats["frames"]
     payload = {
-        "answer": not report.failures,
-        "frames": report.frames_checked,
-        "failures": failures,
+        "answer": verdict.answer,
+        "frames": frames,
+        "failures": [{"axiom": name, "model": lib.model_to_obj(model)}
+                     for model, name in failures[:5]],
     }
-    if report.failures:
-        return payload, (f"{report.failure_count} failures over {report.frames_checked} "
-                         f"frames; first: {report.failures[0][1]}")
-    return payload, f"no failures ({report.frames_checked} frames)"
+    if failures:
+        return payload, (f"{verdict.stats['failures']} failures over {frames} frames; "
+                         f"first: {failures[0][1]}")
+    return payload, f"no failures ({frames} frames)"
 
 
 def _cmd_genproof(ns) -> tuple[dict, str]:

@@ -12,7 +12,10 @@ the back edge too.
 The essence operator is handled by rewriting o f as f -> [] f on the fly,
 which preserves truth at every world of every model.  TB and B5 fall back
 to exhaustive search over small frames (sweep.search_sat); "no model up to
-the bound" is reported as unknown, never as unsatisfiable.
+the bound" is reported as unknown, never as unsatisfiable.  satisfiable and
+valid answer with a kripke.Verdict: its method names the procedure, its
+reason the bound behind an unknown answer, and its stats the tableau's
+cost.
 
 The tableau works on interned, flattened NNF.  A disjunction opens no
 choice point when one of its disjuncts is already present, or when the
@@ -30,8 +33,6 @@ returned; one that fails replay raises SelfCheckError instead of lying.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from . import sweep
 from .formula import (
     And,
@@ -46,28 +47,12 @@ from .formula import (
     Top,
     Var,
 )
-from .kripke import FrameClass, FrameProperty, Model, Uncompared, bit_positions, in_class, record
+from .kripke import FrameClass, FrameProperty, Model, Verdict, bit_positions, in_class
 from .limits import DEFAULT_BOUND, DecideError, SelfCheckError
 from .semantics import satisfies
 
 # Every class but TB and B5, which bounded search answers.
 TABLEAU_CLASSES = tuple(c for c in FrameClass if c not in (FrameClass.TB, FrameClass.B5))
-
-
-@record
-class Verdict:
-    formula: Formula
-    frame_class: FrameClass
-    question: str  # "sat" or "valid"
-    answer: bool | None  # None: unknown (bounded search exhausted)
-    method: str  # "tableau" or "bounded-search"
-    witness: tuple[Model, str] | None = None
-    bound: int | None = None
-    # Tableau cost: formulas stored ("expansions", the budgeted count),
-    # choice points opened (disjunctions branched on, not those settled by
-    # a present disjunct or by propagation) and choice points skipped by
-    # backjumping.
-    stats: Mapping[str, int] = Uncompared(dict)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +512,16 @@ def satisfiable(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verd
 
     Tableau classes get a definitive answer.  Others are searched up to
     max_n worlds (1..sweep.MAX_N, else ValueError): a hit is definitive,
-    exhaustion is answer=None.  Either method's hit is replayed before it is
+    exhaustion is unknown.  Either method's hit is replayed before it is
     returned.
     """
     if cls in TABLEAU_CLASSES:
         hit, stats = _tableau_sat(f, cls)
-        verdict = Verdict(f, cls, "sat", hit is not None, "tableau", hit, stats=stats)
+        verdict = Verdict(hit is not None, method="tableau", witness=hit, stats=stats)
     else:
         hit = sweep.search_sat(f, cls, max_n)
-        verdict = Verdict(f, cls, "sat", True if hit else None, "bounded-search", hit, max_n)
+        verdict = (Verdict(True, method="bounded-search", witness=hit) if hit else
+                   Verdict(None, f"no model with up to {max_n} worlds", "bounded-search"))
     if hit is not None:
         _replay(hit, f, cls)
     return verdict
@@ -544,8 +530,9 @@ def satisfiable(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verd
 def valid(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verdict:
     """Is f true everywhere on every model of the class?  Dual of satisfiable."""
     inner = satisfiable(Not(f), cls, max_n)
-    answer = None if inner.answer is None else not inner.answer
-    return inner.replace(formula=f, question="valid", answer=answer)
+    if inner.answer is None:
+        return inner.replace(reason=f"no countermodel with up to {max_n} worlds")
+    return inner.replace(answer=not inner.answer)
 
 
 def _replay(hit: tuple[Model, str], f: Formula, cls: FrameClass) -> None:

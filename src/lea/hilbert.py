@@ -39,7 +39,7 @@ from .formula import (
     render,
     substitute,
 )
-from .kripke import FrameClass, Model, frame_worlds, record
+from .kripke import FrameClass, Model, Verdict, frame_worlds, record
 
 Substitution = Mapping[str, Formula]
 
@@ -134,7 +134,7 @@ def is_tautology(f: Formula) -> bool:
             f"tautology check over {len(atoms)} atoms exceeds the limit of "
             f"{sweep.MAX_VALUATION_BITS}"
         )
-    return sweep.frame_hit(sweep.Prog(g), 1, (0,), False) is None
+    return sweep.frame_hit(sweep.Prog(g), 1, (0,)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +197,30 @@ class Derivation:
         return tuple(l.formula for l in self.lines if isinstance(l.just, Premise))
 
 
-@record
-class CheckReport:
-    ok: bool | None  # None: unknown, first_error names a line past a limit
-    first_error: tuple[int, str] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok is True
-
-
-def check_derivation(d: Derivation, system: System) -> CheckReport:
+def check_derivation(d: Derivation, system: System) -> Verdict:
     """Validate every line of d against the rules of the system.
 
-    Reports the first offending line, or the first line past the tautology
-    atom limit as unknown.  Premise lines are accepted as given; a
-    derivation without them establishes its conclusion outright.
+    A rejected derivation's witness is the number of its first offending
+    line (0 for an empty derivation) and its reason what is wrong there; a
+    line past the tautology atom limit makes the answer unknown, with that
+    line as witness and the limit as reason.  Premise lines are accepted as
+    given; a derivation without them establishes its conclusion outright.
     """
     if not d.lines:
-        return CheckReport(False, (0, "empty derivation"))
+        return Verdict(False, "empty derivation", witness=0)
     by_index: dict[int, Formula] = {}
     for offset, line in enumerate(d.lines):
         if line.index != offset + 1:
-            return CheckReport(
-                False, (line.index, f"line numbered {line.index}, expected {offset + 1}")
-            )
+            return Verdict(False, f"line numbered {line.index}, expected {offset + 1}",
+                           witness=line.index)
         try:
             reason = _check_line(line, by_index, system)
         except sweep.ValuationLimitError as e:
-            return CheckReport(None, (line.index, str(e)))
+            return Verdict(None, str(e), witness=line.index)
         if reason is not None:
-            return CheckReport(False, (line.index, reason))
+            return Verdict(False, reason, witness=line.index)
         by_index[line.index] = line.formula
-    return CheckReport(True)
+    return Verdict(True)
 
 
 def _check_line(
@@ -439,34 +431,18 @@ class ScanFailures(Sequence):
         return frame, name
 
 
-@record
-class ScanReport:
-    """Outcome of a soundness scan.
-
-    Frames are swept one per isomorphism class.  frames_checked and
-    failure_count count labelled frames (each class frame weighted by the
-    size of its orbit); failures lists one (frame, axiom) entry per failing
-    orbit and axiom, smallest mask first, then in axiom order.
-    """
-
-    system: System
-    frame_class: FrameClass
-    max_n: int
-    frames_checked: int
-    failures: ScanFailures
-    failure_count: int
-
-    def __bool__(self) -> bool:
-        return not self.failures
-
-
-def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
+def soundness_scan(system: System, cls: FrameClass, max_n: int) -> Verdict:
     """Check every axiom of the system on every class frame up to max_n worlds.
 
-    Returns the (frame, axiom name) pairs where validity fails; soundness of
-    the system over the class predicts none.  max_n must lie in
-    1..sweep.MAX_N (ValueError).  One chunk_hits call per chunk answers
-    every axiom, on chunks sized for the union of their variables.
+    Frames are swept one per isomorphism class.  The answer is True when
+    every axiom is valid on every frame, as soundness of the system over
+    the class predicts.  The witness is a ScanFailures with one (frame,
+    axiom) entry per failing orbit and axiom, smallest mask first, then in
+    axiom order; stats["frames"] and stats["failures"] count labelled
+    frames and failing (frame, axiom) pairs, each class frame weighted by
+    the size of its orbit.  max_n must lie in 1..sweep.MAX_N (ValueError).
+    One chunk_hits call per chunk answers every axiom, on chunks sized for
+    the union of their variables.
     """
     axioms = system.axioms
     progs = [sweep.Prog(schema) for _, schema in axioms]
@@ -475,7 +451,7 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
     k = len(set().union(*(prog.names for prog in progs)))
     for n, picked in sweep.class_chunks(cls, max_n, k):
         orbits = sweep.frame_orbits(n)
-        hits = sweep.chunk_hits(progs, n, picked, False)
+        hits = sweep.chunk_hits(progs, n, picked)
         # Frame-major, then in axiom order.
         for i, row in zip(picked, zip(*hits)):
             size = orbits[i][1]
@@ -484,4 +460,5 @@ def soundness_scan(system: System, cls: FrameClass, max_n: int) -> ScanReport:
                 names = [name for (name, _), hit in zip(axioms, row) if hit]
                 entries += [(n, i, name) for name in names]
                 failed += size * len(names)
-    return ScanReport(system, cls, max_n, checked, ScanFailures(tuple(entries)), failed)
+    return Verdict(not entries, witness=ScanFailures(tuple(entries)),
+                   stats={"frames": checked, "failures": failed})

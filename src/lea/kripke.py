@@ -85,6 +85,30 @@ def record(cls: type) -> type:
 
 
 @record
+class Verdict:
+    """The answer to one question: sat, valid, define, prove or scan.
+
+    answer is True, False or None (unknown).  reason names the limit behind
+    an unknown answer, or what refutes a claim (define's direction, a
+    rejected line's message).  method is "tableau" or "bounded-search" for
+    sat and valid.  witness is the evidence: a (model, world) pair, the
+    separating frame, the first bad line's number, or a scan's
+    hilbert.ScanFailures.  stats are counts that == leaves out: the
+    tableau's formulas stored ("expansions", the budgeted count), choice
+    points opened ("choice_points": disjunctions branched on, not those
+    settled by a present disjunct or by propagation) and choice points
+    skipped by backjumping ("backjumps"); a scan's labelled frames
+    ("frames") and failing (frame, axiom) pairs ("failures").
+    """
+
+    answer: bool | None
+    reason: str | None = None
+    method: str | None = None
+    witness: object = None
+    stats: Mapping[str, int] = Uncompared(dict)
+
+
+@record
 class Model:
     """A Kripke model: its worlds in order, a relation and a valuation.
 
@@ -94,9 +118,9 @@ class Model:
     the index is built from them on first use.  A model read by
     model_from_obj skips the constructor: it carries its worlds and the
     ModelIndex the loader built, and builds rel and val from the index
-    rows on first read.  Models refuse assignment (val is a plain dict,
-    which no caller should write into), compare by (worlds, rel, val) and
-    are not hashable.
+    rows on first read.  Models refuse assignment, and val, a dict, refuses
+    writes (_Valuation), so the index always answers for the model's
+    fields; models compare by (worlds, rel, val) and are not hashable.
     """
 
     worlds: tuple[str, ...]
@@ -106,7 +130,7 @@ class Model:
 
     def __init__(self, worlds, rel, val) -> None:
         worlds, rel = tuple(worlds), frozenset(rel)
-        val = {p: frozenset(ws) for p, ws in val.items()}
+        val = _Valuation({p: frozenset(ws) for p, ws in val.items()})
         _check_worlds(worlds, rel, val, min)
         self.__dict__.update(worlds=worlds, rel=rel, val=val)
 
@@ -132,8 +156,21 @@ class Model:
     def val(self) -> Mapping[str, frozenset[str]]:
         """A loaded model's valuation, from its val_bits."""
         ws = self.worlds
-        return {p: frozenset(ws[w] for w in bit_positions(bits))
-                for p, bits in self.index.val_bits.items()}
+        return _Valuation({p: frozenset(ws[w] for w in bit_positions(bits))
+                           for p, bits in self.index.val_bits.items()})
+
+
+class _Valuation(dict):
+    """A model's valuation: a dict that refuses every write, and that
+    copies and pickles as one.  Its copy() is a plain dict."""
+
+    def _refuse(self, *args, **kwargs) -> NoReturn:
+        raise TypeError("a model's valuation cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Valuation, (dict(self),)
 
 
 @record

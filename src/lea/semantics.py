@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import sweep
 from .formula import Formula
-from .kripke import FrameClass, FrameProperty, Model, ModelIndex, frame_worlds, record
+from .kripke import FrameClass, FrameProperty, Model, ModelIndex, Verdict, frame_worlds
 
 
 def _modal_bits(n: int, succ: Sequence[int], sub: int, ess: bool) -> int:
@@ -78,7 +78,7 @@ def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
             f"frame sweep over 2^{idx.n * k} valuations ({idx.n} worlds, {k} variables) "
             f"exceeds the limit of 2^{sweep.MAX_VALUATION_BITS}"
         )
-    hit = sweep.frame_hit(prog, idx.n, idx.succ, False)
+    hit = sweep.frame_hit(prog, idx.n, idx.succ)
     if hit is None:
         return None
     v, s = hit
@@ -89,36 +89,22 @@ def frame_countermodel(m: Model, f: Formula) -> tuple[Model, str] | None:
 # Frame definability
 
 
-@record
-class DefinabilityVerdict:
-    property: FrameProperty
-    formula: Formula
-    max_n: int
-    confirmed: bool
-    witness: Model | None = None
-    # "property-but-invalid": witness frame has the property, formula fails.
-    # "valid-but-no-property": formula valid on the witness frame anyway.
-    direction: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.confirmed
-
-
-def check_definability(
-    prop: FrameProperty, f: Formula, max_n: int
-) -> DefinabilityVerdict:
+def check_definability(prop: FrameProperty, f: Formula, max_n: int) -> Verdict:
     """Compare {frames with prop} against {frames validating f}, exhaustively.
 
     Every frame on up to max_n worlds is checked on both sides, one per
-    isomorphism class; the first disagreement (smallest size, then frame
-    enumeration order) is reported as a witness.  Confirmation is only as
-    strong as max_n, which must lie in 1..sweep.MAX_N (ValueError).
+    isomorphism class.  The first disagreement (smallest size, then frame
+    enumeration order) refutes the claim: it is the witness, and the reason
+    says which side it lies on, "property-but-invalid" (the frame has the
+    property and f fails on it) or "valid-but-no-property".  Confirmation
+    is only as strong as max_n, which must lie in 1..sweep.MAX_N
+    (ValueError).
     """
     prog = sweep.Prog(f)
     for n, picked in sweep.class_chunks(FrameClass.K, max_n, len(prog.names)):
         has = sweep.orbit_property(n, prop)
         holds = bytes(map(has.__getitem__, picked))
-        (invalid,) = sweep.chunk_hits([prog], n, picked, False)
+        (invalid,) = sweep.chunk_hits([prog], n, picked)
         # A disagreement is a frame with prop where f fails somewhere, or one
         # without it where f never fails.
         j = bytes(map(operator.eq, holds, invalid)).find(1)
@@ -127,5 +113,5 @@ def check_definability(
         succ = sweep.frame_orbits(n)[picked[j]][0]
         witness = sweep.build_model(frame_worlds(n), succ, (), 0)
         direction = "property-but-invalid" if holds[j] else "valid-but-no-property"
-        return DefinabilityVerdict(prop, f, max_n, False, witness, direction)
-    return DefinabilityVerdict(prop, f, max_n, True)
+        return Verdict(False, direction, witness=witness)
+    return Verdict(True)

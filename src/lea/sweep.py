@@ -9,9 +9,9 @@ int ops per formula node.  A model is the case of one valuation: bit s is
 world s, and every register is an extension bitmap.  Valuation number v
 assigns the j-th of the formula's variables in sorted order (Prog.names)
 the world set (v >> (n*j)) & (2^n - 1).  A question about one frame is one
-frame_hit, the lowest set bit of a register: the smallest (valuation
-number, world) where the formula takes a given truth value.  Validity is
-no hit for False.
+frame_hit, the lowest set bit of the formula's negated register: the
+smallest (valuation number, world) where the formula is false.  Validity
+is no hit.
 
 Frame sweeps visit one frame per isomorphism class (frame_orbits): the
 frame with the smallest mask, weighted by the size of its orbit.  Frame
@@ -325,10 +325,10 @@ def _block_bytes(n: int, k: int) -> int:
     return (n << (n * k)) // 8 + 1
 
 
-def chunk_hits(progs: Sequence[Prog], n: int, picked: Sequence[int], value: bool) -> list[bytes]:
+def chunk_hits(progs: Sequence[Prog], n: int, picked: Sequence[int]) -> list[bytes]:
     """Per compiled formula, one byte per picked frame of frame_orbits(n):
-    1 where the formula takes the given truth value on the frame under
-    some valuation, else 0.
+    1 where the formula is false at some world of the frame under some
+    valuation, else 0.  A hit for Not(f) is one where f is true.
 
     One layout over the union of the formulas' variables serves them all.
     Adding all-ones to each block carries into its spare bits exactly where
@@ -342,9 +342,7 @@ def chunk_hits(progs: Sequence[Prog], n: int, picked: Sequence[int], value: bool
     spare, one = n << (n * k), _repeat(1, w, m)
     hits = []
     for prog in progs:
-        bits = prog.evaluate(full, var_regs, step)
-        if not value:
-            bits ^= full
+        bits = prog.evaluate(full, var_regs, step) ^ full
         hits.append((((bits + full) >> spare) & one).to_bytes(m * w, "little")[::w])
     return hits
 
@@ -387,15 +385,11 @@ def _chunk_layout(
     return full, regs, _frame_step(n, full, lanes)
 
 
-def frame_hit(prog: Prog, n: int, succ: Sequence[int], value: bool) -> tuple[int, int] | None:
-    """Smallest (valuation number, world) where the compiled formula takes
-    the given truth value on the frame, or None where it takes it nowhere.
-
-    The formula is valid on the frame when it has no hit for False.
+def frame_hit(prog: Prog, n: int, succ: Sequence[int]) -> tuple[int, int] | None:
+    """Smallest (valuation number, world) where the compiled formula is
+    false on the frame, or None where it is valid on the frame.
     """
-    bits = prog.run(n, succ)
-    if not value:
-        bits ^= _valuation_registers(n, len(prog.names))[0]
+    bits = prog.run(n, succ) ^ _valuation_registers(n, len(prog.names))[0]
     if not bits:
         return None
     return divmod((bits & -bits).bit_length() - 1, n)

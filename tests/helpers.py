@@ -60,7 +60,6 @@ from lea.hilbert import (
     MP,
     R,
     Axiom,
-    CheckReport,
     Derivation,
     DerivationSyntaxError,
     Justification,
@@ -77,6 +76,7 @@ from lea.kripke import (
     FrameProperty,
     Model,
     PointedModel,
+    Verdict,
     disjoint_union,
     frame_worlds,
 )
@@ -782,23 +782,23 @@ def oracle_render_derivation(d: Derivation) -> str:
     )
 
 
-def oracle_check_derivation(d: Derivation, system: System) -> CheckReport:
+def oracle_check_derivation(d: Derivation, system: System) -> Verdict:
     if not d.lines:
-        return CheckReport(False, (0, "empty derivation"))
+        return Verdict(False, "empty derivation", witness=0)
     by_index: dict[int, Formula] = {}
     for offset, line in enumerate(d.lines):
         if line.index != offset + 1:
-            return CheckReport(
-                False, (line.index, f"line numbered {line.index}, expected {offset + 1}")
+            return Verdict(
+                False, f"line numbered {line.index}, expected {offset + 1}", witness=line.index
             )
         try:
             reason = _check_line(line, by_index, system)
         except sweep.ValuationLimitError as e:
-            return CheckReport(None, (line.index, str(e)))
+            return Verdict(None, str(e), witness=line.index)
         if reason is not None:
-            return CheckReport(False, (line.index, reason))
+            return Verdict(False, reason, witness=line.index)
         by_index[line.index] = line.formula
-    return CheckReport(True)
+    return Verdict(True)
 
 
 def _check_line(

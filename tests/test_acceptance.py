@@ -121,7 +121,7 @@ DEFINABILITY = [
 def test_criterion_04_frame_definability():
     for prop, src in DEFINABILITY:
         verdict = check_definability(prop, parse(src), 4)
-        assert verdict.confirmed, (prop.name, verdict.direction)
+        assert verdict.answer, (prop.name, verdict.reason)
     print(f"criterion 4: pass - {len(DEFINABILITY)} definability results confirmed at n=4")
 
 
@@ -323,12 +323,12 @@ def test_criterion_08_contraction():
 def test_criterion_09_proof_checking():
     for n in range(2, 7):
         report = check_derivation(gen_conj_derivation(n), System.K_CIRC)
-        assert report.ok, (n, report.first_error)
+        assert report.answer, (n, report.witness, report.reason)
     rng = random.Random(SEED)
     for i in range(100):
         base = gen_conj_derivation(2 + i % 5)
         mutant = mutate_derivation(rng, base)
-        assert not check_derivation(mutant, System.K_CIRC).ok
+        assert not check_derivation(mutant, System.K_CIRC).answer
     for system in System:
         for name, schema in system.axioms:
             assert is_axiom_instance(schema, system) == (name, {})
@@ -347,8 +347,8 @@ def test_criterion_10_soundness_scans():
     frames = 0
     for system, cls in SOUNDNESS:
         report = soundness_scan(system, cls, 4)
-        assert bool(report), (system.name, report.failures[:1])
-        frames += report.frames_checked
+        assert report.answer, (system.name, report.witness[:1])
+        frames += report.stats["frames"]
     prog = sweep.Prog(KW_EUC_ALT)
     euclidean = 0
     for n in range(1, 5):
@@ -356,7 +356,7 @@ def test_criterion_10_soundness_scans():
             if not sweep.succ_has_property(n, succ, FrameProperty.EUCLIDEAN):
                 continue
             euclidean += 1
-            assert sweep.frame_hit(prog, n, succ, False) is None, (n, succ)
+            assert sweep.frame_hit(prog, n, succ) is None, (n, succ)
     assert euclidean == 354
     print(f"criterion 10: pass - 4 systems clean on {frames} frames; KwEuc variant valid on {euclidean} euclidean frames")
 

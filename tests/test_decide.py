@@ -117,7 +117,7 @@ def test_bounded_search_classes():
     never = satisfiable(parse("p & ~p"), FrameClass.B5)
     assert never.answer is None
     assert never.method == "bounded-search"
-    assert never.bound == DEFAULT_BOUND
+    assert never.reason == f"no model with up to {DEFAULT_BOUND} worlds"
     hit = satisfiable(parse("o p & <> p & <> ~p"), FrameClass.TB, max_n=4)
     assert hit.answer is True
     model, point = hit.witness
@@ -126,6 +126,7 @@ def test_bounded_search_classes():
     # a validity can only be bounded-refuted, never bounded-affirmed
     unknown_valid = valid(parse("o T"), FrameClass.B5)
     assert unknown_valid.answer is None
+    assert unknown_valid.reason == f"no countermodel with up to {DEFAULT_BOUND} worlds"
     refuted = valid(parse("p | ~q"), FrameClass.B5)
     assert refuted.answer is False
     assert refuted.witness is not None
@@ -175,11 +176,11 @@ def test_deterministic_witness():
 
 def test_verdict_fields():
     v = satisfiable(parse("o p"), FrameClass.T)
-    assert v.question == "sat"
-    assert v.frame_class is FrameClass.T
-    assert v.formula == parse("o p")
+    assert (v.answer, v.reason, v.method) == (True, None, "tableau")
     w = valid(parse("o p"), FrameClass.T)
-    assert w.question == "valid"
+    assert (w.answer, w.reason, w.method) == (False, None, "tableau")
+    model, point = w.witness
+    assert not satisfies(model, point, parse("o p"))
 
 
 def test_verdict_stats():

@@ -177,15 +177,16 @@ def test_tautology_atom_limit():
         is_tautology(f)
     # A line past the limit is not checked: unknown, not rejected.
     report = check_derivation(Derivation((Line(1, f, Taut()),)), System.K_CIRC)
-    assert (report.ok, bool(report)) == (None, False)
-    assert report.first_error == (1, "tautology check over 21 atoms exceeds the limit of 20")
+    assert report.answer is None
+    assert (report.witness, report.reason) == (
+        1, "tautology check over 21 atoms exceeds the limit of 20")
 
 
 def test_gen_conj_accepted():
     for n in range(2, 7):
         d = gen_conj_derivation(n)
         report = check_derivation(d, System.K_CIRC)
-        assert report.ok, (n, report.first_error)
+        assert report.answer, (n, report.witness, report.reason)
         want = parse(
             " & ".join(f"o p{i}" for i in range(1, n + 1))
             + " -> o (" + " & ".join(f"p{i}" for i in range(1, n + 1)) + ")"
@@ -200,7 +201,7 @@ def test_gen_conj_text_roundtrip():
         again = parse_derivation(render_derivation(d))
         assert again == d
         report = check_derivation(again, System.K_CIRC)
-        assert report.ok
+        assert report.answer
         assert again.conclusion == d.conclusion
 
 
@@ -209,7 +210,7 @@ def test_mutations_rejected():
     base = [gen_conj_derivation(n) for n in (3, 4, 5)]
     for _ in range(60):
         d = mutate_derivation(rng, rng.choice(base))
-        assert not check_derivation(d, System.K_CIRC).ok
+        assert not check_derivation(d, System.K_CIRC).answer
 
 
 def test_premise_and_rules():
@@ -222,7 +223,7 @@ def test_premise_and_rules():
     )
     d = Derivation(lines)
     report = check_derivation(d, System.K_CIRC)
-    assert report.ok
+    assert report.answer
     assert d.premises() == (parse("o r"),)
     assert d.conclusion == parse("o r | o p")
     assert parse_derivation(render_derivation(d)) == d
@@ -233,7 +234,7 @@ def test_sub_rule():
         Line(1, parse("~p -> o p"), Axiom("EquiKw")),
         Line(2, parse("~(q & q) -> o (q & q)"), Sub(1, {"p": parse("q & q")})),
     )
-    assert check_derivation(Derivation(lines), System.K_CIRC).ok
+    assert check_derivation(Derivation(lines), System.K_CIRC).answer
     assert parse_derivation(render_derivation(Derivation(lines))) == Derivation(lines)
 
 
@@ -261,8 +262,8 @@ def test_sub_rule():
 )
 def test_check_rejections(lines, fragment):
     report = check_derivation(Derivation(lines), System.K4_CIRC)
-    assert not report.ok
-    assert fragment in report.first_error[1], report.first_error
+    assert report.answer is False
+    assert fragment in report.reason, (report.witness, report.reason)
 
 
 def test_parse_derivation_errors():
@@ -302,7 +303,7 @@ def test_sub_without_bindings_round_trips():
     text = render_derivation(d)
     assert text.endswith("[sub 1 ]")
     assert parse_derivation(text) == d
-    assert check_derivation(d, System.K_CIRC).ok
+    assert check_derivation(d, System.K_CIRC).answer
 
 
 @pytest.mark.parametrize(
@@ -328,21 +329,21 @@ def test_parse_derivation_text_forms():
 """
     d = parse_derivation(text)
     assert len(d.lines) == 2
-    assert check_derivation(d, System.K_CIRC).ok
+    assert check_derivation(d, System.K_CIRC).answer
 
 
 def test_soundness_scan_clean():
     report = soundness_scan(System.K_CIRC, FrameClass.K, 2)
-    assert bool(report)
-    assert not report.failures
-    assert report.frames_checked == 18
+    assert report.answer is True
+    assert not report.witness
+    assert report.stats == {"frames": 18, "failures": 0}
 
 
 def test_soundness_scan_catches_unsound_pairing():
     # the transitivity axiom is not valid over arbitrary frames
     report = soundness_scan(System.K4_CIRC, FrameClass.K, 3)
-    assert not bool(report)
-    model, name = report.failures[0]
+    assert report.answer is False
+    model, name = report.witness[0]
     assert name == "KwTr"
     assert not valid_on_frame(model, KW_TR)
 
@@ -360,13 +361,13 @@ def test_soundness_scan_builds_one_model_per_failing_frame(monkeypatch):
 
     monkeypatch.setattr(lea.sweep, "build_model", spy)
     report = soundness_scan(System.KB5_CIRC, FrameClass.K, 3)
-    models = [model for model, _ in report.failures]
+    models = [model for model, _ in report.witness]
     assert [m for i, m in enumerate(models) if i == 0 or m is not models[i - 1]] == built
-    assert len(report.failures) > len(built)
+    assert len(report.witness) > len(built)
     order = [name for name, _ in System.KB5_CIRC.axioms]
-    for model, name in report.failures:
+    for model, name in report.witness:
         assert not valid_on_frame(model, System.KB5_CIRC.schema(name))
-    for (m1, a), (m2, b) in zip(report.failures, report.failures[1:]):
+    for (m1, a), (m2, b) in zip(report.witness, report.witness[1:]):
         assert m1 is not m2 or order.index(a) < order.index(b)
 
 
@@ -383,17 +384,17 @@ def test_scan_failures_read_as_a_tuple_of_entries(monkeypatch):
     monkeypatch.setattr(lea.sweep, "build_model", spy)
     report = soundness_scan(System.KB5_CIRC, FrameClass.K, 3)
     assert built == []
-    model, name = report.failures[-1]
+    model, name = report.witness[-1]
     assert len(built) == 1
-    entries = tuple(report.failures)
-    assert len(report.failures) == len(entries) > 11 and bool(report.failures)
-    assert entries[-1] == (model, name) and report.failures[-1][0] is model
-    assert report.failures[:5] == entries[:5]
-    assert report.failures[3:11:2] == entries[3:11:2]
-    assert report.failures[::-1] == entries[::-1]
-    assert list(reversed(report.failures)) == list(entries[::-1])
+    entries = tuple(report.witness)
+    assert len(report.witness) == len(entries) > 11 and bool(report.witness)
+    assert entries[-1] == (model, name) and report.witness[-1][0] is model
+    assert report.witness[:5] == entries[:5]
+    assert report.witness[3:11:2] == entries[3:11:2]
+    assert report.witness[::-1] == entries[::-1]
+    assert list(reversed(report.witness)) == list(entries[::-1])
     with pytest.raises(IndexError):
-        report.failures[len(entries)]
+        report.witness[len(entries)]
 
 
 @pytest.mark.parametrize("system, failures", [(System.K_CIRC, 0), (System.KB5_CIRC, 4)])
@@ -401,11 +402,11 @@ def test_scans_of_one_input_are_equal(system, failures):
     """Two scans compare, hash and print alike by their entries, whether or
     not a model of a failure has been built."""
     a, b = (soundness_scan(system, FrameClass.K, 2) for _ in range(2))
-    assert len(a.failures) == failures
-    list(a.failures)
-    assert a == b and a.failures == b.failures and hash(a) == hash(b)
-    assert repr(a.failures) == repr(b.failures) == f"ScanFailures(entries={a.failures.entries!r})"
-    assert a != soundness_scan(system, FrameClass.K, 1)
+    assert len(a.witness) == failures
+    list(a.witness)
+    assert a == b and a.witness == b.witness and hash(a) == hash(b)
+    assert repr(a.witness) == repr(b.witness) == f"ScanFailures(entries={a.witness.entries!r})"
+    assert a.stats == b.stats != soundness_scan(system, FrameClass.K, 1).stats
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +509,7 @@ def _same_checks(d: Derivation) -> None:
     assert render_derivation(d) == oracle_render_derivation(d)
     for system in System:
         got, want = check_derivation(d, system), oracle_check_derivation(d, system)
-        assert (got.ok, got.first_error) == (want.ok, want.first_error), (system, d)
+        assert got == want, (system, d)
 
 
 def test_derivation_format_matches_ladder_oracle():

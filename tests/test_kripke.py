@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -296,10 +297,35 @@ def test_built_model_ignores_later_changes_to_its_arguments():
     assert [extension(m, f) for f in formulas] == answers
 
 
+def test_a_model_valuation_refuses_writes():
+    # Built or loaded, a model's val refuses every write, so the model keeps
+    # equal to a fresh copy of itself and its index answers for its fields;
+    # copies and pickles of the model refuse writes too.
+    built = Model.make("st", [("s", "t")], {"p": "s"})
+    loaded = model_from_json(model_to_json(built))[0]
+    p = parse("p")
+    for m in (built, loaded):
+        answer = extension(m, p)
+        for twin in (m, copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            val = twin.val
+            writes = [lambda: val.__setitem__("p", frozenset({"ghost"})),
+                      lambda: val.__delitem__("p"), val.clear, val.popitem,
+                      lambda: val.pop("p"), lambda: val.setdefault("q", frozenset()),
+                      lambda: val.update(q=frozenset()), lambda: val.__ior__({"q": frozenset()})]
+            for write in writes:
+                with pytest.raises(TypeError, match="valuation cannot be changed"):
+                    write()
+            assert twin == built == Model(twin.worlds, twin.rel, twin.val)
+            assert extension(twin, p) == answer == {"s"}
+        mine = m.val.copy()
+        mine["p"] = frozenset({"t"})
+        assert type(mine) is dict and m.val == {"p": {"s"}}
+
+
 def test_library_models_stay_lazy():
     report = soundness_scan(System.KB_CIRC, FrameClass.K, 2)
-    assert report.failures
-    frame = report.failures[0][0]
+    assert report.witness
+    frame = report.witness[0][0]
     witness = build_model(("a", "b"), [0b10, 0b11], ("p",), 0b01)
     for m in (frame, witness, Model(("a",), frozenset(), {})):
         assert "index" not in m.__dict__

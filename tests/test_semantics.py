@@ -145,17 +145,15 @@ def test_valid_on_frame_goldens():
 
 def test_definability_confirms_symmetry():
     verdict = check_definability(FrameProperty.SYMMETRIC, parse("p -> o (o ~p -> p)"), 3)
-    assert verdict.confirmed
-    assert bool(verdict)
-    assert verdict.witness is None
+    assert verdict.answer is True
+    assert (verdict.reason, verdict.witness) == (None, None)
 
 
 def test_definability_refutes_reflexive_ess_p():
     verdict = check_definability(FrameProperty.REFLEXIVE, parse("o p"), 3)
-    assert not verdict.confirmed
-    assert not bool(verdict)
+    assert verdict.answer is False
     m = verdict.witness
-    assert verdict.direction == "valid-but-no-property"
+    assert verdict.reason == "valid-but-no-property"
     assert not has_property(m, FrameProperty.REFLEXIVE)
     assert valid_on_frame(m, parse("o p"))
 
@@ -164,8 +162,8 @@ def test_definability_refutes_transitive_kwtr():
     # The weak form of the transitivity axiom is valid on all weakly
     # transitive frames, strictly more than the transitive ones.
     verdict = check_definability(FrameProperty.TRANSITIVE, parse("o p & p -> o o p"), 3)
-    assert not verdict.confirmed
-    assert verdict.direction == "valid-but-no-property"
+    assert verdict.answer is False
+    assert verdict.reason == "valid-but-no-property"
 
 
 def test_layered_formulas_cover_extensions():

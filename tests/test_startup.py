@@ -27,7 +27,9 @@ WIDE = json.dumps({"worlds": [f"w{i}" for i in range(11)], "rel": [], "val": {}}
 
 # The names `lea` exported when its __init__ imported every module, by the
 # module that defines them, and the two the CLI reads through the package
-# since: frame_countermodel and sweep's ValuationLimitError.
+# since: frame_countermodel and sweep's ValuationLimitError.  The one answer
+# record, Verdict, is defined in kripke; DefinabilityVerdict, CheckReport and
+# ScanReport, which it replaced, are gone.
 EXPORTS = {
     "formula": [
         "Acc", "And", "Bot", "Box", "Dia", "Ess", "Formula", "Iff", "Implies", "Not",
@@ -35,13 +37,13 @@ EXPORTS = {
         "subformulas", "substitute", "to_lea", "to_ml", "variables",
     ],
     "kripke": [
-        "FrameClass", "FrameProperty", "Model", "PointedModel", "SelfLoopMode",
+        "FrameClass", "FrameProperty", "Model", "PointedModel", "SelfLoopMode", "Verdict",
         "add_self_loops", "disjoint_union", "has_property", "in_class",
         "model_from_json", "model_from_obj", "model_to_json", "model_to_obj",
     ],
     "semantics": [
-        "DefinabilityVerdict", "check_definability", "extension", "frame_countermodel",
-        "satisfies", "valid_on_frame",
+        "check_definability", "extension", "frame_countermodel", "satisfies",
+        "valid_on_frame",
     ],
     "bisim": [
         "BisimRelation", "BisimViolation", "Contraction", "bounded_equivalent",
@@ -50,12 +52,11 @@ EXPORTS = {
         "pairs_to_obj",
     ],
     "hilbert": [
-        "CheckReport", "Derivation", "DerivationSyntaxError", "Line", "ScanReport",
-        "System", "check_derivation", "gen_conj_derivation", "is_axiom_instance",
-        "is_tautology", "match_schema", "parse_derivation", "render_derivation",
-        "soundness_scan",
+        "Derivation", "DerivationSyntaxError", "Line", "System", "check_derivation",
+        "gen_conj_derivation", "is_axiom_instance", "is_tautology", "match_schema",
+        "parse_derivation", "render_derivation", "soundness_scan",
     ],
-    "decide": ["DecideError", "Verdict", "satisfiable", "valid"],
+    "decide": ["DecideError", "satisfiable", "valid"],
     "sweep": ["ValuationLimitError"],
 }
 

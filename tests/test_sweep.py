@@ -22,7 +22,7 @@ from helpers import (
 )
 from lea import sweep
 from lea.decide import satisfiable
-from lea.formula import And, Box, Ess, Iff, Or, Var, parse, render, substitute
+from lea.formula import And, Box, Ess, Iff, Not, Or, Var, parse, render, substitute
 from lea.hilbert import KW_CON, System, soundness_scan
 from lea.kripke import FrameClass, FrameProperty, Model, frame_worlds
 from lea.semantics import check_definability, extension, satisfies
@@ -191,8 +191,8 @@ def _definability_matches_labelled_sweep():
         f = parse(src)
         confirmed, direction, rel = labelled_definability(prop, f, 3)
         verdict = check_definability(prop, f, 3)
-        assert verdict.confirmed == confirmed, (prop.name, src)
-        assert verdict.direction == direction, (prop.name, src)
+        assert verdict.answer == confirmed, (prop.name, src)
+        assert verdict.reason == direction, (prop.name, src)
         if not confirmed:
             refuted += 1
             assert verdict.witness.rel == rel, (prop.name, src)
@@ -213,14 +213,13 @@ def _soundness_scan_matches_labelled_sweep():
         for cls in FrameClass:
             checked, failed, first = labelled_scan(system, cls, 3)
             report = soundness_scan(system, cls, 3)
-            assert report.frames_checked == checked, (system.name, cls.name)
-            assert report.failure_count == failed, (system.name, cls.name)
+            assert report.stats == {"frames": checked, "failures": failed}, (system.name, cls.name)
             got = None
-            if report.failures:
-                frame, name = report.failures[0]
+            if report.witness:
+                frame, name = report.witness[0]
                 got = (frame.rel, name)
             assert got == first, (system.name, cls.name)
-            assert bool(report) == (failed == 0)
+            assert report.answer == (failed == 0)
 
 
 def test_soundness_scan_lists_failures_frame_major():
@@ -232,14 +231,14 @@ def test_soundness_scan_lists_failures_frame_major():
         expect, count = [], 0
         for n, succ, size in class_frames(FrameClass.K, 4):
             for name, prog in progs:
-                if sweep.frame_hit(prog, n, succ, False) is not None:
+                if sweep.frame_hit(prog, n, succ) is not None:
                     expect.append((build_model(frame_worlds(n), succ, (), 0), name))
                     count += size
         report = soundness_scan(system, FrameClass.K, 4)
         assert len(expect) > 1000, system.name
-        assert list(report.failures) == expect, system.name
-        assert report.failure_count == count, system.name
-    frames = [frame for frame, _ in report.failures]
+        assert list(report.witness) == expect, system.name
+        assert report.stats["failures"] == count, system.name
+    frames = [frame for frame, _ in report.witness]
     assert any(a == b for a, b in zip(frames, frames[1:]))
 
 
@@ -256,19 +255,21 @@ def test_chunk_hits_of_formulas_together_match_one_at_a_time(monkeypatch):
 
 def _chunk_hits_together_match_one_at_a_time():
     progs = [sweep.Prog(parse(text)) for text in TOGETHER]
+    # A hit for ~f is a frame where f is true somewhere.
+    negated = [sweep.Prog(Not(parse(text))) for text in TOGETHER]
     seen = set()
     for cls in FrameClass:
         for n, picked in sweep.class_chunks(cls, 3, 2):
             orbits = sweep.frame_orbits(n)
-            for value in (False, True):
-                together = sweep.chunk_hits(progs, n, picked, value)
-                assert len(together) == len(progs)
-                for text, prog, hits in zip(TOGETHER, progs, together):
-                    assert hits == sweep.chunk_hits([prog], n, picked, value)[0], text
+            for asked in (progs, negated):
+                together = sweep.chunk_hits(asked, n, picked)
+                assert len(together) == len(asked)
+                for text, prog, hits in zip(TOGETHER, asked, together):
+                    assert hits == sweep.chunk_hits([prog], n, picked)[0], text
                     expect = bytes(
-                        sweep.frame_hit(prog, n, orbits[i][0], value) is not None for i in picked
+                        sweep.frame_hit(prog, n, orbits[i][0]) is not None for i in picked
                     )
-                    assert hits == expect, (cls.name, n, value, text)
+                    assert hits == expect, (cls.name, n, asked is negated, text)
                     seen.update(hits)
     assert seen == {0, 1}
 
@@ -291,7 +292,7 @@ def test_soundness_scan_builds_one_layout_per_chunk(monkeypatch):
     monkeypatch.setattr(sweep.Prog, "evaluate", counted_evaluate)
     report = soundness_scan(System.K4_CIRC, FrameClass.K, 4)
     chunks = len(list(sweep.class_chunks(FrameClass.K, 4, 2)))
-    assert chunks > 4 and report.failures
+    assert chunks > 4 and report.witness
     assert len(layouts) == chunks
     assert len(evaluations) == chunks * len(System.K4_CIRC.axioms)
 
@@ -344,7 +345,7 @@ def test_search_sat_evaluates_each_chunk_once(monkeypatch):
         chunks = 0
         for n, picked in sweep.class_chunks(cls, 3, len(prog.names)):
             chunks += 1
-            if 1 in sweep.chunk_hits([prog], n, picked, True)[0]:
+            if 1 in sweep.chunk_hits([sweep.Prog(Not(f))], n, picked)[0]:
                 break
         calls = []
         evaluate = sweep.Prog.evaluate
