@@ -506,6 +506,9 @@ def _tableau_sat(f: Formula, cls: FrameClass) -> tuple[tuple[Model, str] | None,
 # ---------------------------------------------------------------------------
 # Public interface
 
+# The reason of an unknown bounded-search answer: "model" or "countermodel".
+_NONE_FOUND = "no {} with up to {} worlds"
+
 
 def satisfiable(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verdict:
     """Is f true at some world of some model on a frame of the class?
@@ -521,7 +524,7 @@ def satisfiable(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verd
     else:
         hit = sweep.search_sat(f, cls, max_n)
         verdict = (Verdict(True, method="bounded-search", witness=hit) if hit else
-                   Verdict(None, f"no model with up to {max_n} worlds", "bounded-search"))
+                   Verdict(None, _NONE_FOUND.format("model", max_n), "bounded-search"))
     if hit is not None:
         _replay(hit, f, cls)
     return verdict
@@ -531,7 +534,7 @@ def valid(f: Formula, cls: FrameClass, max_n: int = DEFAULT_BOUND) -> Verdict:
     """Is f true everywhere on every model of the class?  Dual of satisfiable."""
     inner = satisfiable(Not(f), cls, max_n)
     if inner.answer is None:
-        return inner.replace(reason=f"no countermodel with up to {max_n} worlds")
+        return inner.replace(reason=_NONE_FOUND.format("countermodel", max_n))
     return inner.replace(answer=not inner.answer)
 
 

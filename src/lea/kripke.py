@@ -98,7 +98,10 @@ class Verdict:
     points opened ("choice_points": disjunctions branched on, not those
     settled by a present disjunct or by propagation) and choice points
     skipped by backjumping ("backjumps"); a scan's labelled frames
-    ("frames") and failing (frame, axiom) pairs ("failures").
+    ("frames") and failing (frame, axiom) pairs ("failures").  Verdicts
+    compare by answer, reason, method and witness only, so two scans of one
+    system over different bounds are equal when they find the same
+    failures (two clean scans, say).
     """
 
     answer: bool | None

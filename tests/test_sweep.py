@@ -375,7 +375,7 @@ def test_definability_evaluates_a_chunk_at_a_time(monkeypatch):
 
     monkeypatch.setattr(sweep.Prog, "evaluate", counting)
     f = parse("o (o p & p -> q) | o (o q & q -> p)")
-    assert check_definability(FrameProperty.WEAKLY_CONNECTED, f, 4)
+    assert check_definability(FrameProperty.WEAKLY_CONNECTED, f, 4).answer is True
     orbits = sum(len(sweep.frame_orbits(n)) for n in range(1, 5))
     assert orbits == 3160
     assert len(widths) * 50 < orbits
