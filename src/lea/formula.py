@@ -11,16 +11,22 @@ that desugaring, and with sugar on the printer writes back what it builds.
 
 Each node type is one `_node_type` row naming its fields, which are its
 `__slots__`.  A node stores its hash when it is built, from its children's,
-and equality compares identity, then the hash, then the structure; nodes
-are not interned.  `children` and `rebuild` are the arity map, which every generic
-traversal goes through: the ones here, schema matching and boolean
-abstraction in `hilbert`, and the compiler of `sweep.Prog`.  No walk
+and equality compares identity, then the hash, then the structure.  Nodes
+are shared within one parse, never across calls: `parse` builds each node
+through a table of the nodes it has built, keyed by node type and the ids
+of the children, so equal subformulas of one text (or of the texts a caller
+parses into one table, as `hilbert.parse_derivation` does) are one object,
+and comparing them stops at the identity test.  Nodes built directly are
+not looked up anywhere.  `children` and `rebuild` are the arity map, which
+every generic traversal goes through: the ones here, schema matching and
+boolean abstraction in `hilbert`, and the compiler of `sweep.Prog`.  No walk
 recurses, so no nesting depth meets the recursion limit.  `postorder` visits
 each distinct node once, children first, so every walk that computes a value
-per node costs a formula's size as a DAG, not as a tree.  The parser is one
-loop over the tokens with a stack of what is still open: the operands of a
-run of one infix operator hold only operators that bind tighter, and the run
-is folded to the right for -> and <->, to the left for & and |.
+per node costs a formula's size as a DAG, not as a tree.  The tokenizer is
+one `findall`; the parser is one loop over its tokens with a stack of what
+is still open: the operands of a run of one infix operator hold only
+operators that bind tighter, and the run is folded to the right for -> and
+<->, to the left for & and |.  Token offsets are counted only for an error.
 Each connective's meaning is stated in two places of its own:
 `sweep._BOOLEAN`, the truth table of the one evaluator behind truth on a
 model and every frame sweep, and `decide._Nnf`, which rewrites each
@@ -30,8 +36,6 @@ connective into negation normal form.
 from __future__ import annotations
 
 import re
-from functools import reduce
-from itertools import islice
 from typing import Callable, Iterator, Mapping
 
 
@@ -153,6 +157,22 @@ _INFIX = {"&": (And, _LEVEL_AND), "|": (Or, _LEVEL_OR),
 _UNARY = tuple(build for build in _PREFIX.values() if isinstance(build, type))
 _BINARY = tuple(build for build, _ in _INFIX.values())
 
+_HOLE = Var("")  # a name no text can spell
+
+
+def _chain(build: Callable[[Formula], Formula]) -> tuple[type, ...]:
+    """The unary node types a prefix builder puts over its operand, outermost first."""
+    g, chain = build(_HOLE), []
+    while g is not _HOLE:
+        chain.append(type(g))
+        g = g.sub
+    return tuple(chain)
+
+
+# Prefix token -> the node types it builds, outermost first: one for a
+# connective, several for sugar.
+_PREFIX_CHAIN = {token: _chain(build) for token, build in _PREFIX.items()}
+
 
 def children(f: Formula) -> tuple[Formula, ...]:
     """The direct subformulas of f, left to right; () for a leaf."""
@@ -266,79 +286,114 @@ _UNARY_STARTERS = (*_PREFIX, *_CONSTANT, "identifier", "(")
 # Every token in table order, and the symbols among them longest first (<-> before <>).
 _TOKENS = dict.fromkeys((*_PREFIX, *_CONSTANT, *_INFIX, "(", ")"))
 _SYMBOLS = sorted((t for t in _TOKENS if not t.isalnum()), key=len, reverse=True)
-# Whitespace (\s is str.isspace), then a symbol, else a run of str.isalnum
-# characters (\w less "_"), else any other character.
-_TOKEN = re.compile("(\\s*)(%s|[^\\W_]+|\\S)" % "|".join(map(re.escape, _SYMBOLS)))
+# Whitespace (\s is str.isspace), then the token: a symbol, else a run of
+# str.isalnum characters (\w less "_"), else any other character.
+_TOKEN = re.compile("\\s*(%s|[^\\W_]+|\\S)" % "|".join(map(re.escape, _SYMBOLS)))
 # A longer symbol's first character without the rest: the symbols it starts,
 # and how much text the error shows (- alone, < and [ with the next character).
 _BROKEN = {s[0]: (tuple(t for t in _SYMBOLS if t[0] == s[0]), 1 if s[0] == "-" else 2)
            for s in _SYMBOLS if len(s) > 1}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token, then ("eof", "", len(text)); kind is ident or the token."""
-    tokens = []
-    i = 0
-    for space, token in _TOKEN.findall(text):
-        i += len(space)
-        if token in _TOKENS:
-            tokens.append((token, token, i))
-        elif token[0].isalpha():  # an identifier: lower-case, and no one-letter keyword first
-            if not token[0].islower() or token[0] in _TOKENS:
-                raise ParseError(i, ("identifier",), repr(token))
-            tokens.append(("ident", token, i))
-        elif token in _BROKEN:
-            expected, shown = _BROKEN[token]
-            raise ParseError(i, expected, repr(text[i : i + shown]))
-        else:
-            raise ParseError(i, _UNARY_STARTERS, repr(token[0]))
-        i += len(token)
-    tokens.append(("eof", "", len(text)))
+def _is_name(token: str) -> bool:
+    """Whether a token is an identifier: lower-case, and no one-letter keyword first."""
+    return token[:1].isalpha() and token[0].islower() and token[0] not in _TOKENS
+
+
+def _tokenize(text: str) -> list[str]:
+    """The text of each token, then "" for the end of input.
+
+    Raises ParseError at the first text that is no token; offsets are
+    counted only then.
+    """
+    tokens = _TOKEN.findall(text)
+    for i, token in enumerate(tokens):
+        if token not in _TOKENS and not _is_name(token):
+            offset = _offsets(text)[i]
+            if token[0].isalpha():
+                raise ParseError(offset, ("identifier",), repr(token))
+            if token in _BROKEN:
+                expected, shown = _BROKEN[token]
+                raise ParseError(offset, expected, repr(text[offset : offset + shown]))
+            raise ParseError(offset, _UNARY_STARTERS, repr(token[0]))
+    tokens.append("")
     return tokens
 
 
-def parse(text: str) -> Formula:
+def _offsets(text: str) -> list[int]:
+    """The offset of each token of text, then len(text) for the end of input."""
+    return [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+
+
+def _error(text: str, pos: int, expected: tuple[str, ...], found: str) -> ParseError:
+    """The error for token pos of text, which is not one of expected.  A
+    malformed token anywhere in text is reported first, as _tokenize finds it."""
+    _tokenize(text)
+    return ParseError(_offsets(text)[pos], expected, found)
+
+
+def parse(text: str, nodes: dict | None = None) -> Formula:
     """Parse concrete syntax into a formula.
 
     Raises ParseError (carrying a character offset and the expected tokens) on
-    malformed input.  The stack holds what is still open, innermost last, as
-    [level, node builder, operands]: a prefix operator (no operands), "("
-    (level 0, no builder) or a run of one infix operator.  An operand closes
-    what binds tighter than the token after it; an infix operator then joins
-    or opens a run of its own level, and ) closes its "(".
+    malformed input.  Equal subformulas are one node: each node is looked up
+    in nodes by (node type, *ids of its children), a leaf by its token, and
+    built only on a miss.  A caller that passes one dict to several calls
+    shares nodes across them; by default the table lives for this call only.
+
+    The tokens are read in one pass, and checked where the parser meets them;
+    only a failing parse runs the tokenizer's check and counts offsets.  The
+    stack holds what is still open, innermost last, as [level, node builder,
+    operands]: a prefix node type (no operands), "(" (level 0, no builder) or
+    a run of one infix operator.  An operand closes what binds tighter than
+    the token after it; an infix operator then joins or opens a run of its
+    own level, and ) closes its "(".
     """
-    tokens = _tokenize(text)
+    if nodes is None:
+        nodes = {}
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     pos = 0
     stack: list[list] = [[-1, None, None]]  # the bottom, closed by the end of input
     while True:
-        kind, word, offset = tokens[pos]
+        word = tokens[pos]
         pos += 1
-        if kind in _PREFIX:
-            stack.append([_LEVEL_UNARY, _PREFIX[kind], None])
+        chain = _PREFIX_CHAIN.get(word)
+        if chain is not None:
+            stack += ([_LEVEL_UNARY, build, None] for build in chain)
             continue
-        if kind == "(":
+        if word == "(":
             stack.append([0, None, None])
             continue
-        if kind in _CONSTANT:
-            f = _CONSTANT[kind]()
-        elif kind == "ident":
-            f = Var(word)
-        else:
-            raise ParseError(offset, _UNARY_STARTERS, word or "end of input")
+        f = nodes.get(word)
+        if f is None:
+            if word in _CONSTANT:
+                f = nodes[word] = _CONSTANT[word]()
+            elif _is_name(word):
+                f = nodes[word] = Var(word)
+            else:
+                raise _error(text, pos - 1, _UNARY_STARTERS, word or "end of input")
         while True:
-            kind, word, offset = tokens[pos]
-            build, level = _INFIX.get(kind, (None, 0))
+            word = tokens[pos]
+            build, level = _INFIX.get(word, (None, 0))
             while stack[-1][0] > level:
                 at, builder, parts = stack.pop()
-                f = builder(f) if parts is None else _close(at, builder, parts, f)
+                if parts is None:
+                    key = (builder, id(f))
+                    g = nodes.get(key)
+                    if g is None:
+                        g = nodes[key] = builder(f)
+                    f = g
+                else:
+                    f = _close(at, builder, parts, f, nodes)
             if build is not None:
                 break
             if stack.pop()[0] < 0:
-                if kind != "eof":
-                    raise ParseError(offset, ("end of input",), word)
+                if word:
+                    raise _error(text, pos, ("end of input",), word)
                 return f
-            if kind != ")":
-                raise ParseError(offset, (")",), word or "end of input")
+            if word != ")":
+                raise _error(text, pos, (")",), word or "end of input")
             pos += 1
         pos += 1
         if stack[-1][0] == level:
@@ -347,13 +402,22 @@ def parse(text: str) -> Formula:
             stack.append([level, build, [f]])
 
 
-def _close(level: int, build: type, parts: list[Formula], last: Formula) -> Formula:
+def _close(level: int, build: type, parts: list[Formula], last: Formula,
+           nodes: dict) -> Formula:
     """The run of build over parts and last, nested to the right for -> and
-    <->, to the left for & and |."""
+    <->, to the left for & and |, its nodes looked up in nodes."""
     parts.append(last)
-    if level <= _LEVEL_IMP:
-        return reduce(lambda right, left: build(left, right), reversed(parts))
-    return reduce(build, parts)
+    nest_right = level <= _LEVEL_IMP
+    if nest_right:
+        parts.reverse()
+    f = parts[0]
+    for g in parts[1:]:
+        left, right = (g, f) if nest_right else (f, g)
+        key = (build, id(left), id(right))
+        f = nodes.get(key)
+        if f is None:
+            f = nodes[key] = build(left, right)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +429,8 @@ def _close(level: int, build: type, parts: list[Formula], last: Formula) -> Form
 _SYMBOL_LEVEL = {build: (f" {symbol} ", level) for symbol, (build, level) in _INFIX.items()}
 _TEXT = {build: token if token == "~" else token + " " for token, build in _PREFIX.items()}
 _TEXT |= {build: token for token, build in _CONSTANT.items()}
-_HOLE = Var("")  # a name no text can spell
-_SUGAR = {build: list(subformulas(build(_HOLE))).index(_HOLE)
-          for build in _PREFIX.values() if build not in _UNARY}
+_SUGAR = {build: _PREFIX_CHAIN[token] for token, build in _PREFIX.items()
+          if build not in _UNARY}
 
 
 def render(f: Formula, sugar: bool = False) -> str:
@@ -388,10 +451,9 @@ def render(f: Formula, sugar: bool = False) -> str:
             out.append(item)
             continue
         g, min_level = item
-        for build, place in _SUGAR.items() if sugar else ():
-            # g is build(h) for some h only if h is at that place in g, parents first.
-            h = next(islice(subformulas(g), place, None), None)
-            if h is not None and build(h) == g:
+        for build, chain in _SUGAR.items() if sugar else ():
+            h = _under(g, chain)
+            if h is not None:
                 out.append(_TEXT[build])
                 stack.append((h, _LEVEL_UNARY))
                 break
@@ -416,6 +478,15 @@ def render(f: Formula, sugar: bool = False) -> str:
             else:
                 raise TypeError(f"not a formula: {g!r}")
     return "".join(out)
+
+
+def _under(g: Formula, chain: tuple[type, ...]) -> Formula | None:
+    """h when g is chain's node types over h, outermost first; else None."""
+    for kind in chain:
+        if type(g) is not kind:
+            return None
+        g = g.sub
+    return g
 
 
 # ---------------------------------------------------------------------------

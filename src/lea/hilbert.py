@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping, Sequence
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 
 from . import sweep
 from .formula import (
@@ -32,7 +32,6 @@ from .formula import (
     Top,
     Var,
     children,
-    is_lea,
     parse,
     postorder,
     rebuild,
@@ -111,7 +110,7 @@ def is_axiom_instance(f: Formula, system: System) -> tuple[str, Substitution] | 
 # ---------------------------------------------------------------------------
 # Tautology checking by boolean abstraction
 
-def is_tautology(f: Formula) -> bool:
+def is_tautology(f: Formula, stats: dict[str, int] | None = None) -> bool:
     """Propositional tautology after abstracting modal subtrees as atoms.
 
     Maximal o/[] subformulas and variables become atoms (structurally equal
@@ -119,7 +118,8 @@ def is_tautology(f: Formula) -> bool:
     formula is a tautology when a one-world sweep, whose bignum holds its
     value under every assignment to the atoms, finds no falsifying hit.
     Raises sweep.ValuationLimitError past sweep.MAX_VALUATION_BITS atoms,
-    the frame sweep's valuation limit on one world.
+    the frame sweep's valuation limit on one world.  Given stats,
+    stats["max_atoms"] is raised to the number of atoms, limit or not.
     """
     atoms: dict[Formula, Var] = {}
     new: dict[int, Formula] = {}
@@ -129,6 +129,8 @@ def is_tautology(f: Formula) -> bool:
         else:
             new[id(g)] = rebuild(g, lambda c: new[id(c)])
     g = new[id(f)]
+    if stats is not None:
+        stats["max_atoms"] = max(stats["max_atoms"], len(atoms))
     if len(atoms) > sweep.MAX_VALUATION_BITS:
         raise sweep.ValuationLimitError(
             f"tautology check over {len(atoms)} atoms exceeds the limit of "
@@ -205,37 +207,65 @@ def check_derivation(d: Derivation, system: System) -> Verdict:
     line past the tautology atom limit makes the answer unknown, with that
     line as witness and the limit as reason.  Premise lines are accepted as
     given; a derivation without them establishes its conclusion outright.
+
+    The essence-fragment check (no []) looks at each distinct node of d
+    once, by identity: a subformula that many lines share, as the lines of
+    parse_derivation do, is examined once, and modus ponens and R meet
+    shared operands at the identity test.  stats counts the work: "lines"
+    looked at, "taut_lines" checked, "max_atoms" of one tautology check,
+    and "nodes", the distinct nodes the fragment check examined.
     """
+    stats = {"lines": 0, "taut_lines": 0, "max_atoms": 0, "nodes": 0}
     if not d.lines:
-        return Verdict(False, "empty derivation", witness=0)
+        return Verdict(False, "empty derivation", witness=0, stats=stats)
     by_index: dict[int, Formula] = {}
+    examined: set[int] = set()  # ids of the nodes the fragment check looked at
     for offset, line in enumerate(d.lines):
+        stats["lines"] += 1
         if line.index != offset + 1:
             return Verdict(False, f"line numbered {line.index}, expected {offset + 1}",
-                           witness=line.index)
+                           witness=line.index, stats=stats)
         try:
-            reason = _check_line(line, by_index, system)
+            reason = _check_line(line, by_index, system, examined, stats)
         except sweep.ValuationLimitError as e:
-            return Verdict(None, str(e), witness=line.index)
+            return Verdict(None, str(e), witness=line.index, stats=stats)
         if reason is not None:
-            return Verdict(False, reason, witness=line.index)
+            return Verdict(False, reason, witness=line.index, stats=stats)
         by_index[line.index] = line.formula
-    return Verdict(True)
+    return Verdict(True, stats=stats)
 
 
-def _check_line(
-    line: Line, earlier: dict[int, Formula], system: System
-) -> str | None:
+def _has_box(f: Formula, examined: set[int]) -> bool:
+    """Whether f has a [] among its nodes that are not in examined, each of
+    which joins examined.  A node in examined is skipped with what is below
+    it: an earlier call that found no [] looked at all of that."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in examined:
+            examined.add(id(g))
+            if type(g) is Box:
+                return True
+            stack += children(g)
+    return False
+
+
+def _check_line(line: Line, earlier: dict[int, Formula], system: System,
+                examined: set[int], stats: dict[str, int]) -> str | None:
     f, just = line.formula, line.just
-    if not is_lea(f):
+    boxed = _has_box(f, examined)
+    stats["nodes"] = len(examined)
+    if boxed:
         return "formula leaves the essence fragment (contains [])"
     if type(just) not in _KINDS:
         return f"unknown justification {just!r}"
     cited = [earlier.get(getattr(just, field)) for field in _KINDS[type(just)][1]]
     if any(g is None for g in cited):
         return "reference to a line that is not strictly earlier"
-    if isinstance(just, Taut) and not is_tautology(f):
-        return "not a propositional tautology under boolean abstraction"
+    if isinstance(just, Taut):
+        stats["taut_lines"] += 1
+        if not is_tautology(f, stats):
+            return "not a propositional tautology under boolean abstraction"
     elif isinstance(just, Axiom):
         try:
             schema = system.schema(just.name)
@@ -305,7 +335,13 @@ class DerivationSyntaxError(ValueError):
 
 
 def parse_derivation(text: str) -> Derivation:
-    """Parse the numbered text format; blank lines are skipped."""
+    """Parse the numbered text format; blank lines are skipped.
+
+    Every formula of the derivation, on a line or in a sub binding, is
+    parsed into one node table, so a subformula that several lines restate
+    is one node.
+    """
+    nodes: dict = {}
     lines: list[Line] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -317,15 +353,15 @@ def parse_derivation(text: str) -> Derivation:
             )
         index = int(m.group(1))
         try:
-            f = parse(m.group(2))
+            f = parse(m.group(2), nodes)
         except ParseError as e:
             raise DerivationSyntaxError(lineno, f"bad formula: {e}") from e
-        just = _parse_justification(m.group(3).strip(), lineno)
+        just = _parse_justification(m.group(3).strip(), lineno, nodes)
         lines.append(Line(index, f, just))
     return Derivation(tuple(lines))
 
 
-def _parse_justification(text: str, lineno: int) -> Justification:
+def _parse_justification(text: str, lineno: int, nodes: dict) -> Justification:
     head, rest = _WORD.match(text).groups()
     kind, fields = _BY_HEAD.get(head, (None, ()))
     if kind is Axiom:
@@ -341,8 +377,12 @@ def _parse_justification(text: str, lineno: int) -> Justification:
             var = var.strip()
             if not sep or not var:
                 raise DerivationSyntaxError(lineno, f"bad binding {item.strip()!r}")
+            if not _names_variable(var, nodes):
+                raise DerivationSyntaxError(lineno, f"bad binding name {var!r}")
+            if var in subst:
+                raise DerivationSyntaxError(lineno, f"{var} is bound twice")
             try:
-                subst[var] = parse(body.strip())
+                subst[var] = parse(body.strip(), nodes)
             except ParseError as e:
                 raise DerivationSyntaxError(lineno, f"bad binding formula: {e}") from e
         return Sub(source, subst)
@@ -350,6 +390,14 @@ def _parse_justification(text: str, lineno: int) -> Justification:
         raise DerivationSyntaxError(lineno, f"unknown justification {text!r}")
     message = f"{head} takes {_COUNTS[len(fields)]}"
     return kind(*_line_numbers(rest, len(fields), lineno, message))
+
+
+def _names_variable(text: str, nodes: dict) -> bool:
+    """Whether text is a variable's name: it parses as that variable alone."""
+    try:
+        return parse(text, nodes) == Var(text)
+    except ParseError:
+        return False
 
 
 def _line_numbers(text: str, count: int, lineno: int, message: str) -> list[int]:
@@ -368,30 +416,31 @@ def gen_conj_derivation(n: int) -> Derivation:
 
     Builds up one conjunct at a time: each step is a KwCon instance, a
     propositional chaining tautology, and two modus ponens lines, so the
-    length grows linearly with n.
+    length grows linearly with n.  Each subformula is built once and shared
+    by the lines that restate it, as parse_derivation would share it.
     """
     if n < 2:
         raise ValueError("need at least two conjuncts")
     p = [Var(f"p{i}") for i in range(1, n + 1)]
+    ess = list(map(Ess, p))
     lines: list[Line] = []
 
     def emit(f: Formula, just: Justification) -> int:
         lines.append(Line(len(lines) + 1, f, just))
         return len(lines)
 
-    goal_idx = emit(Implies(And(Ess(p[0]), Ess(p[1])), Ess(And(p[0], p[1]))), Axiom("KwCon"))
+    body, antecedent = And(p[0], p[1]), And(ess[0], ess[1])
+    goal = Implies(antecedent, Ess(body))
+    goal_idx = emit(goal, Axiom("KwCon"))
     for k in range(2, n):
-        body = reduce(And, p[:k])
-        antecedent = reduce(And, map(Ess, p[:k]))
-        grown_body = And(body, p[k])
-        grown_antecedent = And(antecedent, Ess(p[k]))
-        step = Implies(And(Ess(body), Ess(p[k])), Ess(grown_body))
+        ih = goal
+        body, antecedent = And(body, p[k]), And(antecedent, ess[k])
+        step = Implies(And(ih.right, ess[k]), Ess(body))
+        goal = Implies(antecedent, step.right)
+        half = Implies(step, goal)
         step_idx = emit(step, Axiom("KwCon"))
-        ih = Implies(antecedent, Ess(body))
-        goal = Implies(grown_antecedent, Ess(grown_body))
-        chain = Implies(ih, Implies(step, goal))
-        chain_idx = emit(chain, Taut())
-        half_idx = emit(Implies(step, goal), MP(goal_idx, chain_idx))
+        chain_idx = emit(Implies(ih, half), Taut())
+        half_idx = emit(half, MP(goal_idx, chain_idx))
         goal_idx = emit(goal, MP(step_idx, half_idx))
     return Derivation(tuple(lines))
 

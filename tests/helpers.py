@@ -47,7 +47,6 @@ from lea.formula import (
     _LEVEL_IMP,
     _PREFIX,
     _UNARY_STARTERS,
-    _tokenize,
     children,
     is_lea,
     parse,
@@ -1112,8 +1111,9 @@ def _oracle_render_top(f: Formula, sugar: bool) -> tuple[str, int]:
 
 
 def recursive_parse(text: str) -> Formula:
-    """parse by recursive descent: one precedence loop over the tables."""
-    tokens = _tokenize(text)
+    """parse by recursive descent: one precedence loop over the tables,
+    reading the oracle tokenizer's (kind, text, offset) tokens."""
+    tokens = oracle_tokenize(text)
     pos = 0
 
     def infix(min_level: int) -> Formula:

@@ -34,6 +34,7 @@ from lea.formula import (
     ParseError,
     Top,
     Var,
+    _offsets,
     _tokenize,
     children,
     is_lea,
@@ -265,10 +266,18 @@ def _tokens_or_error(tokenize, text: str):
         return ("error", e.offset, e.expected, e.found, str(e))
 
 
+def _words_and_offsets(text: str) -> list[tuple[str, int]]:
+    """The oracle's tokens in _tokenize's shape: the text of each token,
+    with the offset that _offsets gives it."""
+    return [(word, offset) for _, word, offset in oracle_tokenize(text)]
+
+
 def _same_tokens(text: str) -> bool:
     """True when text tokenizes; an error must match the oracle's in full."""
     got = _tokens_or_error(_tokenize, text)
-    assert got == _tokens_or_error(oracle_tokenize, text), ascii(text)
+    if got[0] != "error":
+        got = list(zip(got, _offsets(text)))
+    assert got == _tokens_or_error(_words_and_offsets, text), ascii(text)
     return got[0] != "error"
 
 
@@ -379,6 +388,54 @@ def test_parse_errors_match_recursive_oracle():
         assert got == _outcome(recursive_parse, text), text
         parsed += isinstance(got, Formula)
     assert 1_000 < parsed < 49_000, parsed
+
+
+def test_parse_matches_recursive_oracle_on_any_text():
+    # parse checks each token where it meets it and runs the tokenizer only
+    # when it fails, so it must accept and reject exactly as the oracle
+    # parser over the oracle tokenizer does, on text that no token table knows.
+    rng = random.Random(20261023)
+    parsed = 0
+    for _ in range(30_000):
+        text = "".join(rng.choices(_ALPHABET + _PARSER_ALPHABET, k=rng.randint(0, 10)))
+        got = _outcome(parse, text)
+        assert got == _outcome(recursive_parse, text), ascii(text)
+        parsed += isinstance(got, Formula)
+    assert 1_000 < parsed < 29_000, parsed
+
+
+def test_equal_subformulas_of_one_parse_are_one_node():
+    f = parse("(p & q) -> (p & q)")
+    assert f.left is f.right and f.left.left is not f.left.right
+    # Sugar is built from the same table as what it stands for.
+    for text in ("A p <-> ~o p", "<> q <-> ~[] ~q", "T & F | T & F"):
+        f = parse(text)
+        assert f.left is f.right, text
+    # The table lives for one call.
+    assert parse("p & q") == parse("p & q") and parse("p & q") is not parse("p & q")
+
+
+def test_one_table_across_parses_gives_the_formulas_of_separate_parses():
+    nodes: dict = {}
+    for f in _seeded_formulas(2026):
+        for sugar in (False, True):
+            text = render(f, sugar=sugar)
+            g = parse(text, nodes)
+            assert g == f == parse(text), text
+            assert parse(text, nodes) is g
+    # No two nodes of the table are equal.
+    assert len(set(nodes.values())) == len(nodes) > 1_000
+
+
+def test_a_table_that_saw_an_error_still_parses():
+    nodes: dict = {}
+    shared = parse("o (p & q)", nodes)
+    for bad in ("(p & q", "p & q)", "o (p & $", "Foo & p", "p -> <", "p & & q", ""):
+        assert _outcome(parse, bad, nodes) == _outcome(parse, bad)
+        assert isinstance(_outcome(parse, bad, nodes), tuple), bad
+        f = parse("(p & q) | o (p & q)", nodes)
+        assert f == Or(And(p, q), Ess(And(p, q)))
+        assert f.right is shared and f.left is shared.sub
 
 
 def _frames() -> int:

@@ -13,7 +13,8 @@ from helpers import (
 )
 from helpers import render_justification as oracle_render_justification
 import lea.sweep
-from lea.formula import And, Box, Ess, Iff, Implies, Not, Or, Var, is_ml, parse, render, substitute
+from lea.formula import (And, Box, Ess, Iff, Implies, Not, Or, Var, is_ml, parse, postorder,
+                         render, substitute, tree_size)
 from lea.hilbert import (
     EQUI_KW,
     KW_B,
@@ -205,6 +206,65 @@ def test_gen_conj_text_roundtrip():
         assert again.conclusion == d.conclusion
 
 
+def _restated_operands(d: Derivation):
+    """For each modus ponens line of d: its cited implication's two sides
+    and the formulas of the lines they restate."""
+    for line in d.lines:
+        if isinstance(line.just, MP):
+            implication = d.lines[line.just.implication - 1].formula
+            yield implication.left, d.lines[line.just.antecedent - 1].formula
+            yield implication.right, line.formula
+
+
+def test_derivation_lines_share_what_they_restate():
+    made = gen_conj_derivation(12)
+    parsed = parse_derivation(render_derivation(made))
+    for d in (made, parsed):
+        pairs = list(_restated_operands(d))
+        assert len(pairs) == 2 * 2 * (12 - 2)
+        assert all(a is b for a, b in pairs)
+    # Equal subformulas anywhere in the text are one node.
+    nodes = {id(g): g for line in parsed.lines for g in postorder(line.formula)}
+    assert len(nodes) == len(set(nodes.values())) == 10 * 12 - 12
+    # Bindings share the table with the lines.
+    sub = parse_derivation("1. o (p & q) -> o (p & q)   [taut]\n"
+                           "2. o ((p & q) & q) -> o ((p & q) & q)   [sub 1 p:=p & q]")
+    assert sub.lines[1].just.subst["p"] is sub.lines[0].formula.left.sub
+    assert check_derivation(sub, System.K_CIRC).answer
+
+
+def test_check_derivation_counts_its_work():
+    verdict = check_derivation(gen_conj_derivation(12), System.K_CIRC)
+    assert verdict.answer is True
+    assert verdict.stats == {"lines": 41, "taut_lines": 10, "max_atoms": 14, "nodes": 108}
+    # Past N = 18 a chaining tautology has more than 20 atoms: N = 200 stops
+    # unknown at the first of them, line 67 (k = 18), having seen 10 k - 2 nodes.
+    verdict = check_derivation(gen_conj_derivation(200), System.K_CIRC)
+    assert (verdict.answer, verdict.witness) == (None, 67)
+    assert verdict.stats == {"lines": 67, "taut_lines": 17, "max_atoms": 21, "nodes": 178}
+    # The nodes examined grow by 10 a conjunct; the lines written out as
+    # trees grow by more each time.
+    nodes, trees = [], []
+    for n in range(2, 19):
+        d = gen_conj_derivation(n)
+        stats = check_derivation(d, System.K_CIRC).stats
+        assert stats == check_derivation(parse_derivation(render_derivation(d)),
+                                         System.K_CIRC).stats
+        assert (stats["lines"], stats["taut_lines"]) == (len(d.lines), n - 2)
+        assert stats["max_atoms"] == (n + 2 if n > 2 else 0)
+        nodes.append(stats["nodes"])
+        trees.append(sum(tree_size(line.formula) for line in d.lines))
+    assert nodes == [10 * n - 12 for n in range(2, 19)]
+    growth = [b - a for a, b in zip(trees, trees[1:])]
+    assert all(a < b for a, b in zip(growth, growth[1:])), growth
+    # A rejected or empty derivation counts what it looked at.
+    boxed = parse_derivation("1. p -> p   [taut]\n2. [] p -> [] p   [taut]")
+    assert check_derivation(boxed, System.K_CIRC).stats == {
+        "lines": 2, "taut_lines": 1, "max_atoms": 1, "nodes": 4}
+    assert check_derivation(Derivation(()), System.K_CIRC).stats == {
+        "lines": 0, "taut_lines": 0, "max_atoms": 0, "nodes": 0}
+
+
 def test_mutations_rejected():
     rng = random.Random(42)
     base = [gen_conj_derivation(n) for n in (3, 4, 5)]
@@ -283,6 +343,10 @@ def test_parse_derivation_errors():
         ("sub 1 p", "bad binding 'p'"),
         ("sub 1 p:=q,", "bad binding ''"),
         ("sub 1 p := q &", "bad binding formula"),
+        ("sub 1 p:=q, p:=r", "p is bound twice"),
+        ("sub 1 o p:=q", "bad binding name 'o p'"),
+        ("sub 1 (p):=q", "bad binding name '\\(p\\)'"),
+        ("sub 1 T:=q", "bad binding name 'T'"),
     ):
         with pytest.raises(DerivationSyntaxError, match=f"line 2: {message}"):
             parse_derivation(f"1. p -> p   [taut]\n2. p   [{just}]\n")
